@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from .errors import (
     IngestError,
+    LatticeFormatError,
     MixtureError,
+    NumericalError,
     OracleCapError,
     ResourceLimitError,
     UnsupportedFamilyError,
@@ -61,9 +63,11 @@ __all__ = [
     "DirichletMultinomial",
     "GroupStat",
     "IngestError",
+    "LatticeFormatError",
     "MixtureError",
     "MixturePrior",
     "NormalInverseGamma",
+    "NumericalError",
     "OracleCapError",
     "OracleResult",
     "PoissonGamma",

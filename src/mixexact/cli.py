@@ -2,16 +2,16 @@
 
 Configuration may come from a JSON document (--config), individual flags,
 or both; flags override the document. Exit codes: 2 invalid configuration,
-3 ingestion failure, 4 resource limit, 5 oracle cap exceeded.
+3 ingestion failure, 4 resource limit, 5 oracle cap exceeded, 6 non-finite
+result.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,9 +20,11 @@ from . import datasets, lattice, oracle, posterior
 from .errors import (
     EXIT_INGEST_FAILURE,
     EXIT_INVALID_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_ORACLE_CAP,
     EXIT_RESOURCE_LIMIT,
     IngestError,
+    NumericalError,
     OracleCapError,
     ResourceLimitError,
     UnsupportedFamilyError,
@@ -55,7 +57,7 @@ class RunConfig:
     threshold: float = 0.99
     entry_budget: int = DEFAULT_ENTRY_BUDGET
     oracle_cap: int = DEFAULT_ORACLE_CAP
-    threads: int = field(default_factory=lambda: os.cpu_count() or 1)
+    threads: int = 1  # accepted for compatibility; the engine is single-threaded
     out: str | None = None
     compare: bool = False
     dump_table: str | None = None
@@ -253,7 +255,7 @@ def run_subcommand(config: RunConfig) -> int:
                 handle.write(oracle.weight_table_csv(data, prior, cap=config.oracle_cap))
         if config.compare:
             lat = lattice.build(data, config.k, config.family, budget=config.entry_budget)
-            wp = posterior.normalize(lat, prior, threads=config.threads)
+            wp = posterior.normalize(lat, prior)
             _, _, verdict = oracle.compare_report(wp, result)
             print(verdict)
         return 0
@@ -270,7 +272,7 @@ def run_subcommand(config: RunConfig) -> int:
 
     lat = lattice.build(data, config.k, config.family, budget=config.entry_budget)
     prior = build_prior(config, data)
-    wp = posterior.normalize(lat, prior, threads=config.threads)
+    wp = posterior.normalize(lat, prior)
 
     if config.command == "posterior":
         _write_artifact(posterior.summarize(wp).to_text(), config.out)
@@ -320,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=float, help="mass threshold (default 0.99)")
         p.add_argument("--budget", type=int, help="lattice entry budget")
         p.add_argument("--cap", type=int, help="oracle allocation cap")
-        p.add_argument("--threads", type=int, help="engine threads (default: machine)")
+        p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
         p.add_argument("--seed", type=int, help="seed for the synthetic generator")
         p.add_argument(
             "--synthetic",
@@ -450,6 +452,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OracleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_CAP
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, UnsupportedFamilyError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

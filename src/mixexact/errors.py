@@ -6,6 +6,7 @@ EXIT_INVALID_CONFIG = 2
 EXIT_INGEST_FAILURE = 3
 EXIT_RESOURCE_LIMIT = 4
 EXIT_ORACLE_CAP = 5
+EXIT_NUMERICAL = 6
 
 
 class MixtureError(Exception):
@@ -30,3 +31,11 @@ class OracleCapError(MixtureError):
 
 class UnsupportedFamilyError(MixtureError):
     """The requested operation is not defined for this family."""
+
+
+class LatticeFormatError(MixtureError, ValueError):
+    """A lattice dump is malformed or violates a lattice invariant."""
+
+
+class NumericalError(MixtureError, ArithmeticError):
+    """A result came out non-finite or a numerical construction failed."""

@@ -226,6 +226,19 @@ def component_posterior_density(post: ComponentPrior, point: float, category: in
     return float(np.exp(logpdf))
 
 
+def infer_family(obs: Observation) -> str:
+    """Family of a bare observation: tuple, int or float."""
+    if isinstance(obs, bool):
+        raise ValueError(f"not a supported observation: {obs!r}")
+    if isinstance(obs, tuple):
+        return "multinomial"
+    if isinstance(obs, int):
+        return "poisson"
+    if isinstance(obs, float):
+        return "normal"
+    raise ValueError(f"not a supported observation: {obs!r}")
+
+
 def check_observation(family: str, obs: Observation, categories: int | None = None) -> None:
     """Raise ValueError unless obs is a valid observation of the family."""
     if family == "poisson":

@@ -7,41 +7,71 @@ mapping to each value. Absorbing one observation sends every entry to k
 successors; colliding successors add their multiplicities. Multiplicities
 are Python integers, so conservation (they always sum to k**n) holds as
 exact arbitrary-precision arithmetic.
+
+Keys live in one (E, k*w) int64 array in lexicographic row order. A step
+packs every key into int64 words by mixed radix, slot 0 most significant,
+so word order is key order; absorbing x into slot j adds a constant to each
+word. A step is then k shifted copies of the codes, one sort, and one
+grouped sum of the multiplicities.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import math
+from itertools import repeat
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import families
-from .errors import ResourceLimitError, UnsupportedFamilyError
+from .errors import LatticeFormatError, ResourceLimitError, UnsupportedFamilyError
 
 DEFAULT_ENTRY_BUDGET = 5_000_000
 
 # canonical flat key layout: (n_1, *S_1, n_2, *S_2, ..., n_k, *S_k)
 Key = tuple[int, ...]
 
+_WORD_SPAN = 2**63  # codes of one int64 word stay below this
+# digits stay below _WORD_SPAN / k, so no sum over the k slots of a column wraps
 
-@dataclass(frozen=True)
+
 class StatLattice:
-    """Immutable map from canonical statistic keys to exact multiplicities."""
+    """Immutable sorted key array with exact multiplicities.
 
-    family: str
-    k: int
-    n: int
-    entries: Mapping[Key, int]
-    log_base: float  # sum over absorbed observations of log h(x_i)
+    `key_array` is (E, k*w) int64 in lexicographic row order and
+    `mult_array` holds the matching multiplicities as Python ints. The
+    constructor takes a {key: multiplicity} mapping.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+    __slots__ = ("family", "k", "n", "key_array", "mult_array", "log_base")
+
+    def __init__(self, family: str, k: int, n: int, entries: Mapping[Key, int], log_base: float):
+        items = sorted(entries.items())
+        if not items:
+            raise ValueError("a lattice needs at least one entry")
+        keys = np.array([key for key, _ in items], dtype=np.int64)
+        mults = np.array([int(m) for _, m in items], dtype=object)  # exact Python ints
+        self._freeze(family, k, n, keys, mults, log_base)
+
+    @classmethod
+    def _from_arrays(cls, family, k, n, keys, mults, log_base) -> "StatLattice":
+        lat = cls.__new__(cls)
+        lat._freeze(family, k, n, keys, mults, log_base)
+        return lat
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StatLattice is immutable; cannot set {name!r}")
 
     @property
     def slot_width(self) -> int:
-        key = next(iter(self.entries))
-        return len(key) // self.k
+        return self.key_array.shape[1] // self.k
 
     @property
     def categories(self) -> int | None:
@@ -49,31 +79,22 @@ class StatLattice:
             return None
         return self.slot_width - 1
 
+    @property
+    def entries(self) -> Mapping[Key, int]:
+        """Read-only {key tuple: multiplicity} view, built on demand."""
+        keys = map(tuple, self.key_array.tolist())
+        return MappingProxyType(dict(zip(keys, self.mult_array.tolist())))
+
     def distinct_count(self) -> int:
-        return len(self.entries)
+        return len(self.key_array)
 
     def total_count(self) -> int:
-        return sum(self.entries.values())
-
-    def sorted_items(self) -> list[tuple[Key, int]]:
-        return sorted(self.entries.items())
+        return sum(self.mult_array.tolist())
 
     def group_stat(self, key: Key, j: int) -> families.GroupStat:
         w = self.slot_width
         slot = key[j * w : (j + 1) * w]
         return families.GroupStat(slot[0], tuple(slot[1:]))
-
-
-def _infer_family(obs) -> str:
-    if isinstance(obs, bool):
-        raise ValueError(f"not a supported observation: {obs!r}")
-    if isinstance(obs, tuple):
-        return "multinomial"
-    if isinstance(obs, int):
-        return "poisson"
-    if isinstance(obs, float):
-        return "normal"
-    raise ValueError(f"not a supported observation: {obs!r}")
 
 
 def _require_lattice_family(family: str) -> None:
@@ -90,71 +111,66 @@ def init(first_obs, k: int, family: str | None = None) -> StatLattice:
     if k < 1:
         raise ValueError(f"component count must be >= 1, got {k}")
     if family is None:
-        family = _infer_family(first_obs)
+        family = families.infer_family(first_obs)
     _require_lattice_family(family)
     families.check_observation(family, first_obs)
-    r = families.observation_statistic(family, first_obs)
-    w = 1 + len(r.total)
-    zero = (0,) * w
-    entries = {}
-    for j in range(k):
-        key = zero * j + (1, *r.total) + zero * (k - j - 1)
-        entries[key] = 1
-    return StatLattice(family, k, 1, entries, families.log_base_measure(family, first_obs))
+    w = 1 + len(families.observation_statistic(family, first_obs).total)
+    # the n=0 lattice: one all-zero key; -0.0 + x is x bitwise for every x
+    one = np.array([1], dtype=object)
+    empty = StatLattice._from_arrays(family, k, 0, np.zeros((1, k * w), np.int64), one, -0.0)
+    return extend(empty, first_obs)
 
 
-def _successors(key: Key, k: int, w: int, r: Sequence[int]) -> Iterator[Key]:
-    for j in range(k):
-        off = j * w
-        bumped = (key[off] + 1,) + tuple(key[off + 1 + u] + r[u] for u in range(w - 1))
-        yield key[:off] + bumped + key[off + w :]
+def _word_places(radix: list[int]) -> np.ndarray:
+    """Mixed-radix place values that pack key columns into int64 words.
+
+    Row i holds word i's place value for each column and zero for columns
+    outside it; word 0 holds the most significant columns. A word closes
+    when one more column would let its codes reach 2**63.
+    """
+    words = []
+    place = np.zeros(len(radix), dtype=np.int64)
+    span = 1
+    for c in range(len(radix) - 1, -1, -1):
+        if span * radix[c] > _WORD_SPAN:
+            words.append(place)
+            place = np.zeros(len(radix), dtype=np.int64)
+            span = 1
+        place[c] = span
+        span *= radix[c]
+    words.append(place)
+    return np.array(words[::-1])
 
 
-def extend(
-    lattice: StatLattice,
-    obs,
-    budget: int = DEFAULT_ENTRY_BUDGET,
-    backend: str = "hash",
-) -> StatLattice:
+def extend(lattice: StatLattice, obs, budget: int = DEFAULT_ENTRY_BUDGET) -> StatLattice:
     """Absorb one observation: spawn k successors per entry, merge collisions."""
     families.check_observation(lattice.family, obs, lattice.categories)
     r = families.observation_statistic(lattice.family, obs).total
     k, w = lattice.k, lattice.slot_width
     if len(r) != w - 1:
         raise ValueError("observation width does not match the lattice family")
-
-    if backend == "hash":
-        merged: dict[Key, int] = {}
-        for key, mult in lattice.entries.items():
-            for succ in _successors(key, k, w, r):
-                if succ in merged:
-                    merged[succ] += mult
-                else:
-                    merged[succ] = mult
-                    if len(merged) > budget:
-                        raise ResourceLimitError(
-                            f"entry budget {budget} exceeded at {len(merged)} entries",
-                            entry_count=len(merged),
-                        )
-    elif backend == "sortmerge":
-        pairs = sorted(
-            (succ, mult)
-            for key, mult in lattice.entries.items()
-            for succ in _successors(key, k, w, r)
+    keys, size = lattice.key_array, lattice.distinct_count()
+    # each column's largest successor digit; radix = that + 1, so codes never carry
+    top = [int(a) + b for a, b in zip(keys.max(axis=0).tolist(), (1, *r) * k)]
+    if max(top) * k >= _WORD_SPAN:
+        raise ValueError("a statistic digit would leave the int64 key range")
+    bump = np.kron(np.eye(k, dtype=np.int64), np.array([[1, *r]], dtype=np.int64))  # row j: x into slot j
+    places = _word_places([t + 1 for t in top])
+    succ = ((bump @ places.T)[:, None, :] + keys @ places.T).reshape(k * size, len(places))
+    order = np.lexsort(succ.T[::-1])
+    ranked = succ[order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    starts = np.flatnonzero(fresh)
+    if len(starts) > budget:
+        raise ResourceLimitError(
+            f"entry budget {budget} exceeded at {len(starts)} entries", entry_count=len(starts)
         )
-        merged = {}
-        for succ, group in itertools.groupby(pairs, key=lambda p: p[0]):
-            merged[succ] = sum(m for _, m in group)
-        if len(merged) > budget:
-            raise ResourceLimitError(
-                f"entry budget {budget} exceeded at {len(merged)} entries",
-                entry_count=len(merged),
-            )
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
+    first = order[starts]
+    merged = keys[first % size] + bump[first // size]
+    mults = np.add.reduceat(lattice.mult_array[order % size], starts)
     log_base = lattice.log_base + families.log_base_measure(lattice.family, obs)
-    return StatLattice(lattice.family, k, lattice.n + 1, merged, log_base)
+    return StatLattice._from_arrays(lattice.family, k, lattice.n + 1, merged, mults, log_base)
 
 
 def build(
@@ -162,57 +178,73 @@ def build(
     k: int,
     family: str | None = None,
     budget: int = DEFAULT_ENTRY_BUDGET,
-    backend: str = "hash",
 ) -> StatLattice:
     """Fold extend over the dataset, starting from init(data[0], k)."""
     if len(data) == 0:
         raise ValueError("dataset must be non-empty")
     lattice = init(data[0], k, family)
     for obs in data[1:]:
-        lattice = extend(lattice, obs, budget=budget, backend=backend)
+        lattice = extend(lattice, obs, budget=budget)
     return lattice
-
-
-def distinct_count(lattice: StatLattice) -> int:
-    return lattice.distinct_count()
-
-
-def total_count(lattice: StatLattice) -> int:
-    return lattice.total_count()
 
 
 def dump(lattice: StatLattice) -> str:
     """Flat text form: header, then one sorted line per entry."""
-    lines = [
-        f"family={lattice.family} k={lattice.k} n={lattice.n} logh={lattice.log_base.hex()}"
-    ]
-    for key, mult in lattice.sorted_items():
-        lines.append("\t".join([*(str(v) for v in key), str(mult)]))
-    return "\n".join(lines) + "\n"
+    size, width = lattice.key_array.shape
+    table = np.empty((size, width + 1), dtype=object)  # Python ints throughout
+    table[:, :-1] = lattice.key_array
+    table[:, -1] = lattice.mult_array
+    row = "\t".join(["%d"] * (width + 1)) + "\n"
+    header = f"family={lattice.family} k={lattice.k} n={lattice.n} logh={lattice.log_base.hex()}\n"
+    return header + (row * size) % tuple(table.ravel().tolist())
 
 
 def load(text: str) -> StatLattice:
-    """Inverse of dump; validates conservation before returning."""
+    """Inverse of dump; raises LatticeFormatError on any text dump cannot write."""
     lines = text.splitlines()
     if not lines:
-        raise ValueError("empty lattice dump")
-    header = dict(item.split("=", 1) for item in lines[0].split(" "))
+        raise LatticeFormatError("empty lattice dump")
     try:
-        family = header["family"]
-        k = int(header["k"])
-        n = int(header["n"])
+        header = dict(item.split("=", 1) for item in lines[0].split(" "))
+        family, k, n = header["family"], int(header["k"]), int(header["n"])
         log_base = float.fromhex(header["logh"])
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed lattice header: {lines[0]!r}") from exc
-    entries: dict[Key, int] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = line.split("\t")
-        entries[tuple(int(c) for c in cells[:-1])] = int(cells[-1])
-    if not entries:
-        raise ValueError("lattice dump has no entries")
-    lat = StatLattice(family, k, n, entries, log_base)
-    if lat.total_count() != k**n:
-        raise ValueError(f"dump violates conservation: total {lat.total_count()} != {k}^{n}")
-    return lat
+        raise LatticeFormatError(f"malformed lattice header: {lines[0]!r}") from exc
+    if family not in ("poisson", "multinomial"):
+        raise LatticeFormatError(f"family {family!r} has no lattice")
+    if k < 1 or n < 0 or not math.isfinite(log_base):
+        raise LatticeFormatError(f"invalid lattice header: {lines[0]!r}")
+    rows = [line for line in lines[1:] if line]
+    if not rows:
+        raise LatticeFormatError("lattice dump has no entries")
+    width = rows[0].count("\t")
+    w = width // k
+    if width != k * w or (w == 2) != (family == "poisson") or w < 2:
+        raise LatticeFormatError(f"key width {width} does not fit a {family} lattice with k={k}")
+    if set(map(str.count, rows, repeat("\t"))) != {width}:
+        raise LatticeFormatError(f"entries disagree on the key width {width}")
+    try:
+        table = np.array(list(map(int, "\t".join(rows).split("\t"))), dtype=object)
+        table = table.reshape(len(rows), width + 1)
+        keys = table[:, :-1].astype(np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise LatticeFormatError(f"malformed lattice entry: {exc}") from exc
+    mults = table[:, -1].copy()
+
+    slots = keys.reshape(len(rows), k, w)
+    totals = slots.sum(axis=1)
+    step = np.diff(keys, axis=0)
+    lead = (step != 0).argmax(axis=1)
+    if keys.min() < 0 or int(keys.max()) * k >= _WORD_SPAN or mults.min() < 1:
+        raise LatticeFormatError("digit out of range or nonpositive multiplicity")
+    if np.any(totals[:, 0] != n) or np.any(totals != totals[0]):
+        raise LatticeFormatError(f"entries disagree with n={n} or with each other's totals")
+    if np.any((slots[:, :, 0] == 0) & slots[:, :, 1:].any(axis=2)):
+        raise LatticeFormatError("an empty slot carries a nonzero aggregate")
+    if not np.all(step[np.arange(len(step)), lead] > 0):
+        raise LatticeFormatError("keys are duplicated or out of order")
+    total = sum(mults.tolist())
+    # the bit-length test keeps k**n cheap when n is absurdly large
+    if (k > 1 and n * math.log2(k) > total.bit_length() + 1) or total != k**n:
+        raise LatticeFormatError(f"dump violates conservation: total {total} != {k}^{n}")
+    return StatLattice._from_arrays(family, k, n, keys, mults, log_base)

@@ -20,7 +20,7 @@ from scipy import integrate, stats
 from scipy.special import logsumexp
 
 from . import families, posterior
-from .errors import OracleCapError
+from .errors import NumericalError, OracleCapError
 from .families import GroupStat
 from .posterior import MixturePrior, PosteriorSummary
 
@@ -69,16 +69,6 @@ def _normal_stats(key: tuple) -> list[GroupStat]:
         total_sq = math.fsum(x * x for x in group)
         out.append(GroupStat(len(group), (total, total_sq) if group else (0, 0)))
     return out
-
-
-def _infer_family(obs) -> str:
-    if isinstance(obs, tuple):
-        return "multinomial"
-    if isinstance(obs, bool):
-        raise ValueError(f"not a supported observation: {obs!r}")
-    if isinstance(obs, int):
-        return "poisson"
-    return "normal"
 
 
 def _grouped(data: Sequence, k: int, family: str, cap: int) -> dict:
@@ -210,16 +200,19 @@ def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
                 )
             )
 
-    logw = np.array(
-        [
-            posterior.log_unnormalized_weight(stats_row, mult, prior)
-            for stats_row, mult in zip(group_stats, mults)
-        ]
-    )
+    with np.errstate(all="ignore"):
+        logw = np.array(
+            [
+                posterior.log_unnormalized_weight(stats_row, mult, prior)
+                for stats_row, mult in zip(group_stats, mults)
+            ]
+        )
+        log_base = sum(families.log_base_measure(family, obs) for obs in data)
+        log_m = float(logsumexp(logw) + prior.log_dirichlet_constant() + log_base)
+    if not (np.all(np.isfinite(logw)) and math.isfinite(log_m)):
+        raise NumericalError("oracle log weights or log evidence overflow double precision")
     shifted = np.exp(logw - logw.max())
     weights = shifted / shifted.sum()
-    log_base = sum(families.log_base_measure(family, obs) for obs in data)
-    log_m = float(logsumexp(logw) + prior.log_dirichlet_constant() + log_base)
     return OracleResult(
         prior=prior,
         n=n,
@@ -234,7 +227,7 @@ def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
 
 def oracle_distinct_statistics(data: Sequence, k: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Number of distinct canonical statistics over all k**n allocations."""
-    family = _infer_family(data[0])
+    family = families.infer_family(data[0])
     return len(_grouped(data, k, family, cap))
 
 

@@ -11,7 +11,6 @@ includes the data base measure, so it is the true log marginal likelihood.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -19,14 +18,12 @@ import numpy as np
 from scipy import stats
 from scipy.special import gammaln, logsumexp
 
-from .errors import UnsupportedFamilyError
+from .errors import NumericalError, UnsupportedFamilyError
 from .families import ComponentPrior, GroupStat
 from .lattice import Key, StatLattice
 
 DEFAULT_GRID_POINTS = 512
 DEFAULT_COVERAGE = 1e-8
-
-_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,8 @@ class WeightedPosterior:
 
     prior: MixturePrior
     n: int
-    keys: tuple[Key, ...]
-    multiplicities: tuple[int, ...]
+    key_array: np.ndarray  # (E, k*w) int64, lexicographic rows, shared with the lattice
+    mult_array: np.ndarray  # (E,) exact Python-int multiplicities
     log_weights: np.ndarray  # unnormalized, includes log multiplicity
     weights: np.ndarray  # normalized, sums to 1
     log_evidence: float
@@ -100,20 +97,29 @@ class WeightedPosterior:
 
     @property
     def slot_width(self) -> int:
-        return len(self.keys[0]) // self.k
+        return self.key_array.shape[1] // self.k
+
+    @property
+    def keys(self) -> tuple[Key, ...]:
+        """Tuple view of the key array, built on demand."""
+        return tuple(map(tuple, self.key_array.tolist()))
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(self.mult_array.tolist())
 
     def group_stat(self, i: int, j: int) -> GroupStat:
         w = self.slot_width
-        slot = self.keys[i][j * w : (j + 1) * w]
+        slot = self.key_array[i, j * w : (j + 1) * w].tolist()
         return GroupStat(slot[0], tuple(slot[1:]))
 
     def entries(self) -> Iterator[PosteriorEntry]:
         alpha = self.prior.alpha
-        for i, key in enumerate(self.keys):
+        for i, (key, mult) in enumerate(zip(self.keys, self.mult_array.tolist())):
             stats_i = [self.group_stat(i, j) for j in range(self.k)]
             yield PosteriorEntry(
                 key=key,
-                multiplicity=self.multiplicities[i],
+                multiplicity=mult,
                 weight=float(self.weights[i]),
                 component_posteriors=tuple(
                     c.updated(s) for c, s in zip(self.prior.components, stats_i)
@@ -202,17 +208,6 @@ def _check_compatible(lat: StatLattice, prior: MixturePrior) -> None:
         raise ValueError("lattice and prior disagree on the category count")
 
 
-def _entry_arrays(lat: StatLattice) -> tuple[list[Key], list[int], np.ndarray, np.ndarray]:
-    """Sorted keys plus (E, k) count and (E, k, w-1) aggregate arrays."""
-    items = lat.sorted_items()
-    keys = [key for key, _ in items]
-    mults = [mult for _, mult in items]
-    flat = np.asarray(keys, dtype=float).reshape(len(keys), lat.k, lat.slot_width)
-    counts = flat[:, :, 0]
-    sums = flat[:, :, 1:]
-    return keys, mults, counts, sums
-
-
 def log_unnormalized_weight(
     stat: Sequence[GroupStat], multiplicity: int, prior: MixturePrior
 ) -> float:
@@ -234,90 +229,61 @@ def log_unnormalized_weight(
     return float(value)
 
 
-def _chunked(total: int, fill, threads: int) -> None:
-    starts = range(0, total, _CHUNK)
-    if threads > 1 and total > _CHUNK:
-        # fixed chunk boundaries keep results identical for any thread count
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for lo in starts:
-            fill(lo)
+def _slots(key_array: np.ndarray, k: int) -> np.ndarray:
+    """(E, k, w) float copy of a key array: counts at [..., 0], aggregates after."""
+    return key_array.reshape(len(key_array), k, -1).astype(float)
 
 
-def _log_weight_vector(lat: StatLattice, prior: MixturePrior, threads: int) -> np.ndarray:
-    keys, mults, counts, sums = _entry_arrays(lat)
-    n_entries = len(keys)
+def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
+    flat = _slots(lat.key_array, lat.k)
+    counts, sums = flat[:, :, 0], flat[:, :, 1:]
     alpha = np.asarray(prior.alpha)
-    out = np.empty(n_entries)
-    log_mult = np.array([math.log(m) for m in mults])
+    log_mult = np.array([math.log(m) for m in lat.mult_array.tolist()])
 
     if prior.family == "poisson":
         a0 = np.array([c.shape for c in prior.components])
         b0 = np.array([c.rate for c in prior.components])
         prior_const = float(np.sum(gammaln(a0) - a0 * np.log(b0)))
-        s = sums[:, :, 0]
-
-        def fill(lo: int) -> None:
-            hi = min(lo + _CHUNK, n_entries)
-            cnt = counts[lo:hi]
-            shp = a0 + s[lo:hi]
-            contrib = gammaln(cnt + alpha) + gammaln(shp) - shp * np.log(b0 + cnt)
-            # sorted addition makes the sum invariant under component
-            # relabeling, so symmetric priors give exactly symmetric weights
-            contrib.sort(axis=1)
-            out[lo:hi] = contrib.sum(axis=1)
-
+        shp = a0 + sums[:, :, 0]
+        contrib = gammaln(counts + alpha) + gammaln(shp) - shp * np.log(b0 + counts)
     elif prior.family == "multinomial":
         beta = np.array([c.concentration for c in prior.components])  # (k, v)
         prior_const = float(np.sum(gammaln(beta)) - np.sum(gammaln(beta.sum(axis=1))))
-
-        def fill(lo: int) -> None:
-            hi = min(lo + _CHUNK, n_entries)
-            cnt = counts[lo:hi]
-            conc = beta[None, :, :] + sums[lo:hi]
-            contrib = (
-                gammaln(cnt + alpha)
-                + np.sum(gammaln(conc), axis=2)
-                - gammaln(conc.sum(axis=2))
-            )
-            contrib.sort(axis=1)
-            out[lo:hi] = contrib.sum(axis=1)
-
+        conc = beta[None, :, :] + sums
+        contrib = gammaln(counts + alpha) + np.sum(gammaln(conc), axis=2) - gammaln(conc.sum(axis=2))
     else:
         raise UnsupportedFamilyError(f"no lattice weight path for family {prior.family!r}")
 
-    _chunked(n_entries, fill, threads)
+    # sorted addition makes the sum invariant under component relabeling,
+    # so symmetric priors give exactly symmetric weights
+    contrib.sort(axis=1)
+    out = contrib.sum(axis=1)
     out += log_mult - gammaln(lat.n + alpha.sum()) - prior_const
     return out
 
 
-def normalize(lat: StatLattice, prior: MixturePrior, threads: int = 1) -> WeightedPosterior:
-    """Weight every lattice entry and normalize by max-subtraction."""
+def _weigh(lat: StatLattice, prior: MixturePrior) -> tuple[np.ndarray, float]:
+    """Unnormalized log weights and log evidence; refuses non-finite ones."""
     _check_compatible(lat, prior)
-    logw = _log_weight_vector(lat, prior, threads)
+    with np.errstate(all="ignore"):
+        logw = _log_weight_vector(lat, prior)
+        log_m = float(logsumexp(logw) + prior.log_dirichlet_constant() + lat.log_base)
+    if not (np.all(np.isfinite(logw)) and math.isfinite(log_m)):
+        raise NumericalError("log weights or log evidence overflow double precision")
+    return logw, log_m
+
+
+def normalize(lat: StatLattice, prior: MixturePrior) -> WeightedPosterior:
+    """Weight every lattice entry and normalize by max-subtraction."""
+    logw, log_m = _weigh(lat, prior)
     shifted = np.exp(logw - logw.max())
     weights = shifted / shifted.sum()
-    log_m = float(
-        logsumexp(logw) + prior.log_dirichlet_constant() + lat.log_base
-    )
-    items = lat.sorted_items()
-    return WeightedPosterior(
-        prior=prior,
-        n=lat.n,
-        keys=tuple(key for key, _ in items),
-        multiplicities=tuple(mult for _, mult in items),
-        log_weights=logw,
-        weights=weights,
-        log_evidence=log_m,
-    )
+    return WeightedPosterior(prior, lat.n, lat.key_array, lat.mult_array, logw, weights, log_m)
 
 
-def log_evidence(lat: StatLattice, prior: MixturePrior, threads: int = 1) -> float:
+def log_evidence(lat: StatLattice, prior: MixturePrior) -> float:
     """log m(x): true log marginal likelihood including the base measure."""
-    _check_compatible(lat, prior)
-    logw = _log_weight_vector(lat, prior, threads)
-    return float(logsumexp(logw) + prior.log_dirichlet_constant() + lat.log_base)
+    return _weigh(lat, prior)[1]
 
 
 def bayes_factor(log_m_a: float, log_m_b: float) -> float:
@@ -326,7 +292,7 @@ def bayes_factor(log_m_a: float, log_m_b: float) -> float:
 
 def expected_weights(wp: WeightedPosterior) -> np.ndarray:
     """E[p_j | x]: weight-mixture of Dirichlet posterior means."""
-    counts = np.asarray(wp.keys, dtype=float).reshape(len(wp.keys), wp.k, wp.slot_width)[:, :, 0]
+    counts = _slots(wp.key_array, wp.k)[:, :, 0]
     alpha = np.asarray(wp.prior.alpha)
     means = (counts + alpha) / (wp.n + alpha.sum())
     return wp.weights @ means
@@ -334,7 +300,7 @@ def expected_weights(wp: WeightedPosterior) -> np.ndarray:
 
 def expected_component_means(wp: WeightedPosterior) -> np.ndarray:
     """E of each component's mean parameters: (k,) Poisson, (k, v) multinomial."""
-    flat = np.asarray(wp.keys, dtype=float).reshape(len(wp.keys), wp.k, wp.slot_width)
+    flat = _slots(wp.key_array, wp.k)
     counts = flat[:, :, 0]
     if wp.family == "poisson":
         a0 = np.array([c.shape for c in wp.prior.components])
@@ -352,13 +318,11 @@ def mass_concentration(wp: WeightedPosterior, threshold: float = 0.99) -> int:
     """Smallest count of entries, largest weight first, reaching the threshold."""
     if not (0 < threshold <= 1):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    order = sorted(range(len(wp.keys)), key=lambda i: (-wp.weights[i], wp.keys[i]))
-    acc = 0.0
-    for rank, i in enumerate(order, start=1):
-        acc += float(wp.weights[i])
-        if acc >= threshold:
-            return rank
-    return len(order)
+    # tied weights add the same values in any order, and cumsum adds in
+    # sequence, so this equals the running float sum of the oracle's loop
+    order = np.argsort(-wp.weights)
+    reached = np.cumsum(wp.weights[order]) >= threshold
+    return int(reached.argmax()) + 1 if reached.any() else len(order)
 
 
 def summarize(wp: WeightedPosterior) -> PosteriorSummary:
@@ -371,7 +335,7 @@ def summarize(wp: WeightedPosterior) -> PosteriorSummary:
         family=wp.family,
         k=wp.k,
         n=wp.n,
-        distinct=len(wp.keys),
+        distinct=len(wp.key_array),
         mass99=mass_concentration(wp, 0.99),
         log_evidence=wp.log_evidence,
         expected_weights=tuple(float(w) for w in expected_weights(wp)),
@@ -491,6 +455,8 @@ def mass_grid(
             [np.linspace(lo, hi, _PROBE_UNIFORM), np.clip(quantiles.ravel(), lo, hi)]
         )
     )
+    if not (hi > lo and probe.size >= 3):
+        raise NumericalError(f"mixture mass spans too few doubles: [{lo!r}, {hi!r}]")
     f = members.mixture_pdf(probe, idx)
 
     h1 = np.diff(probe)[:-1]
@@ -504,12 +470,12 @@ def mass_grid(
     grid = np.interp(np.linspace(0.0, 1.0, points), cum, probe)
     grid[0], grid[-1] = lo, hi
     if not np.all(np.diff(grid) > 0):
-        raise AssertionError("mass grid failed to come out strictly increasing")
+        raise NumericalError("mass grid failed to come out strictly increasing")
     return grid
 
 
 def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> tuple[_Members, str]:
-    flat = np.asarray(wp.keys, dtype=float).reshape(len(wp.keys), wp.k, wp.slot_width)
+    flat = _slots(wp.key_array, wp.k)
     counts = flat[:, j, 0]
     comp = wp.prior.components[j]
     if wp.family == "poisson":
@@ -563,7 +529,7 @@ def marginal_weight_density(wp: WeightedPosterior, j: int, grid=None) -> Density
     """Posterior marginal of the mixture weight p_j: a Beta mixture."""
     if not (0 <= j < wp.k):
         raise ValueError(f"component index {j} out of range for k={wp.k}")
-    counts = np.asarray(wp.keys, dtype=float).reshape(len(wp.keys), wp.k, wp.slot_width)[:, j, 0]
+    counts = _slots(wp.key_array, wp.k)[:, j, 0]
     alpha = np.asarray(wp.prior.alpha)
     members = _BetaMembers(
         counts + alpha[j], wp.n - counts + alpha.sum() - alpha[j], wp.weights

@@ -452,6 +452,22 @@ class TestExitCodes:
         assert proc.returncode == 3
 
 
+    def test_non_finite_evidence_is_6_without_traceback(self, worked_file):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "mixexact.cli", "evidence", "--data", worked_file,
+                "--family", "poisson", "--k", "2", "--alpha", "1e308,1e308",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 6
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "nan" not in proc.stdout
+
+
 class TestDeterminism:
     def test_repeated_artifacts_are_byte_identical(self, capsys, worked_file, tmp_path):
         first = tmp_path / "a.txt"

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
 
-from mixexact import lattice
-from mixexact.errors import ResourceLimitError, UnsupportedFamilyError
-from mixexact.families import GroupStat
+from mixexact import lattice, oracle
+from mixexact.errors import LatticeFormatError, ResourceLimitError, UnsupportedFamilyError
+from mixexact.families import DirichletMultinomial, GroupStat
 from mixexact.lattice import StatLattice, build, dump, extend, init, load
+from mixexact.posterior import MixturePrior
 
 WORKED_DATA = [0, 0, 0, 1, 2, 2, 4]
 
@@ -118,18 +119,6 @@ class TestExtend:
             lat = extend(lat, obs)
         assert dict(lat.entries) == dict(build([0, 1, 1, 2], 2).entries)
 
-    def test_backends_agree(self):
-        rng = np.random.default_rng(31)
-        data = [int(v) for v in rng.poisson(4.0, size=10)]
-        hash_lat = build(data, 3, backend="hash")
-        merge_lat = build(data, 3, backend="sortmerge")
-        assert dict(hash_lat.entries) == dict(merge_lat.entries)
-        assert hash_lat.log_base == merge_lat.log_base
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            extend(init(0, 2), 1, backend="gpu")
-
     def test_budget_enforced(self):
         with pytest.raises(ResourceLimitError) as err:
             build(WORKED_DATA, 4, budget=10)
@@ -143,6 +132,113 @@ class TestExtend:
         lat = build([0, 1], 2)
         assert lat.group_stat((1, 0, 1, 1), 0) == GroupStat(1, (0,))
         assert lat.group_stat((1, 0, 1, 1), 1) == GroupStat(1, (1,))
+
+
+class TestArrayLattice:
+    def test_multiplicities_beyond_int64(self):
+        lat = build([0] * 70, 2)
+        mults = lat.mult_array.tolist()
+        assert lat.total_count() == 2**70
+        assert all(type(m) is int for m in mults)
+        assert max(mults) > 2**63
+        # key (n_1, 0, n_2, 0) in lexicographic order: n_1 = 0, 1, ..., 70
+        assert lat.key_array[:, 0].tolist() == list(range(71))
+        assert mults == [comb(70, n1) for n1 in range(71)]
+
+    def test_multiword_keys_match_oracle(self):
+        # aggregates near 10^5 over 3 slots of 5 columns: the key space is
+        # far beyond 2^63, so every code spans several int64 words
+        data = [
+            (70_000, 3_000, 90_000, 1_000),
+            (2_000, 80_000, 500, 40_000),
+            (65_000, 1, 0, 12_345),
+            (3, 99_999, 7, 50_000),
+            (31_000, 31_000, 31_000, 31_000),
+        ]
+        lat = build(data, 3)
+        assert prod(int(m) + 1 for m in lat.key_array.max(axis=0)) > 2**126
+        prior = MixturePrior((1.0,) * 3, (DirichletMultinomial((1.0,) * 4),) * 3)
+        orc = oracle.oracle_posterior(data, prior)
+        assert tuple(map(tuple, lat.key_array.tolist())) == orc.keys
+        assert tuple(lat.mult_array.tolist()) == orc.multiplicities
+
+    def test_digits_near_int64_limit(self):
+        big = 2**60  # column totals reach 2**61, the largest digit k=2 allows is 2**62 - 1
+        lat = build([big, big], 2)
+        assert dict(lat.entries) == {(0, 0, 2, 2 * big): 1, (1, big, 1, big): 2, (2, 2 * big, 0, 0): 1}
+        with pytest.raises(ValueError, match="int64"):
+            build([2 * big, 2 * big], 2)
+        with pytest.raises(ValueError, match="int64"):
+            build([2**64], 2)
+
+    def test_keys_sorted_and_immutable(self):
+        lat = build(WORKED_DATA, 3)
+        rows = lat.key_array.tolist()
+        assert rows == sorted(rows)
+        assert len(set(map(tuple, rows))) == len(rows)
+        assert not lat.key_array.flags.writeable
+        assert not lat.mult_array.flags.writeable
+        with pytest.raises(AttributeError):
+            lat.n = 3
+
+    def test_empty_mapping_rejected(self):
+        with pytest.raises(ValueError):
+            StatLattice("poisson", 2, 0, {}, 0.0)
+
+
+def _corrupt(text: str, line: int, cell: int | None, value: str) -> str:
+    lines = text.splitlines()
+    if cell is None:
+        lines[line] = value
+    else:
+        cells = lines[line].split("\t")
+        cells[cell] = value
+        lines[line] = "\t".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadValidation:
+    TEXT = dump(build(WORKED_DATA, 2))
+    LINES = TEXT.splitlines()
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            (TEXT.replace("family=poisson", "family=gauss"), "has no lattice"),
+            (TEXT.replace("family=poisson", "family=normal"), "has no lattice"),
+            (_corrupt(TEXT, 0, None, LINES[0].rsplit("=", 1)[0] + "=nan"), "invalid lattice header"),
+            (_corrupt(TEXT, 0, None, LINES[0].rsplit("=", 1)[0] + "=inf"), "invalid lattice header"),
+            (TEXT.replace(" k=2 ", " k=0 "), "invalid lattice header"),
+            (_corrupt(TEXT, 3, None, LINES[3].rsplit("\t", 2)[0] + "\t1"), "disagree on the key width"),
+            ("\n".join(line.split("\t", 1)[-1] for line in LINES) + "\n", "does not fit"),
+            (_corrupt(TEXT, 2, 1, "-1"), "digit out of range"),
+            (_corrupt(TEXT, 2, 1, str(2**62)), "digit out of range"),
+            (_corrupt(TEXT, 2, 4, "0"), "nonpositive multiplicity"),
+            (_corrupt(TEXT, 2, 0, str(int(LINES[2].split("\t")[0]) + 1)), "n=7"),
+            (_corrupt(TEXT, 2, 1, str(int(LINES[2].split("\t")[1]) + 1)), "each other's totals"),
+            (_corrupt(TEXT, 2, 1, "x"), "malformed lattice entry"),
+            (_corrupt(TEXT, 2, 1, str(2**70)), "malformed lattice entry"),
+            ("\n".join([*LINES[:3], LINES[2], *LINES[3:]]) + "\n", "duplicated or out of order"),
+            ("\n".join([LINES[0], LINES[2], LINES[1], *LINES[3:]]) + "\n", "duplicated or out of order"),
+            ("\n".join(LINES[:1] + LINES[2:]) + "\n", "conservation"),
+            (LINES[0] + "\n", "no entries"),
+        ],
+    )
+    def test_malformed_dumps_are_rejected(self, text, match):
+        with pytest.raises(LatticeFormatError, match=match):
+            load(text)
+
+    def test_empty_slot_with_aggregate_rejected(self):
+        # one-entry lattice whose empty second slot claims a nonzero sum
+        with pytest.raises(LatticeFormatError, match="empty slot"):
+            load("family=poisson k=1 n=0 logh=0x0.0p+0\n0\t3\t1\n")
+
+    def test_format_error_is_a_value_error(self):
+        assert issubclass(LatticeFormatError, ValueError)
+
+    def test_prior_only_lattice_round_trips(self):
+        text = dump(StatLattice("poisson", 2, 0, {(0, 0, 0, 0): 1}, 0.0))
+        assert dump(load(text)) == text
 
 
 class TestDumpLoad:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixexact import lattice, posterior
-from mixexact.errors import OracleCapError
+from mixexact.errors import NumericalError, OracleCapError
 from mixexact.families import DirichletMultinomial, NormalInverseGamma, PoissonGamma
 from mixexact.oracle import (
     compare_report,
@@ -64,8 +64,8 @@ class TestDiscreteOracle:
     def test_grouping_matches_lattice(self):
         lat = lattice.build(WORKED_DATA, 2)
         result = oracle_posterior(WORKED_DATA, asym_prior())
-        assert result.keys == tuple(key for key, _ in lat.sorted_items())
-        assert result.multiplicities == tuple(m for _, m in lat.sorted_items())
+        assert result.keys == tuple(map(tuple, lat.key_array.tolist()))
+        assert result.multiplicities == tuple(lat.mult_array.tolist())
 
     def test_compare_report_on_worked_example(self):
         wp = posterior.normalize(lattice.build(WORKED_DATA, 2), asym_prior())
@@ -103,6 +103,22 @@ class TestDiscreteOracle:
         assert summary.distinct == 42
         assert summary.expected_weights[0] == pytest.approx(0.6485753850390694, rel=1e-12)
         assert math.exp(summary.log_evidence) == pytest.approx(3.76384520427329e-06, rel=1e-12)
+
+
+    def test_overflowing_prior_raises_typed_error(self):
+        huge = MixturePrior((1e308, 1e308), (PoissonGamma(1.0, 1.0),) * 2)
+        with pytest.raises(NumericalError):
+            oracle_posterior(WORKED_DATA, huge)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_vectorized_mass_concentration_matches_oracle_loop(self, k):
+        # symmetric priors tie weights across relabeled keys
+        prior = MixturePrior((1.0,) * k, (PoissonGamma(1.0, 1.0),) * k)
+        wp = posterior.normalize(lattice.build(WORKED_DATA, k), prior)
+        result = oracle_posterior(WORKED_DATA, prior)
+        for threshold in (0.1, 0.5, 0.9, 0.99, 0.999999, 1.0):
+            engine = posterior.mass_concentration(wp, threshold)
+            assert engine == result.mass_concentration(threshold)
 
 
 class TestWeightTable:

@@ -8,12 +8,14 @@ printed digits.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from mixexact import posterior
+from mixexact.errors import MixtureError, NumericalError
 from mixexact.families import DirichletMultinomial, GroupStat, PoissonGamma
 from mixexact.lattice import StatLattice, build
 from mixexact.posterior import (
@@ -274,19 +276,6 @@ class TestNormalizeInvariants:
             assert entry.component_posteriors[0] == PoissonGamma(1.0 + s1, 1.0 + n1)
             assert entry.dirichlet_posterior == (1.0 + n1, 1.0 + entry.key[2])
 
-    def test_threaded_weights_are_bit_identical(self, monkeypatch):
-        # shrink the chunk so a small lattice spans many chunks; fixed
-        # boundaries must make the threaded result exactly reproducible
-        monkeypatch.setattr(posterior, "_CHUNK", 64)
-        lat = build(WORKED_DATA, 3)
-        prior = sym_prior(3)
-        base = normalize(lat, prior, threads=1)
-        for threads in (2, 4, 7):
-            again = normalize(lat, prior, threads=threads)
-            assert np.array_equal(base.log_weights, again.log_weights)
-            assert np.array_equal(base.weights, again.weights)
-            assert base.log_evidence == again.log_evidence
-
     def test_expected_means_single_component(self):
         # Gamma(1,1) with data (2,4): E[lambda] = (1+6)/(1+2)
         wp = normalize(build([2, 4], 1), sym_prior(1))
@@ -367,6 +356,26 @@ class TestMassConcentration:
             if acc >= 0.9:
                 break
         assert mass_concentration(wp, 0.9) == manual
+
+
+class TestNonFiniteResults:
+    def test_overflowing_prior_raises_typed_error_without_warnings(self):
+        huge = MixturePrior((1e308, 1e308), (PoissonGamma(1.0, 1.0),) * 2)
+        lat = build(WORKED_DATA, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                normalize(lat, huge)
+            with pytest.raises(NumericalError):
+                log_evidence(lat, huge)
+        assert issubclass(NumericalError, MixtureError)
+
+    @pytest.mark.parametrize("shape", [1e28, 1e32])
+    def test_degenerate_mass_grid_raises_typed_error(self, shape):
+        # a member this narrow has no 512 distinct doubles inside its mass
+        members = posterior._BetaMembers([shape], [shape], [1.0])
+        with pytest.raises(NumericalError):
+            posterior.mass_grid(members)
 
 
 class TestDensityGrids:
