@@ -23,10 +23,6 @@ from .families import (
     GroupStat,
     NormalInverseGamma,
     PoissonGamma,
-    component_posterior_density,
-    component_posterior_mean,
-    conjugate_update,
-    log_partition_constant,
 )
 from .lattice import StatLattice, build, dump, extend, init, load
 from .oracle import (
@@ -79,9 +75,6 @@ __all__ = [
     "bayes_factor",
     "build",
     "compare_report",
-    "component_posterior_density",
-    "component_posterior_mean",
-    "conjugate_update",
     "dump",
     "enumerate_allocations",
     "expected_component_means",
@@ -90,7 +83,6 @@ __all__ = [
     "init",
     "load",
     "log_evidence",
-    "log_partition_constant",
     "log_unnormalized_weight",
     "marginal_component_density",
     "marginal_weight_density",

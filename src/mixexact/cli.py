@@ -76,8 +76,10 @@ def ingest(path: str, family: str) -> tuple[list, dict]:
         text = line.strip()
         if not text:
             continue
-        cells = [c.strip() for c in text.split(",") if c.strip() != ""]
+        cells = [c.strip() for c in text.split(",")]
         try:
+            if "" in cells:
+                raise ValueError(f"empty cell in {text!r}")
             if family == "poisson":
                 if len(cells) != 1:
                     raise ValueError("expected one integer per line")

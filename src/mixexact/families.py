@@ -5,7 +5,8 @@ on the mean, multinomial count vectors with Dirichlet priors on the cell
 probabilities, and real observations with Normal-Inverse-Gamma priors on
 (mean, variance). Each prior knows how to absorb a group statistic, report
 its log normalizing constant, and evaluate posterior quantities for the
-mean-value parameters. All Gamma-heavy arithmetic stays in log space.
+mean-value parameters. All Gamma-heavy arithmetic stays in log space, and
+every density and quantile is a closed form over `scipy.special`.
 """
 
 from __future__ import annotations
@@ -15,12 +16,57 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence, Union
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
+from scipy.special import (
+    betaincinv,
+    betaln,
+    gammainccinv,
+    gammaincinv,
+    gammaln,
+    poch,
+    stdtrit,
+    xlog1py,
+    xlogy,
+)
 
 FAMILIES = ("poisson", "multinomial", "normal")
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+# Closed forms shared by the component methods and the density grids. They
+# broadcast over points and parameters alike; densities outside the support
+# have log 0 = -inf, and the support edge carries its limit (+inf, finite or
+# -inf by the shape).
+
+
+def gamma_logpdf(t, shape, rate):
+    """log density of Gamma(shape, rate) at t."""
+    t = np.asarray(t, dtype=float)
+    y = rate * t
+    out = xlogy(shape - 1.0, y) - y - gammaln(shape) + np.log(rate)
+    return np.where(t < 0, -np.inf, out)[()]
+
+
+def gamma_ppf(u, shape, rate):
+    """Point with lower-tail mass u under Gamma(shape, rate)."""
+    return gammaincinv(shape, u) / rate
+
+
+def gamma_isf(q, shape, rate):
+    """Point with upper-tail mass q under Gamma(shape, rate)."""
+    return gammainccinv(shape, q) / rate
+
+
+def beta_logpdf(t, a, b):
+    """log density of Beta(a, b) at t."""
+    t = np.asarray(t, dtype=float)
+    out = xlogy(a - 1.0, t) + xlog1py(b - 1.0, -t) - betaln(a, b)
+    return np.where((t < 0) | (t > 1), -np.inf, out)[()]
+
+
+def beta_ppf(u, a, b):
+    """Point with lower-tail mass u under Beta(a, b)."""
+    return betaincinv(a, b, u)
 
 
 @dataclass(frozen=True)
@@ -70,10 +116,10 @@ class PoissonGamma:
         return (self.shape / self.rate,)
 
     def mean_logpdf(self, t):
-        return stats.gamma.logpdf(t, self.shape, scale=1.0 / self.rate)
+        return gamma_logpdf(t, self.shape, self.rate)
 
     def mean_ppf(self, u):
-        return stats.gamma.ppf(u, self.shape, scale=1.0 / self.rate)
+        return gamma_ppf(u, self.shape, self.rate)
 
 
 @dataclass(frozen=True)
@@ -113,12 +159,12 @@ class DirichletMultinomial:
         # marginal of one Dirichlet coordinate is Beta(b_u, sum(b) - b_u)
         b_u = self.concentration[category]
         rest = sum(self.concentration) - b_u
-        return stats.beta.logpdf(t, b_u, rest)
+        return beta_logpdf(t, b_u, rest)
 
     def category_ppf(self, u, category: int):
         b_u = self.concentration[category]
         rest = sum(self.concentration) - b_u
-        return stats.beta.ppf(u, b_u, rest)
+        return beta_ppf(u, b_u, rest)
 
 
 @dataclass(frozen=True)
@@ -174,56 +220,38 @@ class NormalInverseGamma:
 
     def location_logpdf(self, t):
         # marginal of mu is Student-t with df = shape
-        return stats.t.logpdf(t, self.shape, loc=self.location, scale=self.location_scale())
+        df, scale = self.shape, self.location_scale()
+        z = (np.asarray(t, dtype=float) - self.location) / scale
+        return (
+            math.log(poch(0.5 * df, 0.5))
+            - 0.5 * (math.log(df) + math.log(math.pi))
+            - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+            - math.log(scale)
+        )
 
     def location_ppf(self, u):
-        return stats.t.ppf(u, self.shape, loc=self.location, scale=self.location_scale())
+        # stdtrit(df, 0) is +inf; the lower end of the support is -inf
+        u = np.asarray(u, dtype=float)
+        z = np.where(u == 0, -np.inf, stdtrit(self.shape, u))
+        return (self.location + self.location_scale() * z)[()]
 
     def variance_logpdf(self, t):
-        return stats.invgamma.logpdf(t, 0.5 * self.shape, scale=0.5 * self.scale)
+        # marginal of sigma^2 is InverseGamma(shape / 2, scale / 2)
+        a, s = 0.5 * self.shape, 0.5 * self.scale
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = t / s
+            out = -(a + 1.0) * np.log(y) - gammaln(a) - 1.0 / y - math.log(s)
+        return np.where(t > 0, out, -np.inf)[()]
 
     def variance_ppf(self, u):
-        return stats.invgamma.ppf(u, 0.5 * self.shape, scale=0.5 * self.scale)
+        with np.errstate(divide="ignore"):
+            return 0.5 * self.scale / gammainccinv(0.5 * self.shape, u)
 
 
 ComponentPrior = Union[PoissonGamma, DirichletMultinomial, NormalInverseGamma]
 
 Observation = Union[int, float, tuple]
-
-
-def conjugate_update(prior: ComponentPrior, stat: GroupStat) -> ComponentPrior:
-    """Absorb a group statistic into a conjugate prior."""
-    return prior.updated(stat)
-
-
-def log_partition_constant(prior: ComponentPrior) -> float:
-    """log K of the conjugate distribution with the prior's hyperparameters."""
-    return prior.log_partition()
-
-
-def component_posterior_mean(post: ComponentPrior) -> tuple[float, ...]:
-    """Posterior mean of the component's mean-value parameters."""
-    return post.posterior_mean()
-
-
-def component_posterior_density(post: ComponentPrior, point: float, category: int | None = None) -> float:
-    """Density of the updated conjugate distribution at one point.
-
-    Poisson: density of the mean. Multinomial: Beta marginal of the
-    requested category. Normal: marginal density of the mean. Points
-    outside the support yield 0.
-    """
-    if isinstance(post, PoissonGamma):
-        logpdf = post.mean_logpdf(point)
-    elif isinstance(post, DirichletMultinomial):
-        if category is None:
-            raise ValueError("multinomial density needs a category index")
-        logpdf = post.category_logpdf(point, category)
-    elif isinstance(post, NormalInverseGamma):
-        logpdf = post.location_logpdf(point)
-    else:
-        raise ValueError(f"unknown component prior {type(post).__name__}")
-    return float(np.exp(logpdf))
 
 
 def infer_family(obs: Observation) -> str:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import integrate, stats
 from scipy.special import logsumexp
 
 from . import families, posterior
@@ -158,7 +157,7 @@ class OracleResult:
         for i in range(len(self.keys)):
             n_j = self.group_stats[i][j].count
             dens += float(self.weights[i]) * np.exp(
-                stats.beta.logpdf(grid, n_j + alpha[j], self.n - n_j + rest)
+                families.beta_logpdf(grid, n_j + alpha[j], self.n - n_j + rest)
             )
         return posterior.DensityGrid(f"p{j + 1}", grid, dens)
 
@@ -296,6 +295,8 @@ def quadrature_evidence(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_
     (1-D for Poisson means, 2-D for normal mean/variance). Deliberately
     slow; refuse datasets beyond desk scale.
     """
+    from scipy import integrate  # slow to import; only this check needs it
+
     if len(data) > 4:
         raise ValueError("quadrature check is limited to n <= 4")
     family = prior.family
@@ -308,7 +309,7 @@ def quadrature_evidence(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_
         post = comp.updated(stat)
         if family == "poisson":
             shape, rate = post.shape, post.rate
-            upper = float(stats.gamma.isf(1e-16, shape, scale=1.0 / rate))
+            upper = float(families.gamma_isf(1e-16, shape, rate))
             value, _ = integrate.quad(
                 lambda t: t ** (shape - 1.0) * math.exp(-rate * t),
                 0.0,
@@ -323,7 +324,7 @@ def quadrature_evidence(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_
         # both axes have exponential tails; integrating the mean first
         # would leave polynomial Student-t tails that truncate badly
         loc, c, a, b = post.location, post.precision_scale, post.shape, post.scale
-        tau_hi = 1.2 * float(stats.gamma.isf(1e-16, 0.5 * a, scale=2.0 / b))
+        tau_hi = 1.2 * float(families.gamma_isf(1e-16, 0.5 * a, 0.5 * b))
 
         def inner(tau: float) -> float:
             sd = 1.0 / math.sqrt(tau * c)

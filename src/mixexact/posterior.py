@@ -15,11 +15,17 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln, logsumexp
+from scipy.special import betaln, gammaln, logsumexp
 
 from .errors import NumericalError, UnsupportedFamilyError
-from .families import ComponentPrior, GroupStat
+from .families import (
+    ComponentPrior,
+    GroupStat,
+    beta_logpdf,
+    beta_ppf,
+    gamma_logpdf,
+    gamma_ppf,
+)
 from .lattice import Key, StatLattice
 
 DEFAULT_GRID_POINTS = 512
@@ -347,76 +353,103 @@ def summarize(wp: WeightedPosterior) -> PosteriorSummary:
 # density grids
 
 
-class _Members:
-    """Mixture members of one marginal: parameter arrays plus weights."""
+_BLOCK_ELEMENTS = 2**20  # points x members exponentiated at once
 
-    def __init__(self, weights: np.ndarray):
-        self.weights = weights
+
+class _Members:
+    """Distinct members of one marginal, each carrying its summed weight.
+
+    One key slot fixes each member, so entries with equal parameters are
+    merged before any density is evaluated. Groups are summed in a canonical
+    order (lexsort on parameters, then weight): posteriors equal up to
+    member permutation, e.g. across label-symmetric components, give
+    bitwise equal weights, grids and densities.
+
+    A member's log density is linear in a 3-column basis of the point,
+    log f_d(t) = basis(t) @ coef[:, d], so a mixture on a grid is one
+    (points, 3) @ (3, D) product, exponentiated and contracted with the
+    weights.
+    """
+
+    # (lower support edge, density finite at that edge)
+    edge: tuple[float | None, bool] = (None, False)
+    coef: np.ndarray  # (3, D)
+
+    def __init__(self, weights, *params):
+        weights = np.asarray(weights, dtype=float)
+        params = [np.asarray(p, dtype=float) for p in params]
+        order = np.lexsort((weights, *reversed(params)))
+        params = [p[order] for p in params]
+        start = np.ones(order.size, dtype=bool)
+        start[1:] = np.any([p[1:] != p[:-1] for p in params], axis=0)
+        starts = np.flatnonzero(start)
+        self.weights = np.add.reduceat(weights[order], starts)
+        self.params = tuple(p[starts] for p in params)
+
+    def basis(self, t: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def logpdf(self, t: np.ndarray, idx=slice(None)) -> np.ndarray:
+        """(points, members) log densities by the closed form."""
+        raise NotImplementedError
 
     def ppf(self, u, idx=slice(None)) -> np.ndarray:
         raise NotImplementedError
 
-    def logpdf_matrix(self, t: np.ndarray, idx=slice(None)) -> np.ndarray:
-        raise NotImplementedError
-
-    # (lower support edge, density finite at that edge)
-    edge: tuple[float | None, bool] = (None, False)
-
-    def mixture_pdf(self, t: np.ndarray, idx=slice(None)) -> np.ndarray:
+    def mixture_pdf(self, t, idx=slice(None)) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        coef = self.coef[:, idx]
         w = self.weights[idx]
         out = np.empty(t.size)
-        for lo in range(0, t.size, 64):
-            hi = min(lo + 64, t.size)
-            out[lo:hi] = np.exp(self.logpdf_matrix(t[lo:hi], idx)) @ w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            basis = self.basis(t)
+            # blocks of bounded element count keep memory flat in D, and an
+            # in-place exp spares a second block-sized allocation
+            rows = max(1, _BLOCK_ELEMENTS // max(coef.shape[1], 1))
+            for lo in range(0, t.size, rows):
+                block = basis[lo : lo + rows] @ coef
+                np.exp(block, out=block)
+                out[lo : lo + rows] = block @ w
+        # support edges and points outside the support (log 0, log of a
+        # negative) take the closed form, which knows their limits
+        edge = ~np.all(np.isfinite(basis), axis=1)
+        if edge.any():
+            out[edge] = np.exp(self.logpdf(t[edge], idx)) @ w
         return out
-
-
-def _canonical_order(weights: np.ndarray, *params: np.ndarray) -> np.ndarray:
-    """Sort members by parameters, then weight.
-
-    Mixture sums run in member order, so a canonical order makes every
-    derived quantity (grids included) bit-identical for posteriors that are
-    equal up to member permutation, e.g. across label-symmetric components.
-    """
-    return np.lexsort((weights, *reversed(params)))
 
 
 class _GammaMembers(_Members):
     def __init__(self, shapes, rates, weights):
-        shapes = np.asarray(shapes, dtype=float)
-        rates = np.asarray(rates, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        order = _canonical_order(weights, shapes, rates)
-        super().__init__(weights[order])
-        self.shapes = shapes[order]
-        self.rates = rates[order]
-        self.edge = (0.0, bool(np.all(self.shapes >= 1.0)))
+        super().__init__(weights, shapes, rates)
+        self.shapes, self.rates = a, b = self.params
+        self.coef = np.stack([a - 1.0, -b, a * np.log(b) - gammaln(a)])
+        self.edge = (0.0, bool(np.all(a >= 1.0)))
+
+    def basis(self, t):
+        return np.stack([np.log(t), t, np.ones_like(t)], axis=1)
+
+    def logpdf(self, t, idx=slice(None)):
+        return gamma_logpdf(t[:, None], self.shapes[idx], self.rates[idx])
 
     def ppf(self, u, idx=slice(None)):
-        return stats.gamma.ppf(u, self.shapes[idx], scale=1.0 / self.rates[idx])
-
-    def logpdf_matrix(self, t, idx=slice(None)):
-        return stats.gamma.logpdf(
-            t[:, None], self.shapes[idx], scale=1.0 / self.rates[idx]
-        )
+        return gamma_ppf(u, self.shapes[idx], self.rates[idx])
 
 
 class _BetaMembers(_Members):
     def __init__(self, a, b, weights):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        order = _canonical_order(weights, a, b)
-        super().__init__(weights[order])
-        self.a = a[order]
-        self.b = b[order]
+        super().__init__(weights, a, b)
+        self.a, self.b = a, b = self.params
+        self.coef = np.stack([a - 1.0, b - 1.0, -betaln(a, b)])
         self.edge = (None, False)  # stay strictly inside (0, 1)
 
-    def ppf(self, u, idx=slice(None)):
-        return stats.beta.ppf(u, self.a[idx], self.b[idx])
+    def basis(self, t):
+        return np.stack([np.log(t), np.log1p(-t), np.ones_like(t)], axis=1)
 
-    def logpdf_matrix(self, t, idx=slice(None)):
-        return stats.beta.logpdf(t[:, None], self.a[idx], self.b[idx])
+    def logpdf(self, t, idx=slice(None)):
+        return beta_logpdf(t[:, None], self.a[idx], self.b[idx])
+
+    def ppf(self, u, idx=slice(None)):
+        return beta_ppf(u, self.a[idx], self.b[idx])
 
 
 _PROBE_UNIFORM = 4096

@@ -405,6 +405,17 @@ class TestExitCodes:
         assert code == 3
         assert "line 2" in err
 
+    @pytest.mark.parametrize("row", ["1,,2", "1,0,2,"])
+    def test_multinomial_empty_cell_is_3(self, capsys, tmp_path, row):
+        path = tmp_path / "rows.csv"
+        path.write_text(f"2,1,0\n{row}\n")
+        code, _, err = run_cli(
+            capsys, "evidence", "--data", str(path), "--family", "multinomial"
+        )
+        assert code == 3
+        assert "line 2" in err
+        assert "empty cell" in err
+
     def test_missing_file_is_3(self, capsys):
         code, _, _ = run_cli(
             capsys, "evidence", "--data", "/nonexistent.txt", "--family", "poisson"
@@ -513,3 +524,27 @@ class TestDeterminism:
             assert code == 0
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1]
+
+
+COLD_IMPORT_PROBE = """
+import sys
+import mixexact.cli
+print(sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules))
+from mixexact import lattice, oracle, posterior
+from mixexact.families import PoissonGamma
+prior = posterior.MixturePrior((1.0, 1.0), (PoissonGamma(1.0, 1.0), PoissonGamma(1.0, 10.0)))
+data = [0, 1, 3]
+print(repr(posterior.log_evidence(lattice.build(data, 2), prior)))
+print(repr(oracle.quadrature_evidence(data, prior)))
+"""
+
+
+class TestColdImport:
+    def test_cli_import_leaves_out_stats_and_integrate(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_IMPORT_PROBE], capture_output=True, text=True, check=True
+        )
+        loaded, closed, quad = proc.stdout.splitlines()
+        assert loaded == "[]"
+        # the quadrature check still imports its integrator on demand
+        assert float(quad) == pytest.approx(float(closed), rel=1e-6)

@@ -15,11 +15,8 @@ from mixexact.families import (
     NormalInverseGamma,
     PoissonGamma,
     check_observation,
-    component_posterior_density,
-    component_posterior_mean,
-    conjugate_update,
+    gamma_isf,
     log_base_measure,
-    log_partition_constant,
     observation_statistic,
     statistic_width,
     zero_statistic,
@@ -52,36 +49,36 @@ class TestPoissonGamma:
             PoissonGamma(shape, rate)
 
     def test_update_adds_sum_to_shape_and_count_to_rate(self):
-        post = conjugate_update(PoissonGamma(1.0, 1.0), GroupStat(2, (3,)))
+        post = PoissonGamma(1.0, 1.0).updated(GroupStat(2, (3,)))
         assert post == PoissonGamma(4.0, 3.0)
 
     def test_empty_update_is_identity(self):
         prior = PoissonGamma(1.5, 2.5)
-        assert conjugate_update(prior, GroupStat(0, (0,))) is prior
+        assert prior.updated(GroupStat(0, (0,))) is prior
 
     def test_log_partition_closed_form(self):
         # Gamma(3, 2): Gamma(3) / 2^3 = 2/8 = 1/4
-        assert log_partition_constant(PoissonGamma(3.0, 2.0)) == pytest.approx(
+        assert PoissonGamma(3.0, 2.0).log_partition() == pytest.approx(
             math.log(0.25), abs=1e-14
         )
-        assert log_partition_constant(PoissonGamma(1.0, 1.0)) == 0.0
+        assert PoissonGamma(1.0, 1.0).log_partition() == 0.0
 
     def test_posterior_mean(self):
-        assert component_posterior_mean(PoissonGamma(7.0, 3.0)) == (7.0 / 3.0,)
+        assert PoissonGamma(7.0, 3.0).posterior_mean() == (7.0 / 3.0,)
 
     def test_density_at_zero_for_unit_exponential(self):
         # Gamma(1,1) density at 0 is exactly 1
-        assert component_posterior_density(PoissonGamma(1.0, 1.0), 0.0) == 1.0
+        assert np.exp(PoissonGamma(1.0, 1.0).mean_logpdf(0.0)) == 1.0
 
     def test_density_matches_scipy(self):
         post = PoissonGamma(4.0, 3.0)
         for t in (0.1, 0.5, 1.0, 2.5):
-            assert component_posterior_density(post, t) == pytest.approx(
+            assert np.exp(post.mean_logpdf(t)) == pytest.approx(
                 stats.gamma.pdf(t, 4.0, scale=1.0 / 3.0), rel=1e-14
             )
 
     def test_density_outside_support_is_zero(self):
-        assert component_posterior_density(PoissonGamma(2.0, 1.0), -0.5) == 0.0
+        assert np.exp(PoissonGamma(2.0, 1.0).mean_logpdf(-0.5)) == 0.0
 
 
 class TestDirichletMultinomial:
@@ -94,9 +91,7 @@ class TestDirichletMultinomial:
             DirichletMultinomial((1.0, 0.0))
 
     def test_update_adds_counts_per_category(self):
-        post = conjugate_update(
-            DirichletMultinomial((0.5, 0.5, 0.5)), GroupStat(2, (3, 1, 2))
-        )
+        post = DirichletMultinomial((0.5, 0.5, 0.5)).updated(GroupStat(2, (3, 1, 2)))
         assert post == DirichletMultinomial((3.5, 1.5, 2.5))
 
     def test_update_rejects_width_mismatch(self):
@@ -106,28 +101,28 @@ class TestDirichletMultinomial:
     def test_log_partition_closed_form(self):
         conc = (2.0, 3.0, 1.5)
         expected = sum(gammaln(b) for b in conc) - gammaln(sum(conc))
-        assert log_partition_constant(DirichletMultinomial(conc)) == pytest.approx(
+        assert DirichletMultinomial(conc).log_partition() == pytest.approx(
             float(expected), abs=1e-14
         )
 
     def test_posterior_mean_sums_to_one(self):
-        mean = component_posterior_mean(DirichletMultinomial((2.0, 1.0, 5.0)))
+        mean = DirichletMultinomial((2.0, 1.0, 5.0)).posterior_mean()
         assert mean == pytest.approx((0.25, 0.125, 0.625), abs=1e-15)
 
     def test_category_marginal_is_uniform_for_flat_pair(self):
         # two categories, concentration (1,1): coordinate marginal is Beta(1,1)
         post = DirichletMultinomial((1.0, 1.0))
         for t in (0.1, 0.5, 0.9):
-            assert component_posterior_density(post, t, category=0) == pytest.approx(1.0, abs=1e-14)
+            assert np.exp(post.category_logpdf(t, 0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_density_requires_category(self):
-        with pytest.raises(ValueError):
-            component_posterior_density(DirichletMultinomial((1.0, 1.0)), 0.5)
+        with pytest.raises(TypeError):
+            DirichletMultinomial((1.0, 1.0)).category_logpdf(0.5)
 
     def test_density_outside_unit_interval_is_zero(self):
         post = DirichletMultinomial((2.0, 3.0))
-        assert component_posterior_density(post, 1.5, category=0) == 0.0
-        assert component_posterior_density(post, -0.2, category=1) == 0.0
+        assert np.exp(post.category_logpdf(1.5, 0)) == 0.0
+        assert np.exp(post.category_logpdf(-0.2, 1)) == 0.0
 
 
 class TestNormalInverseGamma:
@@ -150,7 +145,7 @@ class TestNormalInverseGamma:
         #   ss  = 14 - 36/3 = 2;  shift = 2*3/5 * (2-0)^2 = 4.8
         #   b'  = 4 + 2 + 4.8 = 10.8
         prior = NormalInverseGamma(0.0, 2.0, 3.0, 4.0)
-        post = conjugate_update(prior, GroupStat(3, (6.0, 14.0)))
+        post = prior.updated(GroupStat(3, (6.0, 14.0)))
         assert post.location == pytest.approx(1.2, abs=1e-15)
         assert post.precision_scale == 5.0
         assert post.shape == 6.0
@@ -158,7 +153,7 @@ class TestNormalInverseGamma:
 
     def test_empty_update_is_identity(self):
         prior = NormalInverseGamma(1.0, 2.0, 3.0, 4.0)
-        assert conjugate_update(prior, GroupStat(0, (0, 0))) is prior
+        assert prior.updated(GroupStat(0, (0, 0))) is prior
 
     def test_update_never_produces_negative_scale(self):
         # single observation: T2 - T1^2/n cancels to 0 exactly up to float
@@ -183,13 +178,13 @@ class TestNormalInverseGamma:
             + float(gammaln(1.5))
             - 1.5 * math.log(2.0)
         )
-        assert log_partition_constant(nig) == pytest.approx(expected, abs=1e-14)
+        assert nig.log_partition() == pytest.approx(expected, abs=1e-14)
 
     def test_location_marginal_is_student_t(self):
         nig = NormalInverseGamma(1.0, 2.0, 5.0, 3.0)
         scale = math.sqrt(3.0 / (5.0 * 2.0))
         for t in (-1.0, 0.5, 1.0, 2.0):
-            assert component_posterior_density(nig, t) == pytest.approx(
+            assert np.exp(nig.location_logpdf(t)) == pytest.approx(
                 stats.t.pdf(t, 5.0, loc=1.0, scale=scale), rel=1e-14
             )
 
@@ -199,6 +194,64 @@ class TestNormalInverseGamma:
             assert np.exp(nig.variance_logpdf(t)) == pytest.approx(
                 stats.invgamma.pdf(t, 2.0, scale=3.0), rel=1e-14
             )
+
+
+def assert_same(ours, reference):
+    """Equal within 1e-12 relative, with infinities of the same sign in place."""
+    np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=0.0)
+
+
+# shapes below, at and above 1 decide the density at the support edge
+EDGE_SHAPES = [0.5, 1.0, 2.5]
+QUANTILE_LEVELS = np.array([0.0, 1e-8, 0.05, 0.5, 0.95, 1.0 - 1e-8, 1.0])
+
+
+class TestClosedForms:
+    """The scipy.special closed forms against scipy.stats as a reference."""
+
+    @pytest.mark.parametrize("shape", EDGE_SHAPES)
+    @pytest.mark.parametrize("rate", [0.7, 3.0])
+    def test_gamma(self, shape, rate):
+        post = PoissonGamma(shape, rate)
+        t = np.array([-1.0, 0.0, 0.3, 1.7, 25.0])
+        ref = stats.gamma(shape, scale=1.0 / rate)
+        assert_same(post.mean_logpdf(t), ref.logpdf(t))
+        assert_same(post.mean_ppf(QUANTILE_LEVELS), ref.ppf(QUANTILE_LEVELS))
+
+    @pytest.mark.parametrize("a", EDGE_SHAPES)
+    @pytest.mark.parametrize("b", EDGE_SHAPES)
+    def test_beta(self, a, b):
+        post = DirichletMultinomial((a, b))
+        t = np.array([-0.2, 0.0, 0.15, 0.6, 0.97, 1.0, 1.4])
+        for category, ref in ((0, stats.beta(a, b)), (1, stats.beta(b, a))):
+            assert_same(post.category_logpdf(t, category), ref.logpdf(t))
+            assert_same(post.category_ppf(QUANTILE_LEVELS, category), ref.ppf(QUANTILE_LEVELS))
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 3.0, 41.0])
+    def test_student_t_location(self, shape):
+        nig = NormalInverseGamma(0.4, 2.0, shape, 1.5)
+        ref = stats.t(shape, loc=0.4, scale=nig.location_scale())
+        t = np.array([-30.0, -1.0, 0.4, 0.9, 7.0])
+        assert_same(nig.location_logpdf(t), ref.logpdf(t))
+        assert_same(nig.location_ppf(QUANTILE_LEVELS), ref.ppf(QUANTILE_LEVELS))
+
+    @pytest.mark.parametrize("shape", [0.5, 2.0, 5.0])
+    def test_inverse_gamma_variance(self, shape):
+        nig = NormalInverseGamma(0.0, 1.0, shape, 3.0)
+        ref = stats.invgamma(0.5 * shape, scale=1.5)
+        t = np.array([-1.0, 0.0, 0.05, 1.0, 40.0])
+        assert_same(nig.variance_logpdf(t), ref.logpdf(t))
+        assert_same(nig.variance_ppf(QUANTILE_LEVELS), ref.ppf(QUANTILE_LEVELS))
+
+    @pytest.mark.parametrize("shape,rate", [(1.0, 1.0), (0.5, 2.0), (7.5, 3.0), (40.0, 0.25)])
+    def test_quadrature_upper_bounds(self, shape, rate):
+        # the Poisson bound of quadrature_evidence: Gamma(shape, rate)
+        assert_same(gamma_isf(1e-16, shape, rate), stats.gamma.isf(1e-16, shape, scale=1.0 / rate))
+        # the normal precision bound: Gamma(a / 2, rate b / 2) for NIG shape a, scale b
+        a, b = 2.0 * shape, 1.0 / rate
+        assert_same(
+            gamma_isf(1e-16, 0.5 * a, 0.5 * b), stats.gamma.isf(1e-16, 0.5 * a, scale=2.0 / b)
+        )
 
 
 class TestObservations:

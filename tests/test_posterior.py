@@ -18,6 +18,7 @@ from mixexact import posterior
 from mixexact.errors import MixtureError, NumericalError
 from mixexact.families import DirichletMultinomial, GroupStat, PoissonGamma
 from mixexact.lattice import StatLattice, build
+from mixexact.oracle import oracle_posterior
 from mixexact.posterior import (
     DensityGrid,
     MixturePrior,
@@ -452,6 +453,69 @@ class TestDensityGrids:
         left = marginal_weight_density(wp, 0, grid=pts).density
         right = marginal_weight_density(wp, 0, grid=1.0 - pts[::-1]).density
         assert left == pytest.approx(right[::-1], rel=1e-12)
+
+class TestDistinctMembers:
+    """Default grids over deduplicated members against the oracle's per-member sum."""
+
+    @pytest.fixture(scope="class")
+    def poisson_k3(self):
+        # distinct powers of two give distinct subset sums, so component 1
+        # has 768 distinct (count, sum) members: more than the probe cap
+        data = [0, 0, 1, 2, 4, 8, 16, 32, 64, 128]
+        prior = sym_prior(3)
+        return normalize(build(data, 3), prior), oracle_posterior(data, prior)
+
+    @pytest.fixture(scope="class")
+    def multinomial_k2(self):
+        data = [(3, 1, 0), (0, 2, 2), (1, 1, 1), (2, 0, 3), (0, 4, 1), (1, 2, 0), (2, 2, 2), (4, 0, 1)]
+        prior = MixturePrior((1.0, 1.0), (DirichletMultinomial((1.0, 1.0, 1.0)),) * 2)
+        return normalize(build(data, 2), prior), oracle_posterior(data, prior)
+
+    def test_poisson_grid_equals_oracle_sum(self, poisson_k3):
+        wp, result = poisson_k3
+        members, _ = posterior._component_members(wp, 0, None)
+        assert members.weights.size > posterior._PROBE_MEMBER_CAP
+        assert members.weights.size < len(wp.key_array)
+        g = marginal_component_density(wp, 0)
+        assert g.density == pytest.approx(result.component_density(0, g.grid).density, rel=1e-10)
+        assert abs(g.trapezoid() - 1.0) < 1e-4
+
+    def test_poisson_symmetric_components_are_bitwise_equal(self, poisson_k3):
+        wp, _ = poisson_k3
+        first = marginal_component_density(wp, 0)
+        for j in (1, 2):
+            other = marginal_component_density(wp, j)
+            assert np.array_equal(other.grid, first.grid)
+            assert np.array_equal(other.density, first.density)
+
+    def test_multinomial_grid_equals_oracle_sum(self, multinomial_k2):
+        wp, result = multinomial_k2
+        for u in range(3):
+            g = marginal_component_density(wp, 0, category=u)
+            oracle_grid = result.component_density(0, g.grid, category=u)
+            assert g.density == pytest.approx(oracle_grid.density, rel=1e-10)
+        g = marginal_weight_density(wp, 0)
+        assert g.density == pytest.approx(result.weight_density(0, g.grid).density, rel=1e-10)
+
+    def test_multinomial_symmetric_components_are_bitwise_equal(self, multinomial_k2):
+        wp, _ = multinomial_k2
+        for u in range(3):
+            first = marginal_component_density(wp, 0, category=u)
+            other = marginal_component_density(wp, 1, category=u)
+            assert np.array_equal(other.grid, first.grid)
+            assert np.array_equal(other.density, first.density)
+
+    def test_members_are_summed_per_distinct_parameter(self):
+        members = posterior._GammaMembers([2.0, 1.0, 2.0, 1.0], [3.0, 1.0, 3.0, 1.0], [0.1, 0.2, 0.3, 0.4])
+        assert members.shapes.tolist() == [1.0, 2.0]
+        assert members.rates.tolist() == [1.0, 3.0]
+        assert members.weights.tolist() == [0.2 + 0.4, 0.1 + 0.3]
+
+    def test_support_edge_takes_the_closed_form(self):
+        # t = 0 has no finite basis row; shapes 1 and 2 give densities 1 and 0
+        members = posterior._GammaMembers([1.0, 2.0], [1.0, 1.0], [0.25, 0.75])
+        assert members.mixture_pdf(np.array([-1.0, 0.0])).tolist() == [0.0, 0.25]
+
 
 class TestSummaryLabels:
     def test_multinomial_labels(self):
