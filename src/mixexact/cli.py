@@ -224,7 +224,7 @@ def _write_artifact(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _marginal(config: RunConfig, wp: posterior.WeightedPosterior, data: list) -> posterior.DensityGrid:
+def _marginal(config: RunConfig, wp: posterior.WeightedPosterior) -> posterior.DensityGrid:
     if config.param is None:
         raise ValueError("marginal needs --param (lambda<j>, q<j>,<u>, or p<j>)")
     kind, j, u = _parse_param(config.param, config.k)
@@ -235,9 +235,6 @@ def _marginal(config: RunConfig, wp: posterior.WeightedPosterior, data: list) ->
         if u is None:
             raise ValueError("category marginals are named q<j>,<u>")
         return posterior.marginal_component_density(wp, j, grid, category=u)
-    if grid is None and config.family == "poisson":
-        # display default mirroring the usual plotting range
-        grid = np.linspace(0.01, 1.2 * max(max(data), 1), DEFAULT_GRID_POINTS)
     return posterior.marginal_component_density(wp, j, grid)
 
 
@@ -279,7 +276,7 @@ def run_subcommand(config: RunConfig) -> int:
     if config.command == "posterior":
         _write_artifact(posterior.summarize(wp).to_text(), config.out)
     elif config.command == "marginal":
-        _write_artifact(_marginal(config, wp, data).to_csv(), config.out)
+        _write_artifact(_marginal(config, wp).to_csv(), config.out)
     elif config.command == "evidence":
         print(repr(wp.log_evidence))
     elif config.command == "concentration":

@@ -4,9 +4,11 @@ Instead of summing over all k**n component allocations, the engine tracks
 the distinct values of the complete-data sufficient statistic
 (n_1, S_1, ..., n_k, S_k) together with the exact number of allocations
 mapping to each value. Absorbing one observation sends every entry to k
-successors; colliding successors add their multiplicities. Multiplicities
-are Python integers, so conservation (they always sum to k**n) holds as
-exact arbitrary-precision arithmetic.
+successors; colliding successors add their multiplicities. Conservation
+(they always sum to k**n) holds as exact integer arithmetic: while
+k**n < 2**63 no multiplicity and no partial sum of a merge can exceed k**n,
+so they are int64; from the step where k**n reaches 2**63 they are Python
+ints in an object array. Only the dtype changes, never the code path.
 
 Keys live in one (E, k*w) int64 array in lexicographic row order. A step
 packs every key into int64 words by mixed radix, slot 0 most significant,
@@ -18,7 +20,6 @@ grouped sum of the multiplicities.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -34,14 +35,17 @@ Key = tuple[int, ...]
 
 _WORD_SPAN = 2**63  # codes of one int64 word stay below this
 # digits stay below _WORD_SPAN / k, so no sum over the k slots of a column wraps
+_INT64_DIGITS = 19  # decimal digits of the largest int64, 2**63 - 1
 
 
 class StatLattice:
     """Immutable sorted key array with exact multiplicities.
 
     `key_array` is (E, k*w) int64 in lexicographic row order and
-    `mult_array` holds the matching multiplicities as Python ints. The
-    constructor takes a {key: multiplicity} mapping.
+    `mult_array` holds the matching multiplicities: int64 while k**n < 2**63,
+    an object array of Python ints from there on (`_mult_dtype`). `tolist()`
+    gives Python ints either way. The constructor takes a {key: multiplicity}
+    mapping.
     """
 
     __slots__ = ("family", "k", "n", "key_array", "mult_array", "log_base")
@@ -50,8 +54,12 @@ class StatLattice:
         items = sorted(entries.items())
         if not items:
             raise ValueError("a lattice needs at least one entry")
+        mults = [int(m) for _, m in items]
+        # positive and summing to k**n, so each fits the dtype k**n selects
+        if min(mults) < 1 or not _conserves(sum(mults), k, n):
+            raise ValueError(f"multiplicities must be positive and sum to {k}^{n}")
         keys = np.array([key for key, _ in items], dtype=np.int64)
-        mults = np.array([int(m) for _, m in items], dtype=object)  # exact Python ints
+        mults = np.array(mults, dtype=_mult_dtype(k, n))
         self._freeze(family, k, n, keys, mults, log_base)
 
     @classmethod
@@ -97,6 +105,16 @@ class StatLattice:
         return families.GroupStat(slot[0], tuple(slot[1:]))
 
 
+def _mult_dtype(k: int, n: int):
+    """int64 while every multiplicity and merge sum (at most k**n) fits, else object."""
+    return np.int64 if k == 1 or (n < 64 and k**n < _WORD_SPAN) else object
+
+
+def _conserves(total: int, k: int, n: int) -> bool:
+    # the bit-length test keeps k**n cheap when n is absurdly large
+    return not (k > 1 and n * math.log2(k) > total.bit_length() + 1) and total == k**n
+
+
 def _require_lattice_family(family: str) -> None:
     if family == "normal":
         # real-valued statistics collide only within-partition; growth is
@@ -116,7 +134,7 @@ def init(first_obs, k: int, family: str | None = None) -> StatLattice:
     families.check_observation(family, first_obs)
     w = 1 + len(families.observation_statistic(family, first_obs).total)
     # the n=0 lattice: one all-zero key; -0.0 + x is x bitwise for every x
-    one = np.array([1], dtype=object)
+    one = np.array([1], dtype=_mult_dtype(k, 0))
     empty = StatLattice._from_arrays(family, k, 0, np.zeros((1, k * w), np.int64), one, -0.0)
     return extend(empty, first_obs)
 
@@ -168,7 +186,9 @@ def extend(lattice: StatLattice, obs, budget: int = DEFAULT_ENTRY_BUDGET) -> Sta
         )
     first = order[starts]
     merged = keys[first % size] + bump[first // size]
-    mults = np.add.reduceat(lattice.mult_array[order % size], starts)
+    # to Python ints at the step where k**n reaches 2**63, else no copy
+    mults = lattice.mult_array.astype(_mult_dtype(k, lattice.n + 1), copy=False)
+    mults = np.add.reduceat(mults[order % size], starts)
     log_base = lattice.log_base + families.log_base_measure(lattice.family, obs)
     return StatLattice._from_arrays(lattice.family, k, lattice.n + 1, merged, mults, log_base)
 
@@ -188,54 +208,130 @@ def build(
     return lattice
 
 
+def _header(family: str, k: int, n: int, log_base: float) -> str:
+    return f"family={family} k={k} n={n} logh={log_base.hex()}\n"
+
+
 def dump(lattice: StatLattice) -> str:
     """Flat text form: header, then one sorted line per entry."""
     size, width = lattice.key_array.shape
-    table = np.empty((size, width + 1), dtype=object)  # Python ints throughout
-    table[:, :-1] = lattice.key_array
-    table[:, -1] = lattice.mult_array
+    # int64 while the multiplicities are, object (Python ints) once they are not
+    table = np.column_stack((lattice.key_array, lattice.mult_array))
     row = "\t".join(["%d"] * (width + 1)) + "\n"
-    header = f"family={lattice.family} k={lattice.k} n={lattice.n} logh={lattice.log_base.hex()}\n"
+    header = _header(lattice.family, lattice.k, lattice.n, lattice.log_base)
     return header + (row * size) % tuple(table.ravel().tolist())
 
 
-def load(text: str) -> StatLattice:
-    """Inverse of dump; raises LatticeFormatError on any text dump cannot write."""
-    lines = text.splitlines()
-    if not lines:
-        raise LatticeFormatError("empty lattice dump")
+def _cell_values(digit: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """uint64 values of digit cells, one Horner step per digit column. Only
+    the first 19 digits of a longer cell count, so no value wraps."""
+    value = digit[starts].astype(np.uint64)
+    for d in range(1, min(int(lengths.max()), _INT64_DIGITS)):
+        live = np.flatnonzero(lengths > d)
+        value[live] = value[live] * 10 + digit[starts[live] + d]
+    return value
+
+
+def _cell_error(raw: bytes, at: int) -> LatticeFormatError:
+    """The error for the cell holding byte `at`, which is neither a digit nor a separator."""
+    start = max(raw.rfind(b"\t", 0, at), raw.rfind(b"\n", 0, at)) + 1
+    tab = raw.find(b"\t", at)
+    end = raw.find(b"\n", at) if tab < 0 else min(tab, raw.find(b"\n", at))
+    cell = raw[start:end].decode("ascii")
+    if cell[:1] == "-" and cell[1:].isdigit():
+        return LatticeFormatError("digit out of range or nonpositive multiplicity")
+    return LatticeFormatError(f"malformed lattice entry: {cell!r}")
+
+
+def _parse_body(body: str, family: str, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and multiplicities of the entry lines of a dump, held to dump's
+    grammar; the parse's cell-sized temporaries end with this call."""
     try:
-        header = dict(item.split("=", 1) for item in lines[0].split(" "))
-        family, k, n = header["family"], int(header["k"]), int(header["n"])
-        log_base = float.fromhex(header["logh"])
-    except (KeyError, ValueError) as exc:
-        raise LatticeFormatError(f"malformed lattice header: {lines[0]!r}") from exc
-    if family not in ("poisson", "multinomial"):
-        raise LatticeFormatError(f"family {family!r} has no lattice")
-    if k < 1 or n < 0 or not math.isfinite(log_base):
-        raise LatticeFormatError(f"invalid lattice header: {lines[0]!r}")
-    rows = [line for line in lines[1:] if line]
-    if not rows:
-        raise LatticeFormatError("lattice dump has no entries")
-    width = rows[0].count("\t")
+        raw = body.encode("ascii")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start]
+        raise LatticeFormatError(f"malformed lattice entry: non-ASCII {bad!r}") from exc
+    data = np.frombuffer(raw, dtype=np.uint8)
+    if data[-1] != ord("\n"):
+        raise LatticeFormatError("malformed lattice entry: the last line has no newline")
+    digit = data - np.uint8(ord("0"))  # wraps above 9 for every other byte
+    seps = np.flatnonzero(digit > 9)
+    kinds = data[seps]
+    tabs = kinds == ord("\t")
+    stray = np.flatnonzero(~tabs & (kinds != ord("\n")))
+    if len(stray):
+        raise _cell_error(raw, int(seps[stray[0]]))
+    # cell i spans [starts[i], starts[i] + lengths[i]); the body ends in a separator
+    lengths = np.empty_like(seps)
+    lengths[0] = seps[0]
+    np.subtract(seps[1:], seps[:-1], out=lengths[1:])
+    lengths[1:] -= 1
+    starts = np.subtract(seps, lengths, out=seps)  # the separators are not needed again
+    if not lengths.all():
+        raise LatticeFormatError("malformed lattice entry: an empty cell or a blank line")
+    line_ends = np.flatnonzero(~tabs)
+    width = int(line_ends[0])
     w = width // k
     if width != k * w or (w == 2) != (family == "poisson") or w < 2:
         raise LatticeFormatError(f"key width {width} does not fit a {family} lattice with k={k}")
-    if set(map(str.count, rows, repeat("\t"))) != {width}:
+    if np.any(np.diff(line_ends) != width + 1):
         raise LatticeFormatError(f"entries disagree on the key width {width}")
-    try:
-        table = np.array(list(map(int, "\t".join(rows).split("\t"))), dtype=object)
-        table = table.reshape(len(rows), width + 1)
-        keys = table[:, :-1].astype(np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise LatticeFormatError(f"malformed lattice entry: {exc}") from exc
-    mults = table[:, -1].copy()
+    if np.any((digit[starts] == 0) & (lengths > 1)):
+        raise LatticeFormatError("malformed lattice entry: a leading zero")
 
-    slots = keys.reshape(len(rows), k, w)
-    totals = slots.sum(axis=1)
+    rows = len(line_ends)
+    table = _cell_values(digit, starts, lengths).reshape(rows, width + 1)
+    starts, lengths = starts.reshape(rows, width + 1), lengths.reshape(rows, width + 1)
+    if lengths[:, :-1].max() > _INT64_DIGITS or table[:, :-1].max() >= _WORD_SPAN:
+        raise LatticeFormatError("malformed lattice entry: a key digit beyond int64")
+    keys = table[:, :-1].astype(np.int64)
+    if _mult_dtype(k, n) is object:
+        cells = zip(starts[:, -1].tolist(), (starts[:, -1] + lengths[:, -1]).tolist())
+        try:
+            mults = np.array([int(raw[a:b]) for a, b in cells], dtype=object)
+        except ValueError as exc:  # more digits than int() converts
+            raise LatticeFormatError(f"malformed lattice entry: {exc}") from exc
+    elif lengths[:, -1].max() > _INT64_DIGITS or table[:, -1].max() > k**n:
+        raise LatticeFormatError(f"dump violates conservation: a multiplicity above {k}^{n}")
+    else:
+        mults = table[:, -1].astype(np.int64)
+    return keys, mults
+
+
+def load(text: str) -> StatLattice:
+    """Inverse of dump; raises LatticeFormatError on any text dump cannot write.
+
+    The grammar is dump's exactly: its header line, then one line per entry
+    of k*w + 1 tab-separated cells, each `0` or ASCII digits without a
+    leading zero, every line ending in a single `\\n`. The body is parsed as
+    bytes: separators by `flatnonzero`, values by a Horner pass over the
+    cell-length columns.
+    """
+    if not text:
+        raise LatticeFormatError("empty lattice dump")
+    head, _, body = text.partition("\n")
+    try:
+        header = dict(item.split("=", 1) for item in head.split(" "))
+        family, k, n = header["family"], int(header["k"]), int(header["n"])
+        log_base = float.fromhex(header["logh"])
+    except (KeyError, ValueError) as exc:
+        raise LatticeFormatError(f"malformed lattice header: {head!r}") from exc
+    if family not in ("poisson", "multinomial"):
+        raise LatticeFormatError(f"family {family!r} has no lattice")
+    if k < 1 or n < 0 or not math.isfinite(log_base):
+        raise LatticeFormatError(f"invalid lattice header: {head!r}")
+    if head + "\n" != _header(family, k, n, log_base):
+        raise LatticeFormatError(f"malformed lattice header: {head!r}")
+    if not body:
+        raise LatticeFormatError("lattice dump has no entries")
+    keys, mults = _parse_body(body, family, k, n)
+
+    rows, w = len(keys), keys.shape[1] // k
+    slots = keys.reshape(rows, k, w)
+    totals = np.einsum("ejc->ec", slots)  # the sum over slots, faster than .sum(axis=1)
     step = np.diff(keys, axis=0)
     lead = (step != 0).argmax(axis=1)
-    if keys.min() < 0 or int(keys.max()) * k >= _WORD_SPAN or mults.min() < 1:
+    if int(keys.max()) * k >= _WORD_SPAN or mults.min() < 1:
         raise LatticeFormatError("digit out of range or nonpositive multiplicity")
     if np.any(totals[:, 0] != n) or np.any(totals != totals[0]):
         raise LatticeFormatError(f"entries disagree with n={n} or with each other's totals")
@@ -243,8 +339,7 @@ def load(text: str) -> StatLattice:
         raise LatticeFormatError("an empty slot carries a nonzero aggregate")
     if not np.all(step[np.arange(len(step)), lead] > 0):
         raise LatticeFormatError("keys are duplicated or out of order")
-    total = sum(mults.tolist())
-    # the bit-length test keeps k**n cheap when n is absurdly large
-    if (k > 1 and n * math.log2(k) > total.bit_length() + 1) or total != k**n:
+    total = sum(mults.tolist())  # Python ints: the sum cannot wrap
+    if not _conserves(total, k, n):
         raise LatticeFormatError(f"dump violates conservation: total {total} != {k}^{n}")
     return StatLattice._from_arrays(family, k, n, keys, mults, log_base)

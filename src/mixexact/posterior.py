@@ -88,7 +88,7 @@ class WeightedPosterior:
     prior: MixturePrior
     n: int
     key_array: np.ndarray  # (E, k*w) int64, lexicographic rows, shared with the lattice
-    mult_array: np.ndarray  # (E,) exact Python-int multiplicities
+    mult_array: np.ndarray  # (E,) exact multiplicities, the lattice's int64 or object array
     log_weights: np.ndarray  # unnormalized, includes log multiplicity
     weights: np.ndarray  # normalized, sums to 1
     log_evidence: float
@@ -155,6 +155,8 @@ class DensityGrid:
             raise ValueError("grid and density lengths differ")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
+        if not np.all(np.isfinite(density)):
+            raise NumericalError(f"{self.param} density is not finite on the grid")
         if np.any(density < 0):
             raise ValueError("density values must be nonnegative")
 
@@ -240,11 +242,26 @@ def _slots(key_array: np.ndarray, k: int) -> np.ndarray:
     return key_array.reshape(len(key_array), k, -1).astype(float)
 
 
+def _log_multiplicities(mults: np.ndarray) -> np.ndarray:
+    """`math.log` of each multiplicity, one call per distinct float image.
+
+    For an int within the float range `math.log(m)` is `log(float(m))`, so
+    equal images have equal logs, and float images sort fast on either
+    dtype. Only a multiplicity beyond the float range sorts as an exact int.
+    """
+    try:
+        images = mults.astype(np.float64)
+    except OverflowError:
+        images = mults
+    distinct, inverse = np.unique(images, return_inverse=True)
+    return np.array([math.log(m) for m in distinct.tolist()])[inverse]
+
+
 def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
     flat = _slots(lat.key_array, lat.k)
     counts, sums = flat[:, :, 0], flat[:, :, 1:]
     alpha = np.asarray(prior.alpha)
-    log_mult = np.array([math.log(m) for m in lat.mult_array.tolist()])
+    log_mult = _log_multiplicities(lat.mult_array)
 
     if prior.family == "poisson":
         a0 = np.array([c.shape for c in prior.components])

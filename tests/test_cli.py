@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mixexact import cli, lattice
@@ -148,6 +149,20 @@ class TestSubcommands:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "param,density"
         assert len(lines) == 513
+
+    def test_default_lambda_grid_covers_the_mass(self, capsys, worked_file, tmp_path):
+        # the README example: the rate-10 component puts lambda2's mass
+        # below 0.01, which a display grid starting there used to miss
+        out_path = tmp_path / "lambda2.csv"
+        code, _, _ = run_cli(
+            capsys, "marginal", "--data", worked_file, "--family", "poisson", "--k", "2",
+            "--gamma", "1,1;1,10", "--param", "lambda2", "--out", str(out_path),
+        )
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 513
+        grid, density = np.array([[float(c) for c in line.split(",")] for line in lines[1:]]).T
+        assert abs(np.trapezoid(density, grid) - 1.0) <= 1e-4
 
     def test_marginal_explicit_grid(self, capsys, worked_file):
         code, out, _ = run_cli(
@@ -477,6 +492,23 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "Warning" not in proc.stderr
         assert "nan" not in proc.stdout
+
+    def test_non_finite_density_is_6_without_traceback(self, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n0\n3\n")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "mixexact.cli", "marginal", "--data", str(path),
+                "--family", "poisson", "--k", "2", "--gamma", "0.5,1;0.5,1",
+                "--param", "lambda1", "--grid", "0,5,4",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 6
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert "inf" not in proc.stdout
 
 
 class TestDeterminism:

@@ -186,6 +186,79 @@ class TestArrayLattice:
             StatLattice("poisson", 2, 0, {}, 0.0)
 
 
+def _fold(data, k: int) -> list[StatLattice]:
+    """init/extend over data, keeping the lattice after every step."""
+    steps = [init(data[0], k)]
+    for obs in data[1:]:
+        steps.append(extend(steps[-1], obs))
+    return steps
+
+
+class TestMultiplicityDtype:
+    """Multiplicities are int64 while k**n < 2**63 and Python ints from there on."""
+
+    @pytest.mark.parametrize("n", [62, 63, 64])
+    def test_dtype_boundary(self, n):
+        data = [i % 3 for i in range(n)]
+        steps = _fold(data, 2)
+        for lat in steps:
+            assert lat.mult_array.dtype == (np.int64 if 2**lat.n < 2**63 else object)
+        lat = build(data, 2)
+        assert lat.mult_array.dtype == (np.int64 if n < 63 else object)
+        assert lat.total_count() == 2**n
+        assert type(lat.total_count()) is int
+        assert all(type(m) is int for m in lat.mult_array.tolist())
+        assert np.array_equal(steps[-1].key_array, lat.key_array)
+        assert steps[-1].mult_array.dtype == lat.mult_array.dtype
+        assert steps[-1].mult_array.tolist() == lat.mult_array.tolist()
+        text = dump(lat)
+        loaded = load(text)
+        assert loaded.mult_array.dtype == lat.mult_array.dtype
+        assert loaded.mult_array.tolist() == lat.mult_array.tolist()
+        assert dump(loaded) == text
+
+    def test_object_multiplicities_round_trip(self):
+        lat = build([0] * 70, 2)
+        text = dump(lat)
+        assert "\t112186277816662845432\n" in text  # C(70, 35), 21 digits
+        loaded = load(text)
+        assert loaded.mult_array.dtype == object
+        assert loaded.mult_array.tolist() == [comb(70, n1) for n1 in range(71)]
+        assert dump(loaded) == text
+
+    def test_constructor_follows_the_dtype_rule(self):
+        assert StatLattice("poisson", 2, 0, {(0, 0, 0, 0): 1}, 0.0).mult_array.dtype == np.int64
+        wide = StatLattice("poisson", 2, 63, {(63, 0, 0, 0): 1, (0, 0, 63, 0): 2**63 - 1}, 0.0)
+        assert wide.mult_array.dtype == object
+        assert wide.total_count() == 2**63
+
+    @pytest.mark.parametrize(
+        "entries", [{(1, 0, 0, 0): 5}, {(1, 0, 0, 0): 2**64}, {(1, 0, 0, 0): 2**64, (0, 0, 1, 0): 2 - 2**64}]
+    )
+    def test_constructor_rejects_broken_conservation(self, entries):
+        with pytest.raises(ValueError, match="sum to 2\\^1"):
+            StatLattice("poisson", 2, 1, entries, 0.0)
+
+    @pytest.mark.parametrize("excess", [2**63, 2**64, 10**19, 10**30])
+    def test_multiplicity_beyond_int64_does_not_wrap(self, excess):
+        # k**n = 128: a parser that wrapped modulo 2**64 would read the
+        # original multiplicity back and accept the dump
+        text = dump(build(WORKED_DATA, 2))
+        cell = text.splitlines()[2].split("\t")[4]
+        with pytest.raises(LatticeFormatError, match="conservation"):
+            load(_corrupt(text, 2, 4, str(int(cell) + excess)))
+
+    def test_conservation_sum_does_not_wrap(self):
+        # every multiplicity is at most k**n = 2**62, and their sum
+        # 5 * 2**62 = 2**64 + 2**62 is k**n modulo 2**64
+        header, *rows = dump(build([0] * 62, 2)).splitlines()
+        mults = [1] * 58 + [2**62] * 4 + [2**62 - 58]
+        assert len(mults) == len(rows) and sum(mults) % 2**64 == 2**62
+        rows = [row.rsplit("\t", 1)[0] + f"\t{m}" for row, m in zip(rows, mults)]
+        with pytest.raises(LatticeFormatError, match="conservation"):
+            load("\n".join([header, *rows]) + "\n")
+
+
 def _corrupt(text: str, line: int, cell: int | None, value: str) -> str:
     lines = text.splitlines()
     if cell is None:
@@ -200,6 +273,8 @@ def _corrupt(text: str, line: int, cell: int | None, value: str) -> str:
 class TestLoadValidation:
     TEXT = dump(build(WORKED_DATA, 2))
     LINES = TEXT.splitlines()
+    CELL = LINES[2].split("\t")
+    BODY = "\n".join(LINES[1:]) + "\n"
 
     @pytest.mark.parametrize(
         "text, match",
@@ -222,11 +297,87 @@ class TestLoadValidation:
             ("\n".join([LINES[0], LINES[2], LINES[1], *LINES[3:]]) + "\n", "duplicated or out of order"),
             ("\n".join(LINES[:1] + LINES[2:]) + "\n", "conservation"),
             (LINES[0] + "\n", "no entries"),
+            # outside dump's grammar, and accepted before load parsed exactly it
+            pytest.param(
+                _corrupt(TEXT, 2, 4, "+" + CELL[4]),
+                "malformed lattice entry",
+                id="plus-sign",
+            ),
+            pytest.param(
+                _corrupt(TEXT, 2, 4, " " + CELL[4]),
+                "malformed lattice entry",
+                id="leading-space",
+            ),
+            pytest.param(
+                _corrupt(TEXT, 2, 4, CELL[4] + " "),
+                "malformed lattice entry",
+                id="trailing-space",
+            ),
+            pytest.param(_corrupt(TEXT, 2, 4, "0" + CELL[4]), "leading zero", id="leading-zero"),
+            pytest.param(_corrupt(TEXT, 2, 1, "00"), "leading zero", id="double-zero"),
+            pytest.param(_corrupt(TEXT, 2, 1, "-0"), "digit out of range", id="minus-zero"),
+            pytest.param(
+                _corrupt(TEXT, 2, 0, "".join(chr(0x660 + int(c)) for c in CELL[0])),
+                "non-ASCII",
+                id="arabic-indic-digits",
+            ),
+            pytest.param(_corrupt(TEXT, 2, 0, "\u0660"), "non-ASCII", id="arabic-indic-zero"),
+            pytest.param(
+                LINES[0] + "\n" + BODY.replace("\n", "\r\n"),
+                "malformed lattice entry",
+                id="crlf-body",
+            ),
+            pytest.param(
+                TEXT.replace("\n", "\r\n"),
+                "malformed lattice header",
+                id="crlf-everywhere",
+            ),
+            pytest.param(
+                "\n".join([*LINES[:3], "", *LINES[3:]]) + "\n",
+                "blank line",
+                id="blank-line-inside",
+            ),
+            pytest.param(LINES[0] + "\n\n" + BODY, "blank line", id="blank-line-first"),
+            pytest.param(TEXT + "\n", "blank line", id="blank-line-last"),
+            pytest.param(_corrupt(TEXT, 2, 1, ""), "empty cell", id="empty-cell"),
+            pytest.param(TEXT[:-1], "no newline", id="no-final-newline"),
+            pytest.param(
+                TEXT.replace(" k=2 ", " k=02 "),
+                "malformed lattice header",
+                id="header-k-leading-zero",
+            ),
+            pytest.param(
+                TEXT.replace(" k=2 ", " k=+2 "),
+                "malformed lattice header",
+                id="header-k-plus",
+            ),
+            pytest.param(
+                TEXT.replace(" k=2 ", "  k=2 "),
+                "malformed lattice header",
+                id="header-double-space",
+            ),
+            pytest.param(
+                TEXT.replace("family=poisson k=2 n=7", "k=2 family=poisson n=7"),
+                "malformed lattice header",
+                id="header-reordered",
+            ),
+            pytest.param(
+                TEXT.replace(" logh=", " logh=0x0.0p+0 logh="),
+                "malformed lattice header",
+                id="header-duplicate-key",
+            ),
         ],
     )
     def test_malformed_dumps_are_rejected(self, text, match):
         with pytest.raises(LatticeFormatError, match=match):
             load(text)
+
+    def test_overlong_multiplicity_is_a_format_error(self):
+        # k**n = 2**70 parses multiplicities with int(), which refuses a cell
+        # longer than the interpreter's digit limit (4300 by default)
+        text = dump(build([0] * 70, 2))
+        with pytest.raises(LatticeFormatError, match="malformed lattice entry|conservation"):
+            load(_corrupt(text, 1, 4, "9" * 5000))
 
     def test_empty_slot_with_aggregate_rejected(self):
         # one-entry lattice whose empty second slot claims a nonzero sum

@@ -359,6 +359,28 @@ class TestMassConcentration:
         assert mass_concentration(wp, 0.9) == manual
 
 
+class TestLogMultiplicities:
+    @pytest.mark.parametrize(
+        "mults",
+        [
+            np.array([1, 2, 2, 3, 1, 2**53 + 1, 2**53, 2**62 - 1, 2**62 - 1], dtype=np.int64),
+            np.array([1, 2**63, 3**45, 2**53 + 1, 2**63, 2**70 - 1], dtype=object),
+            np.array([1, 2**1024, 2**1100 - 1, 2**1024, 5], dtype=object),  # beyond the float range
+        ],
+        ids=["int64", "object", "object-beyond-float"],
+    )
+    def test_bitwise_equal_to_per_entry_log(self, mults):
+        expected = np.array([math.log(m) for m in mults.tolist()])
+        assert posterior._log_multiplicities(mults).tobytes() == expected.tobytes()
+
+    def test_normalize_beyond_the_float_range(self):
+        # k**n = 2**1101: multiplicities such as C(1100, 550) exceed every float
+        lat = build([0] * 1100 + [3], 2)
+        post = normalize(lat, MixturePrior((1.0, 1.0), (PoissonGamma(1, 1),) * 2))
+        assert np.isfinite(post.log_evidence)
+        assert abs(post.weights.sum() - 1.0) < 1e-12
+
+
 class TestNonFiniteResults:
     def test_overflowing_prior_raises_typed_error_without_warnings(self):
         huge = MixturePrior((1e308, 1e308), (PoissonGamma(1.0, 1.0),) * 2)
@@ -380,6 +402,19 @@ class TestNonFiniteResults:
 
 
 class TestDensityGrids:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_density_raises_typed_error(self, bad):
+        with pytest.raises(NumericalError, match="x density is not finite"):
+            DensityGrid("x", [1.0, 2.0], [0.5, bad])
+
+    def test_divergent_member_at_a_grid_point_raises_typed_error(self):
+        # Gamma(0.5 + 0, 1 + n_1) members with S_1 = 0 diverge at lambda = 0
+        prior = MixturePrior((1.0, 1.0), (PoissonGamma(0.5, 1.0),) * 2)
+        wp = normalize(build([0, 0, 3], 2), prior)
+        with pytest.raises(NumericalError, match="lambda1"):
+            marginal_component_density(wp, 0, np.linspace(0.0, 5.0, 4))
+        assert np.all(np.isfinite(marginal_component_density(wp, 0, np.linspace(0.1, 5.0, 4)).density))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             DensityGrid("x", [1.0, 1.0], [0.5, 0.5])
