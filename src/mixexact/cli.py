@@ -1,17 +1,21 @@
 """Command-line surface: ingest data, run the engine or oracle, write artifacts.
 
 Configuration may come from a JSON document (--config), individual flags,
-or both; flags override the document. Exit codes: 2 invalid configuration,
-3 ingestion failure, 4 resource limit, 5 oracle cap exceeded, 6 non-finite
-result.
+or both; flags override the document. A document carries exactly the
+RunConfig fields that flags set. Exit codes: 2 invalid configuration,
+3 ingestion failure, 4 resource limit or out of memory, 5 oracle cap
+exceeded, 6 non-finite result.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +65,51 @@ class RunConfig:
     out: str | None = None
     compare: bool = False
     dump_table: str | None = None
+
+
+# set by the subcommand line only; every other RunConfig field is a config key
+_COMMAND_FIELDS = ("command", "compare", "dump_table")
+
+# family -> (component prior class, flag spelling its components, default spec given an observation)
+_PRIORS = {
+    "poisson": (PoissonGamma, "gamma", lambda obs: {"shape": 1.0, "rate": 1.0}),
+    "multinomial": (DirichletMultinomial, "beta", lambda obs: {"concentration": [0.5] * len(obs)}),
+    "normal": (NormalInverseGamma, "nig", None),  # no documented default: demand explicit priors
+}
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """The keys of an explicit grid setting."""
+
+    lower: float
+    upper: float
+    points: int = DEFAULT_GRID_POINTS
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation; a bool is no number."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_conforms(value, h) for h in args)
+    if args:  # list[X] or tuple[X, ...]
+        return isinstance(value, (list, tuple)) and all(_conforms(v, args[0]) for v in value)
+    kinds = (int, float) if hint is float else hint
+    return isinstance(value, kinds) and (hint is bool or not isinstance(value, bool))
+
+
+def _build(cls, spec, where: str = ""):
+    """cls(**spec), once spec has all required keys of cls, no other, each of its declared type."""
+    declared = {f.name: f.type for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    if not (isinstance(spec, dict) and required <= set(spec) <= set(declared)):
+        names = [name if name in required else f"[{name}]" for name in declared]
+        raise ValueError(f"{where} must have the keys {', '.join(names)}, got {spec!r}")
+    hints = typing.get_type_hints(cls)
+    for key, value in spec.items():
+        if not _conforms(value, hints[key]):
+            raise ValueError(f"{where}{'.' if where else ''}{key} must be {declared[key]}, got {value!r}")
+    return cls(**spec)
 
 
 def ingest(path: str, family: str) -> tuple[list, dict]:
@@ -114,10 +163,19 @@ def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
+_SYNTHETIC = {
+    "poisson": (datasets.poisson_sample, ("n", "rate")),
+    "mixture": (datasets.poisson_mixture_sample, ("n", "weight", "rate1", "rate2")),
+}
+
+
 def _parse_synthetic(spec: str, seed: int | None) -> list[int]:
     if seed is None:
         raise ValueError("--synthetic requires --seed")
     kind, _, rest = spec.partition(":")
+    if kind not in _SYNTHETIC:
+        raise ValueError(f"unknown synthetic kind {kind!r} (use poisson or mixture)")
+    sample, names = _SYNTHETIC[kind]
     kv: dict[str, float] = {}
     for item in rest.split(","):
         if not item:
@@ -126,45 +184,25 @@ def _parse_synthetic(spec: str, seed: int | None) -> list[int]:
         if not value:
             raise ValueError(f"bad synthetic spec item {item!r}")
         kv[key.strip()] = float(value)
-    if kind == "poisson":
-        return datasets.poisson_sample(int(kv.pop("n")), kv.pop("rate"), seed)
-    if kind == "mixture":
-        return datasets.poisson_mixture_sample(
-            int(kv.pop("n")), kv.pop("weight"), kv.pop("rate1"), kv.pop("rate2"), seed
-        )
-    raise ValueError(f"unknown synthetic kind {kind!r} (use poisson or mixture)")
-
-
-def _component_prior(family: str, spec: dict):
-    if family == "poisson":
-        return PoissonGamma(spec["shape"], spec["rate"])
-    if family == "multinomial":
-        return DirichletMultinomial(tuple(spec["concentration"]))
-    if family == "normal":
-        return NormalInverseGamma(
-            spec["location"], spec["precision_scale"], spec["shape"], spec["scale"]
-        )
-    raise ValueError(f"unknown family {family!r}")
+    if set(kv) != set(names):
+        raise ValueError(f"--synthetic {kind} takes {','.join(n + '=..' for n in names)}, got {rest!r}")
+    n, *params = (kv[name] for name in names)
+    return sample(int(n), *params, seed)
 
 
 def build_prior(config: RunConfig, data: list) -> MixturePrior:
     family = config.family
     k = config.k
     alpha = tuple(config.alpha) if config.alpha else (1.0,) * k
-    if len(alpha) != k:
-        raise ValueError(f"alpha has {len(alpha)} entries for k={k}")
-    if config.components is not None:
-        if len(config.components) != k:
-            raise ValueError(f"{len(config.components)} component priors for k={k}")
-        comps = tuple(_component_prior(family, spec) for spec in config.components)
-    elif family == "poisson":
-        comps = tuple(PoissonGamma(1.0, 1.0) for _ in range(k))
-    elif family == "multinomial":
-        v = len(data[0])
-        comps = tuple(DirichletMultinomial((0.5,) * v) for _ in range(k))
-    else:
-        # no documented default for normal components; demand explicit ones
-        raise ValueError("normal runs need explicit component priors")
+    cls, flag, default = _PRIORS[family]
+    specs = config.components
+    if specs is None:
+        if default is None:
+            raise ValueError(f"{family} runs need explicit component priors (--{flag})")
+        specs = [default(data[0])] * k
+    if len(specs) != k:
+        raise ValueError(f"{len(specs)} component priors for k={k}")
+    comps = tuple(_build(cls, spec, f"components[{i}]") for i, spec in enumerate(specs))
     return MixturePrior(alpha, comps)
 
 
@@ -185,35 +223,22 @@ def resolve_data(config: RunConfig) -> tuple[list, dict | None]:
 
 def _parse_param(param: str, k: int) -> tuple[str, int, int | None]:
     """Split a marginal name into (kind, component index, category index)."""
-    if param.startswith("lambda"):
-        kind, body = "lambda", param[len("lambda") :]
-    elif param.startswith("q"):
-        kind, body = "q", param[1:]
-    elif param.startswith("p"):
-        kind, body = "p", param[1:]
-    else:
-        raise ValueError(f"unknown marginal parameter {param!r}")
-    try:
-        if kind == "q":
-            j_text, _, u_text = body.partition(",")
-            j, u = int(j_text), int(u_text)
-        else:
-            j, u = int(body), None
-    except ValueError as exc:
-        raise ValueError(f"malformed marginal parameter {param!r}") from exc
+    match = re.fullmatch(r"(lambda|p|q)([0-9]+)(?:,([0-9]+))?", param)
+    if match is None or (match[1] == "q") != (match[3] is not None):
+        raise ValueError(f"unknown marginal parameter {param!r} (use lambda<j>, q<j>,<u>, or p<j>)")
+    kind, j, u = match[1], int(match[2]), match[3]
     if not (1 <= j <= k):
         raise ValueError(f"component index in {param!r} out of range for k={k}")
-    return kind, j - 1, (u - 1) if u is not None else None
+    return kind, j - 1, int(u) - 1 if u is not None else None
 
 
 def _explicit_grid(config: RunConfig) -> np.ndarray | None:
     if config.grid is None:
         return None
-    g = config.grid
-    points = int(g.get("points", DEFAULT_GRID_POINTS))
-    if points < 2:
-        raise ValueError(f"grid needs at least 2 points, got {points}")
-    return np.linspace(float(g["lower"]), float(g["upper"]), points)
+    g = _build(_Grid, config.grid, "grid")
+    if g.points < 2:
+        raise ValueError(f"grid needs at least 2 points, got {g.points}")
+    return np.linspace(g.lower, g.upper, g.points)
 
 
 def _write_artifact(text: str, out: str | None) -> None:
@@ -231,11 +256,7 @@ def _marginal(config: RunConfig, wp: posterior.WeightedPosterior) -> posterior.D
     grid = _explicit_grid(config)
     if kind == "p":
         return posterior.marginal_weight_density(wp, j, grid)
-    if kind == "q":
-        if u is None:
-            raise ValueError("category marginals are named q<j>,<u>")
-        return posterior.marginal_component_density(wp, j, grid, category=u)
-    return posterior.marginal_component_density(wp, j, grid)
+    return posterior.marginal_component_density(wp, j, grid, category=u)
 
 
 def run_subcommand(config: RunConfig) -> int:
@@ -250,8 +271,7 @@ def run_subcommand(config: RunConfig) -> int:
         result = oracle.oracle_posterior(data, prior, cap=config.oracle_cap)
         _write_artifact(result.summary().to_text(), config.out)
         if config.dump_table is not None:
-            with open(config.dump_table, "w", encoding="utf-8", newline="") as handle:
-                handle.write(oracle.weight_table_csv(data, prior, cap=config.oracle_cap))
+            _write_artifact(oracle.weight_table_csv(data, prior, cap=config.oracle_cap), config.dump_table)
         if config.compare:
             lat = lattice.build(data, config.k, config.family, budget=config.entry_budget)
             wp = posterior.normalize(lat, prior)
@@ -259,8 +279,8 @@ def run_subcommand(config: RunConfig) -> int:
             print(verdict)
         return 0
 
+    lat = lattice.build(data, config.k, config.family, budget=config.entry_budget)
     if config.command == "enumerate":
-        lat = lattice.build(data, config.k, config.family, budget=config.entry_budget)
         expected = config.k ** lat.n
         total = lat.total_count()
         status = "OK" if total == expected else "FAIL"
@@ -269,7 +289,6 @@ def run_subcommand(config: RunConfig) -> int:
             _write_artifact(lattice.dump(lat), config.out)
         return 0
 
-    lat = lattice.build(data, config.k, config.family, budget=config.entry_budget)
     prior = build_prior(config, data)
     wp = posterior.normalize(lat, prior)
 
@@ -303,24 +322,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON configuration document")
         p.add_argument("--data", help="dataset file (counts, CSV rows, or reals)")
-        p.add_argument("--family", choices=["poisson", "multinomial", "normal"])
+        p.add_argument("--family", choices=list(_PRIORS))
         p.add_argument("--k", type=int, help="number of mixture components")
         p.add_argument("--alpha", help="Dirichlet concentrations, e.g. 1,1")
-        p.add_argument(
-            "--gamma", help="per-component Gamma shape,rate pairs separated by ';'"
-        )
-        p.add_argument(
-            "--beta", help="per-component Dirichlet concentrations separated by ';'"
-        )
-        p.add_argument(
-            "--nig",
-            help="per-component location,precision_scale,shape,scale separated by ';'",
-        )
+        for family, (cls, flag, _) in _PRIORS.items():
+            names = ",".join(f.name for f in fields(cls))
+            p.add_argument(f"--{flag}", help=f"{family} priors: {names} per component, separated by ';'")
         p.add_argument("--param", help="marginal name: lambda<j>, q<j>,<u>, or p<j>")
         p.add_argument("--grid", help="explicit uniform grid lower,upper,points")
         p.add_argument("--threshold", type=float, help="mass threshold (default 0.99)")
-        p.add_argument("--budget", type=int, help="lattice entry budget")
-        p.add_argument("--cap", type=int, help="oracle allocation cap")
+        p.add_argument("--budget", dest="entry_budget", type=int, help="lattice entry budget")
+        p.add_argument("--cap", dest="oracle_cap", type=int, help="oracle allocation cap")
         p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
         p.add_argument("--seed", type=int, help="seed for the synthetic generator")
         p.add_argument(
@@ -335,33 +347,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _components_from_flags(args: argparse.Namespace) -> list[dict] | None:
-    if getattr(args, "gamma", None):
-        out = []
-        for chunk in args.gamma.split(";"):
-            shape, rate = _parse_floats(chunk)
-            out.append({"shape": shape, "rate": rate})
-        return out
-    if getattr(args, "beta", None):
-        return [{"concentration": _parse_floats(chunk)} for chunk in args.beta.split(";")]
-    if getattr(args, "nig", None):
-        out = []
-        for chunk in args.nig.split(";"):
-            location, precision_scale, shape, scale = _parse_floats(chunk)
-            out.append(
-                {
-                    "location": location,
-                    "precision_scale": precision_scale,
-                    "shape": shape,
-                    "scale": scale,
-                }
-            )
-        return out
-    return None
+def _parse_grid(text: str) -> dict:
+    values = _parse_floats(text)
+    if len(values) != 3 or not values[2].is_integer():
+        raise ValueError(f"--grid takes lower,upper,points with whole points, got {text!r}")
+    return {"lower": values[0], "upper": values[1], "points": int(values[2])}
+
+
+# flags whose text is parsed before it becomes the field's value
+_FLAG_PARSERS = {"alpha": _parse_floats, "grid": _parse_grid}
+
+
+def _overlay_prior_flag(args: argparse.Namespace, config: RunConfig) -> None:
+    given = [(fam, flag) for fam, (_, flag, _) in _PRIORS.items() if getattr(args, flag)]
+    if not given:
+        return
+    if len(given) > 1:
+        raise ValueError(f"{' and '.join('--' + flag for _, flag in given)} are exclusive")
+    fam, flag = given[0]
+    if config.family is not None and config.family != fam:
+        raise ValueError(f"--{flag} sets {fam} priors, but the family is {config.family}")
+    names = [f.name for f in fields(_PRIORS[fam][0])]
+    rows = [_parse_floats(chunk) for chunk in getattr(args, flag).split(";")]
+    if len(names) > 1 and any(len(row) != len(names) for row in rows):
+        raise ValueError(f"--{flag} takes {','.join(names)} per component, got {getattr(args, flag)!r}")
+    # a one-field prior takes the whole row (the concentration vector)
+    config.components = [dict(zip(names, row)) if len(names) > 1 else {names[0]: row} for row in rows]
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
+    document = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
@@ -370,63 +385,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"cannot load config {args.config}: {exc}") from exc
         if not isinstance(document, dict):
             raise ValueError("config document must be a JSON object")
-        for key in (
-            "family",
-            "k",
-            "alpha",
-            "components",
-            "data",
-            "seed",
-            "synthetic",
-            "param",
-            "grid",
-            "threshold",
-            "entry_budget",
-            "oracle_cap",
-            "threads",
-            "out",
-        ):
-            if key in document:
-                setattr(config, key, document[key])
-        unknown = set(document) - {
-            "family", "k", "alpha", "components", "data", "seed", "synthetic",
-            "param", "grid", "threshold", "entry_budget", "oracle_cap", "threads", "out",
-        }
+        unknown = set(document) - ({f.name for f in fields(RunConfig)} - set(_COMMAND_FIELDS))
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    if args.family:
-        config.family = args.family
-    if args.k is not None:
-        config.k = args.k
-    if args.alpha:
-        config.alpha = _parse_floats(args.alpha)
-    flag_components = _components_from_flags(args)
-    if flag_components is not None:
-        config.components = flag_components
-    if args.data:
-        config.data = args.data
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.synthetic:
-        config.synthetic = args.synthetic
-    if args.param:
-        config.param = args.param
-    if args.grid:
-        lower, upper, points = _parse_floats(args.grid)
-        config.grid = {"lower": lower, "upper": upper, "points": int(points)}
-    if args.threshold is not None:
-        config.threshold = args.threshold
-    if args.budget is not None:
-        config.entry_budget = args.budget
-    if args.cap is not None:
-        config.oracle_cap = args.cap
-    if args.threads is not None:
-        config.threads = args.threads
-    if args.out:
-        config.out = args.out
-    config.compare = bool(getattr(args, "compare", False))
-    config.dump_table = getattr(args, "dump_table", None)
+    config = _build(RunConfig, {**document, "command": args.command})
+    if config.family not in (None, *_PRIORS):
+        raise ValueError(f"family must be one of {', '.join(_PRIORS)}, got {config.family!r}")
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value not in (None, ""):  # an empty flag, say --out "$OUT", leaves the setting as it was
+            setattr(config, f.name, _FLAG_PARSERS.get(f.name, lambda text: text)(value))
+    _overlay_prior_flag(args, config)
 
     if config.k < 1:
         raise ValueError(f"k must be >= 1, got {config.k}")
@@ -445,8 +414,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGEST_FAILURE
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        # a MemoryError may carry no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
     except OracleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

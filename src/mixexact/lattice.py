@@ -99,11 +99,6 @@ class StatLattice:
     def total_count(self) -> int:
         return sum(self.mult_array.tolist())
 
-    def group_stat(self, key: Key, j: int) -> families.GroupStat:
-        w = self.slot_width
-        slot = key[j * w : (j + 1) * w]
-        return families.GroupStat(slot[0], tuple(slot[1:]))
-
 
 def _mult_dtype(k: int, n: int):
     """int64 while every multiplicity and merge sum (at most k**n) fits, else object."""

@@ -35,49 +35,56 @@ def enumerate_allocations(n: int, k: int, cap: int = DEFAULT_ORACLE_CAP) -> Iter
     return itertools.product(range(1, k + 1), repeat=n)
 
 
-def _group_key_discrete(data: Sequence, z: tuple[int, ...], k: int, family: str) -> tuple[int, ...]:
-    width = families.statistic_width(family, len(data[0]) if family == "multinomial" else None)
-    counts = [0] * k
-    sums = [[0] * width for _ in range(k)]
-    for x, zi in zip(data, z):
-        j = zi - 1
-        counts[j] += 1
-        r = families.observation_statistic(family, x).total
-        for u in range(width):
-            sums[j][u] += r[u]
-    key: list[int] = []
-    for j in range(k):
-        key.append(counts[j])
-        key.extend(sums[j])
-    return tuple(key)
+def _stats_row(key: tuple, k: int, family: str) -> tuple[GroupStat, ...]:
+    if family == "normal":
+        return tuple(
+            GroupStat(len(g), (math.fsum(g), math.fsum(x * x for x in g)) if g else (0, 0)) for g in key
+        )
+    w = len(key) // k
+    return tuple(GroupStat(key[j * w], key[j * w + 1 : (j + 1) * w]) for j in range(k))
 
 
-def _group_key_normal(data: Sequence, z: tuple[int, ...], k: int) -> tuple:
-    groups: list[list[float]] = [[] for _ in range(k)]
-    for x, zi in zip(data, z):
-        groups[zi - 1].append(float(x))
-    # sort values, never sums: distinct statistics correspond exactly to
-    # distinct per-component multisets, no float arithmetic in the key
-    return tuple(tuple(sorted(g)) for g in groups)
+def _allocations(
+    data: Sequence, k: int, family: str, cap: int
+) -> Iterator[tuple[tuple[int, ...], tuple, tuple[GroupStat, ...]]]:
+    """Every allocation vector z with its statistic key and per-slot GroupStat row.
 
-
-def _normal_stats(key: tuple) -> list[GroupStat]:
-    out = []
-    for group in key:
-        total = math.fsum(group)
-        total_sq = math.fsum(x * x for x in group)
-        out.append(GroupStat(len(group), (total, total_sq) if group else (0, 0)))
-    return out
+    Discrete keys are (count, aggregate...) per slot. Per-observation
+    statistics are computed once, and allocations with equal keys share one row.
+    """
+    allocations = enumerate_allocations(len(data), k, cap)
+    if family == "normal":
+        values = [float(x) for x in data]
+    else:
+        stats = [families.observation_statistic(family, x).total for x in data]
+    rows: dict = {}
+    for z in allocations:
+        if family == "normal":
+            groups: list[list[float]] = [[] for _ in range(k)]
+            for x, zi in zip(values, z):
+                groups[zi - 1].append(x)
+            # sort values, never sums: distinct statistics correspond exactly to
+            # distinct per-component multisets, no float arithmetic in the key
+            key = tuple(tuple(sorted(g)) for g in groups)
+        else:
+            slots = [[0] * (len(stats[0]) + 1) for _ in range(k)]
+            for r, zi in zip(stats, z):
+                slot = slots[zi - 1]
+                slot[0] += 1
+                for u, v in enumerate(r, start=1):
+                    slot[u] += v
+            key = tuple(v for slot in slots for v in slot)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _stats_row(key, k, family)
+        yield z, key, row
 
 
 def _grouped(data: Sequence, k: int, family: str, cap: int) -> dict:
+    """{key: [multiplicity, GroupStat row]} over all allocations."""
     grouped: dict = {}
-    for z in enumerate_allocations(len(data), k, cap):
-        if family == "normal":
-            key = _group_key_normal(data, z, k)
-        else:
-            key = _group_key_discrete(data, z, k, family)
-        grouped[key] = grouped.get(key, 0) + 1
+    for _, key, row in _allocations(data, k, family, cap):
+        grouped.setdefault(key, [0, row])[0] += 1
     return grouped
 
 
@@ -132,6 +139,8 @@ class OracleResult:
 
     def component_density(self, j: int, grid, category: int | None = None) -> posterior.DensityGrid:
         """Mean-parameter marginal by the defining sum over grouped terms."""
+        if category is not None and self.family != "multinomial":
+            raise ValueError(f"{self.family} components have no categories; q marginals need multinomial data")
         grid = np.asarray(grid, dtype=float)
         dens = np.zeros(grid.size)
         param = f"lambda{j + 1}" if self.family == "poisson" else f"mu{j + 1}"
@@ -184,20 +193,8 @@ def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
     n, k = len(data), prior.k
     grouped = _grouped(data, k, family, cap)
     keys = sorted(grouped)
-    mults = [grouped[key] for key in keys]
-
-    group_stats = []
-    width = families.statistic_width(family, categories)
-    for key in keys:
-        if family == "normal":
-            group_stats.append(tuple(_normal_stats(key)))
-        else:
-            group_stats.append(
-                tuple(
-                    GroupStat(key[j * (width + 1)], key[j * (width + 1) + 1 : (j + 1) * (width + 1)])
-                    for j in range(k)
-                )
-            )
+    mults = [grouped[key][0] for key in keys]
+    group_stats = [grouped[key][1] for key in keys]
 
     with np.errstate(all="ignore"):
         logw = np.array(
@@ -235,22 +232,12 @@ def weight_table_csv(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
     family = prior.family
     k = prior.k
     lines = ["allocation,statistic,log_weight"]
-    for z in enumerate_allocations(len(data), k, cap):
+    for z, key, stats_row in _allocations(data, k, family, cap):
         if family == "normal":
-            key = _group_key_normal(data, z, k)
-            stats_row = _normal_stats(key)
             stat_text = " ".join(
                 f"{s.count}:{s.total[0]!r}:{s.total[1]!r}" for s in stats_row
             )
         else:
-            key = _group_key_discrete(data, z, k, family)
-            stats_row = [
-                GroupStat(
-                    key[j * (len(key) // k)],
-                    key[j * (len(key) // k) + 1 : (j + 1) * (len(key) // k)],
-                )
-                for j in range(k)
-            ]
             stat_text = " ".join(str(v) for v in key)
         logw = posterior.log_unnormalized_weight(stats_row, 1, prior)
         lines.append(f"{''.join(str(zi) for zi in z)},{stat_text},{logw!r}")
@@ -342,12 +329,7 @@ def quadrature_evidence(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_
 
     alpha = prior.alpha
     log_terms = []
-    for z in enumerate_allocations(n, k, cap):
-        if family == "normal":
-            stats_row = _normal_stats(_group_key_normal(data, z, k))
-        else:
-            key = _group_key_discrete(data, z, k, family)
-            stats_row = [GroupStat(key[2 * j], (key[2 * j + 1],)) for j in range(k)]
+    for _, _, stats_row in _allocations(data, k, family, cap):
         term = sum(
             math.lgamma(s.count + a_j) for s, a_j in zip(stats_row, alpha)
         ) - math.lgamma(n + sum(alpha))

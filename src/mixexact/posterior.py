@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betaln, gammaln, logsumexp
@@ -71,17 +71,6 @@ class MixturePrior:
 
 
 @dataclass(frozen=True)
-class PosteriorEntry:
-    """One distinct-statistic term of the exact posterior mixture."""
-
-    key: Key
-    multiplicity: int
-    weight: float
-    component_posteriors: tuple[ComponentPrior, ...]
-    dirichlet_posterior: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class WeightedPosterior:
     """Normalized posterior over all distinct allocation statistics."""
 
@@ -113,27 +102,6 @@ class WeightedPosterior:
     @property
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(self.mult_array.tolist())
-
-    def group_stat(self, i: int, j: int) -> GroupStat:
-        w = self.slot_width
-        slot = self.key_array[i, j * w : (j + 1) * w].tolist()
-        return GroupStat(slot[0], tuple(slot[1:]))
-
-    def entries(self) -> Iterator[PosteriorEntry]:
-        alpha = self.prior.alpha
-        for i, (key, mult) in enumerate(zip(self.keys, self.mult_array.tolist())):
-            stats_i = [self.group_stat(i, j) for j in range(self.k)]
-            yield PosteriorEntry(
-                key=key,
-                multiplicity=mult,
-                weight=float(self.weights[i]),
-                component_posteriors=tuple(
-                    c.updated(s) for c, s in zip(self.prior.components, stats_i)
-                ),
-                dirichlet_posterior=tuple(
-                    a + s.count for a, s in zip(alpha, stats_i)
-                ),
-            )
 
 
 @dataclass(frozen=True)
@@ -528,6 +496,8 @@ def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> t
     flat = _slots(wp.key_array, wp.k)
     counts = flat[:, j, 0]
     comp = wp.prior.components[j]
+    if category is not None and wp.family != "multinomial":
+        raise ValueError(f"{wp.family} components have no categories; q marginals need multinomial data")
     if wp.family == "poisson":
         return (
             _GammaMembers(comp.shape + flat[:, j, 1], comp.rate + counts, wp.weights),

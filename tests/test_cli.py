@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,31 @@ from mixexact.cli import ingest
 from mixexact.errors import IngestError
 
 WORKED = "0\n0\n0\n1\n2\n2\n4\n"
+
+# every RunConfig field but the subcommand's own is a config-document key
+DOCUMENT_KEYS = [
+    f.name for f in fields(cli.RunConfig) if f.name not in ("command", "compare", "dump_table")
+]
+
+# document values of the wrong JSON type or shape, each with what the error must name
+BAD_DOCUMENTS = {
+    "grid-string": ({"grid": "0,5,10"}, "grid"),
+    "grid-points-float": ({"grid": {"lower": 0.1, "upper": 5, "points": 2.5}}, "grid.points"),
+    "param-number": ({"param": 5}, "param"),
+    "family-number": ({"family": 3}, "family"),
+    "family-unknown": ({"family": "gauss"}, "family must be one of"),
+    "data-number": ({"data": 7}, "data"),
+    "out-number": ({"out": 1}, "out"),
+    "k-bool": ({"k": True}, "k"),
+    "k-float": ({"k": 2.0}, "k"),
+    "alpha-string": ({"alpha": "11"}, "alpha"),  # read as two entries "1", "1"
+    "component-extra-key": ({"components": [{"shape": 1, "rate": 1, "bogus": 9}] * 2}, "components[0]"),
+    "component-missing-key": ({"components": [{"shape": 1}] * 2}, "components[0]"),
+    "component-string-value": ({"components": [{"shape": "1", "rate": 1}] * 2}, "components[0].shape"),
+    "synthetic-missing-field": (
+        {"data": None, "synthetic": "poisson:n=3", "seed": 1}, "--synthetic poisson takes n=..,rate=.."
+    ),
+}
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -364,6 +390,71 @@ class TestConfigResolution:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "key, value", [("command", "oracle"), ("compare", True), ("dump_table", "table.csv")]
+    )
+    def test_command_line_field_is_no_config_key(self, capsys, tmp_path, worked_file, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"family": "poisson", "data": worked_file, key: value}))
+        code, out, err = run_cli(capsys, "oracle", "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: unknown config keys") and key in err
+        assert out == ""
+
+    def test_empty_string_flags_leave_the_setting(self, capsys, tmp_path, worked_file):
+        # as with an unset $OUT: --out "" writes to stdout, --alpha "" keeps the document's alpha
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"family": "poisson", "k": 2, "data": worked_file, "alpha": [3, 1]}))
+        _, expected, _ = run_cli(capsys, "evidence", "--config", str(config))
+        code, out, err = run_cli(capsys, "evidence", "--config", str(config), "--alpha", "", "--out", "")
+        assert (code, err) == (0, "")
+        assert out == expected
+
+    @pytest.mark.parametrize("key", DOCUMENT_KEYS)
+    def test_every_setting_is_a_config_key(self, capsys, tmp_path, worked_file, key):
+        values = {
+            "family": "poisson", "k": 2, "alpha": [1, 1], "components": [{"shape": 1, "rate": 1}] * 2,
+            "data": worked_file, "seed": 3, "synthetic": "poisson:n=5,rate=2", "param": "p1",
+            "grid": {"lower": 0.1, "upper": 0.9, "points": 5}, "threshold": 0.5,
+            "entry_budget": 1000, "oracle_cap": 1000, "threads": 2, "out": str(tmp_path / "p1.csv"),
+        }
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps({"family": "poisson", "data": worked_file, "param": "p1", key: values[key]})
+        )
+        code, _, err = run_cli(capsys, "marginal", "--config", str(config))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("override, named", BAD_DOCUMENTS.values(), ids=list(BAD_DOCUMENTS))
+    def test_wrong_value_type_is_2(self, capsys, tmp_path, worked_file, override, named):
+        config = tmp_path / "run.json"
+        document = {"family": "poisson", "k": 2, "data": worked_file, "param": "lambda1"}
+        config.write_text(json.dumps({**document, **override}))
+        code, _, err = run_cli(capsys, "marginal", "--config", str(config))
+        assert code == 2
+        assert err.startswith(f"error: {named}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--gamma", "1,1;1,1", "--beta", "1,1;1,1"), "exclusive"),
+            (("--beta", "1,1;1,1"), "--beta"),
+            (("--gamma", "1,1,2;1,1"), "shape,rate"),
+            (("--grid", "0,5"), "--grid"),
+            (("--grid", "0,5,inf"), "--grid"),
+        ],
+        ids=["two-prior-flags", "flag-off-family", "prior-arity", "grid-pair", "grid-inf-points"],
+    )
+    def test_flag_misuse_is_2(self, capsys, worked_file, flags, named):
+        code, _, err = run_cli(
+            capsys, "marginal", "--data", worked_file, "--family", "poisson", "--k", "2",
+            "--param", "lambda1", *flags,
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert named in err
+
     def test_malformed_json_rejected(self, capsys, tmp_path):
         config = tmp_path / "broken.json"
         config.write_text("{not json")
@@ -378,8 +469,9 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_bad_marginal_param_is_2(self, capsys, worked_file):
-        code, _, _ = run_cli(
+    @pytest.mark.parametrize("param", ["zeta1", "lambda", "q1", "lambda1,2", "p1,1", "q1,x", "p3"])
+    def test_bad_marginal_param_is_2(self, capsys, worked_file, param):
+        code, out, err = run_cli(
             capsys,
             "marginal",
             "--data",
@@ -389,9 +481,11 @@ class TestExitCodes:
             "--k",
             "2",
             "--param",
-            "zeta1",
+            param,
         )
         assert code == 2
+        assert err.startswith("error:") and param in err
+        assert "param,density" not in out
 
     def test_normal_engine_run_is_2(self, capsys, tmp_path):
         path = tmp_path / "reals.txt"
@@ -410,6 +504,15 @@ class TestExitCodes:
         )
         assert code == 2
         assert "oracle" in err
+
+    def test_category_marginal_on_poisson_is_2(self, capsys, worked_file):
+        code, out, err = run_cli(
+            capsys, "marginal", "--data", worked_file, "--family", "poisson", "--k", "2",
+            "--param", "q1,1",
+        )
+        assert code == 2
+        assert "no categories" in err
+        assert "param,density" not in out
 
     def test_ingestion_failure_is_3(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -451,6 +554,27 @@ class TestExitCodes:
             "10",
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("Unable to allocate 7.28 TiB for an array"), "Unable to allocate 7.28 TiB for an array"),
+            (MemoryError(), "MemoryError"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_is_4(self, capsys, worked_file, monkeypatch, error, message):
+        # stands in for numpy failing to allocate, say, a 1e12-point --grid
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli.posterior, "marginal_component_density", exhausted)
+        code, _, err = run_cli(
+            capsys, "marginal", "--data", worked_file, "--family", "poisson", "--k", "2",
+            "--param", "lambda1",
+        )
+        assert code == 4
+        assert err == f"error: {message}\n"
 
     def test_oracle_cap_is_5(self, capsys, worked_file):
         code, _, _ = run_cli(

@@ -9,7 +9,7 @@ import pytest
 
 from mixexact import lattice, oracle
 from mixexact.errors import LatticeFormatError, ResourceLimitError, UnsupportedFamilyError
-from mixexact.families import DirichletMultinomial, GroupStat
+from mixexact.families import DirichletMultinomial
 from mixexact.lattice import StatLattice, build, dump, extend, init, load
 from mixexact.posterior import MixturePrior
 
@@ -127,11 +127,6 @@ class TestExtend:
     def test_wrong_family_observation_rejected(self):
         with pytest.raises(ValueError):
             extend(init(0, 2), (1, 2))
-
-    def test_group_stat_extraction(self):
-        lat = build([0, 1], 2)
-        assert lat.group_stat((1, 0, 1, 1), 0) == GroupStat(1, (0,))
-        assert lat.group_stat((1, 0, 1, 1), 1) == GroupStat(1, (1,))
 
 
 class TestArrayLattice:

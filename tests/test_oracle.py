@@ -97,6 +97,12 @@ class TestDiscreteOracle:
             oracle_grid = result.weight_density(j, pgrid)
             assert engine.density == pytest.approx(oracle_grid.density, rel=1e-12)
 
+    @pytest.mark.parametrize("data, prior", [([0, 1, 2], asym_prior()), ([-0.4, 0.9], nig_prior())])
+    def test_category_density_needs_multinomial(self, data, prior):
+        result = oracle_posterior(data, prior)
+        with pytest.raises(ValueError, match="no categories"):
+            result.component_density(0, np.linspace(0.1, 2.0, 5), category=0)
+
     def test_summary_round_numbers(self):
         result = oracle_posterior(WORKED_DATA, asym_prior())
         summary = result.summary()

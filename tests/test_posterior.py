@@ -269,14 +269,6 @@ class TestNormalizeInvariants:
                 MixturePrior((1.0, 1.0), (DirichletMultinomial((1, 1)),) * 2),
             )
 
-    def test_entries_expose_conjugate_updates(self):
-        wp = normalize(build([0, 1], 2), asym_prior())
-        for entry in wp.entries():
-            n1 = entry.key[0]
-            s1 = entry.key[1]
-            assert entry.component_posteriors[0] == PoissonGamma(1.0 + s1, 1.0 + n1)
-            assert entry.dirichlet_posterior == (1.0 + n1, 1.0 + entry.key[2])
-
     def test_expected_means_single_component(self):
         # Gamma(1,1) with data (2,4): E[lambda] = (1+6)/(1+2)
         wp = normalize(build([2, 4], 1), sym_prior(1))
@@ -296,8 +288,8 @@ class TestLogUnnormalizedWeight:
     def test_matches_engine_vector(self):
         lat = build([0, 1, 2], 2)
         wp = normalize(lat, asym_prior())
-        for i, key in enumerate(wp.keys):
-            stats_row = [wp.group_stat(i, j) for j in range(2)]
+        for i, (n1, s1, n2, s2) in enumerate(wp.key_array.tolist()):
+            stats_row = [GroupStat(n1, (s1,)), GroupStat(n2, (s2,))]
             value = log_unnormalized_weight(stats_row, wp.multiplicities[i], asym_prior())
             assert value == pytest.approx(float(wp.log_weights[i]), rel=1e-13)
 
@@ -460,6 +452,11 @@ class TestDensityGrids:
             marginal_component_density(wp, 0, category=3)
         g = marginal_component_density(wp, 0, category=1)
         assert g.param == "q1,2"
+
+    def test_poisson_takes_no_category(self):
+        wp = normalize(build([0, 1], 2), asym_prior())
+        with pytest.raises(ValueError, match="no categories"):
+            marginal_component_density(wp, 0, category=0)
 
     def test_default_grids_normalize(self):
         wp = normalize(build(WORKED_DATA, 2), asym_prior())
