@@ -160,7 +160,10 @@ def ingest(path: str, family: str) -> tuple[list, dict]:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    cells = text.split(",")
+    if not all(c.strip() for c in cells):
+        raise ValueError(f"empty cell in {text!r}")
+    return [float(c) for c in cells]
 
 
 _SYNTHETIC = {
@@ -187,6 +190,8 @@ def _parse_synthetic(spec: str, seed: int | None) -> list[int]:
     if set(kv) != set(names):
         raise ValueError(f"--synthetic {kind} takes {','.join(n + '=..' for n in names)}, got {rest!r}")
     n, *params = (kv[name] for name in names)
+    if not n.is_integer():
+        raise ValueError(f"--synthetic {kind} takes a whole, finite n, got {n!r}")
     return sample(int(n), *params, seed)
 
 

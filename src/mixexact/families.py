@@ -23,7 +23,6 @@ from scipy.special import (
     gammaincinv,
     gammaln,
     poch,
-    stdtrit,
     xlog1py,
     xlogy,
 )
@@ -82,12 +81,6 @@ class GroupStat:
         if self.count == 0 and any(t != 0 for t in self.total):
             raise ValueError("empty group must carry the zero aggregate")
 
-    def merged(self, other: "GroupStat") -> "GroupStat":
-        if len(self.total) != len(other.total):
-            raise ValueError("aggregate widths differ")
-        total = tuple(a + b for a, b in zip(self.total, other.total))
-        return GroupStat(self.count + other.count, total)
-
 
 @dataclass(frozen=True)
 class PoissonGamma:
@@ -117,9 +110,6 @@ class PoissonGamma:
 
     def mean_logpdf(self, t):
         return gamma_logpdf(t, self.shape, self.rate)
-
-    def mean_ppf(self, u):
-        return gamma_ppf(u, self.shape, self.rate)
 
 
 @dataclass(frozen=True)
@@ -160,11 +150,6 @@ class DirichletMultinomial:
         b_u = self.concentration[category]
         rest = sum(self.concentration) - b_u
         return beta_logpdf(t, b_u, rest)
-
-    def category_ppf(self, u, category: int):
-        b_u = self.concentration[category]
-        rest = sum(self.concentration) - b_u
-        return beta_ppf(u, b_u, rest)
 
 
 @dataclass(frozen=True)
@@ -229,25 +214,6 @@ class NormalInverseGamma:
             - math.log(scale)
         )
 
-    def location_ppf(self, u):
-        # stdtrit(df, 0) is +inf; the lower end of the support is -inf
-        u = np.asarray(u, dtype=float)
-        z = np.where(u == 0, -np.inf, stdtrit(self.shape, u))
-        return (self.location + self.location_scale() * z)[()]
-
-    def variance_logpdf(self, t):
-        # marginal of sigma^2 is InverseGamma(shape / 2, scale / 2)
-        a, s = 0.5 * self.shape, 0.5 * self.scale
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = t / s
-            out = -(a + 1.0) * np.log(y) - gammaln(a) - 1.0 / y - math.log(s)
-        return np.where(t > 0, out, -np.inf)[()]
-
-    def variance_ppf(self, u):
-        with np.errstate(divide="ignore"):
-            return 0.5 * self.scale / gammainccinv(0.5 * self.shape, u)
-
 
 ComponentPrior = Union[PoissonGamma, DirichletMultinomial, NormalInverseGamma]
 
@@ -255,14 +221,14 @@ Observation = Union[int, float, tuple]
 
 
 def infer_family(obs: Observation) -> str:
-    """Family of a bare observation: tuple, int or float."""
+    """Family of a bare observation: tuple, integer or real (NumPy scalars too)."""
     if isinstance(obs, bool):
         raise ValueError(f"not a supported observation: {obs!r}")
     if isinstance(obs, tuple):
         return "multinomial"
-    if isinstance(obs, int):
+    if isinstance(obs, (int, np.integer)):
         return "poisson"
-    if isinstance(obs, float):
+    if isinstance(obs, (float, np.floating)):
         return "normal"
     raise ValueError(f"not a supported observation: {obs!r}")
 
@@ -290,19 +256,6 @@ def check_observation(family: str, obs: Observation, categories: int | None = No
         raise ValueError(f"unknown family {family!r}")
 
 
-def statistic_width(family: str, categories: int | None = None) -> int:
-    """Number of aggregate slots per component for the family."""
-    if family == "poisson":
-        return 1
-    if family == "multinomial":
-        if categories is None:
-            raise ValueError("multinomial width needs the category count")
-        return categories
-    if family == "normal":
-        return 2
-    raise ValueError(f"unknown family {family!r}")
-
-
 def observation_statistic(family: str, obs: Observation) -> GroupStat:
     """Single-observation group statistic (1, R(x))."""
     if family == "poisson":
@@ -313,10 +266,6 @@ def observation_statistic(family: str, obs: Observation) -> GroupStat:
         x = float(obs)
         return GroupStat(1, (x, x * x))
     raise ValueError(f"unknown family {family!r}")
-
-
-def zero_statistic(family: str, categories: int | None = None) -> GroupStat:
-    return GroupStat(0, (0,) * statistic_width(family, categories))
 
 
 def log_base_measure(family: str, obs: Observation) -> float:

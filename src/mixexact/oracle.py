@@ -221,10 +221,10 @@ def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
     )
 
 
-def oracle_distinct_statistics(data: Sequence, k: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
+def oracle_distinct_statistics(data: Sequence, k: int) -> int:
     """Number of distinct canonical statistics over all k**n allocations."""
     family = families.infer_family(data[0])
-    return len(_grouped(data, k, family, cap))
+    return len(_grouped(data, k, family, DEFAULT_ORACLE_CAP))
 
 
 def weight_table_csv(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORACLE_CAP) -> str:
@@ -274,7 +274,7 @@ def compare_report(wp: posterior.WeightedPosterior, oracle_result: OracleResult)
     return ok, worst, f"{verdict} entries={len(wp.keys)} max_rel={worst:.3e}"
 
 
-def quadrature_evidence(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORACLE_CAP) -> float:
+def quadrature_evidence(data: Sequence, prior: MixturePrior) -> float:
     """Evidence with every K constant replaced by numerical integration.
 
     Independent check of the closed-form normalizers: for each allocation,
@@ -329,7 +329,7 @@ def quadrature_evidence(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_
 
     alpha = prior.alpha
     log_terms = []
-    for _, _, stats_row in _allocations(data, k, family, cap):
+    for _, _, stats_row in _allocations(data, k, family, DEFAULT_ORACLE_CAP):
         term = sum(
             math.lgamma(s.count + a_j) for s, a_j in zip(stats_row, alpha)
         ) - math.lgamma(n + sum(alpha))

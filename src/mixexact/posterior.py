@@ -442,9 +442,7 @@ _PROBE_LEVELS = 65
 _PROBE_MEMBER_CAP = 512
 
 
-def mass_grid(
-    members: _Members, points: int = DEFAULT_GRID_POINTS, coverage: float = DEFAULT_COVERAGE
-) -> np.ndarray:
+def mass_grid(members: _Members) -> np.ndarray:
     """Mass-covering grid that equidistributes |f''|^(1/3) of the mixture.
 
     Composite-trapezoid error over one cell is h^3 |f''| / 12, so
@@ -452,12 +450,10 @@ def mass_grid(
     count. Curvature is probed on a fine auxiliary grid seeded with
     per-member quantiles so that narrow members are never missed.
     """
-    if points < 2:
-        raise ValueError(f"grid needs at least 2 points, got {points}")
     # the fattest member sets the upper end; the lower end is the support
     # edge when every member is finite there, else the thinnest quantile
-    all_ppf_hi = members.ppf(1.0 - coverage)
-    all_ppf_lo = members.ppf(coverage)
+    all_ppf_hi = members.ppf(1.0 - DEFAULT_COVERAGE)
+    all_ppf_lo = members.ppf(DEFAULT_COVERAGE)
     hi = float(np.max(all_ppf_hi))
     edge, finite = members.edge
     lo = edge if (edge is not None and finite) else float(np.min(all_ppf_lo))
@@ -466,7 +462,7 @@ def mass_grid(
     # is bounded by their total weight
     order = np.argsort(-members.weights, kind="stable")
     idx = np.sort(order[:_PROBE_MEMBER_CAP])
-    levels = np.linspace(coverage, 1.0 - coverage, _PROBE_LEVELS)
+    levels = np.linspace(DEFAULT_COVERAGE, 1.0 - DEFAULT_COVERAGE, _PROBE_LEVELS)
     quantiles = members.ppf(levels[:, None], idx)
     probe = np.unique(
         np.concatenate(
@@ -485,7 +481,7 @@ def mass_grid(
     w += w.max() * 1e-4 + 1e-300
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(probe))])
     cum /= cum[-1]
-    grid = np.interp(np.linspace(0.0, 1.0, points), cum, probe)
+    grid = np.interp(np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS), cum, probe)
     grid[0], grid[-1] = lo, hi
     if not np.all(np.diff(grid) > 0):
         raise NumericalError("mass grid failed to come out strictly increasing")

@@ -345,6 +345,13 @@ class TestSynthetic:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("n", ["3.7", "inf"])
+    def test_size_must_be_whole_and_finite(self, capsys, n):
+        code, out, err = run_cli(capsys, "evidence", "--synthetic", f"poisson:n={n},rate=2", "--seed", "1")
+        assert code == 2
+        assert err == f"error: --synthetic poisson takes a whole, finite n, got {float(n)!r}\n"
+        assert out == ""
+
     def test_unknown_kind_rejected(self, capsys):
         code, _, _ = run_cli(
             capsys, "evidence", "--synthetic", "negbin:n=5,r=2", "--seed", "1"
@@ -443,8 +450,15 @@ class TestConfigResolution:
             (("--gamma", "1,1,2;1,1"), "shape,rate"),
             (("--grid", "0,5"), "--grid"),
             (("--grid", "0,5,inf"), "--grid"),
+            (("--grid", "0,,5,10"), "empty cell"),
+            (("--gamma", "1,1;1,,10"), "empty cell"),
+            (("--alpha", "1,,1"), "empty cell"),
+            (("--alpha", "1,1,"), "empty cell"),
         ],
-        ids=["two-prior-flags", "flag-off-family", "prior-arity", "grid-pair", "grid-inf-points"],
+        ids=[
+            "two-prior-flags", "flag-off-family", "prior-arity", "grid-pair", "grid-inf-points",
+            "grid-empty-cell", "gamma-empty-cell", "alpha-inner-empty-cell", "alpha-trailing-empty-cell",
+        ],
     )
     def test_flag_misuse_is_2(self, capsys, worked_file, flags, named):
         code, _, err = run_cli(

@@ -31,6 +31,13 @@ class TestInit:
         assert init(2, 2).family == "poisson"
         assert init((1, 0, 2), 2).family == "multinomial"
 
+    def test_numpy_observations_infer_the_family(self):
+        assert dump(build(np.array([0, 1, 2]), 2)) == dump(build([0, 1, 2], 2))
+        with pytest.raises(UnsupportedFamilyError):
+            build(np.array([0.1, 0.2]), 2)
+        with pytest.raises(ValueError, match="not a supported observation"):
+            build(np.array([True, False]), 2)
+
     def test_normal_family_is_refused(self):
         with pytest.raises(UnsupportedFamilyError):
             init(1.5, 2)

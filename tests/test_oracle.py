@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -60,6 +61,7 @@ class TestDiscreteOracle:
         assert oracle_distinct_statistics([0, 1], 2) == 4
         assert oracle_distinct_statistics([0, 0], 2) == 3
         assert oracle_distinct_statistics(WORKED_DATA, 2) == 42
+        assert oracle_distinct_statistics(np.array(WORKED_DATA), 2) == 42
 
     def test_grouping_matches_lattice(self):
         lat = lattice.build(WORKED_DATA, 2)
@@ -80,6 +82,26 @@ class TestDiscreteOracle:
         ok, worst, text = compare_report(wp, other)
         assert not ok
         assert text.startswith("MISMATCH")
+
+    def test_compare_report_detects_key_mismatch(self):
+        wp = posterior.normalize(lattice.build([0, 1, 2], 2), asym_prior())
+        ok, worst, text = compare_report(wp, oracle_posterior([0, 1, 3], asym_prior()))
+        assert (ok, worst, text) == (False, math.inf, "MISMATCH statistic keys differ")
+
+    def test_compare_report_detects_multiplicity_mismatch(self):
+        wp = posterior.normalize(lattice.build([0, 1, 2], 2), asym_prior())
+        result = oracle_posterior([0, 1, 2], asym_prior())
+        mults = (result.multiplicities[0] + 1, *result.multiplicities[1:])
+        ok, worst, text = compare_report(wp, dataclasses.replace(result, multiplicities=mults))
+        assert (ok, worst, text) == (False, math.inf, "MISMATCH multiplicities differ")
+
+    def test_compare_report_detects_weight_deviation(self):
+        wp = posterior.normalize(lattice.build([0, 1, 2], 2), asym_prior())
+        other = MixturePrior((1.0, 1.0), (PoissonGamma(1.0, 1.0), PoissonGamma(1.0, 2.0)))
+        ok, worst, text = compare_report(wp, oracle_posterior([0, 1, 2], other))
+        assert not ok
+        assert worst > 1e-10
+        assert text == f"MISMATCH entries={len(wp.keys)} max_rel={worst:.3e}"
 
     def test_densities_match_engine(self):
         data = [0, 1, 4]
