@@ -61,7 +61,6 @@ class RunConfig:
     threshold: float = 0.99
     entry_budget: int = DEFAULT_ENTRY_BUDGET
     oracle_cap: int = DEFAULT_ORACLE_CAP
-    threads: int = 1  # accepted for compatibility; the engine is single-threaded
     out: str | None = None
     compare: bool = False
     dump_table: str | None = None
@@ -186,6 +185,8 @@ def _parse_synthetic(spec: str, seed: int | None) -> list[int]:
         key, _, value = item.partition("=")
         if not value:
             raise ValueError(f"bad synthetic spec item {item!r}")
+        if key.strip() in kv:
+            raise ValueError(f"--synthetic {kind} repeats the key {key.strip()!r}")
         kv[key.strip()] = float(value)
     if set(kv) != set(names):
         raise ValueError(f"--synthetic {kind} takes {','.join(n + '=..' for n in names)}, got {rest!r}")
@@ -338,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=float, help="mass threshold (default 0.99)")
         p.add_argument("--budget", dest="entry_budget", type=int, help="lattice entry budget")
         p.add_argument("--cap", dest="oracle_cap", type=int, help="oracle allocation cap")
-        p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
         p.add_argument("--seed", type=int, help="seed for the synthetic generator")
         p.add_argument(
             "--synthetic",
@@ -404,8 +404,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     if config.k < 1:
         raise ValueError(f"k must be >= 1, got {config.k}")
-    if config.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {config.threads}")
     if not (0 < config.threshold <= 1):
         raise ValueError(f"threshold must be in (0, 1], got {config.threshold}")
     return config

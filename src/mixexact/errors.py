@@ -18,11 +18,17 @@ class IngestError(MixtureError):
 
 
 class ResourceLimitError(MixtureError):
-    """The lattice exceeded its configured entry budget."""
+    """The lattice exceeded its configured entry budget.
 
-    def __init__(self, message: str, entry_count: int):
+    `step` is the observation count at which it ran out, and `growth` the
+    entry counts after each step of the fold up to and including that one.
+    """
+
+    def __init__(self, message: str, entry_count: int, step: int, growth: tuple[int, ...]):
         super().__init__(message)
         self.entry_count = entry_count
+        self.step = step
+        self.growth = growth
 
 
 class OracleCapError(MixtureError):

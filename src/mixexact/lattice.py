@@ -10,11 +10,17 @@ k**n < 2**63 no multiplicity and no partial sum of a merge can exceed k**n,
 so they are int64; from the step where k**n reaches 2**63 they are Python
 ints in an object array. Only the dtype changes, never the code path.
 
-Keys live in one (E, k*w) int64 array in lexicographic row order. A step
-packs every key into int64 words by mixed radix, slot 0 most significant,
-so word order is key order; absorbing x into slot j adds a constant to each
-word. A step is then k shifted copies of the codes, one sort, and one
-grouped sum of the multiplicities.
+Keys live in one (E, k*w) int64 array in lexicographic row order. `build`
+and `extend` run one fold over packed codes. It fixes a mixed radix once,
+from the column totals the fold will reach: n+1 for counts and total+1 for
+each aggregate, so no digit ever carries. The last slot is dropped, since
+the shared totals determine it, and the other slots pack into int64 words,
+slot 0 most significant, so code order is key order; one word holds them
+whenever the radix product fits, and wider keys use several words on the
+same path. Absorbing x into slot j adds one constant per word (zero for the
+dropped slot), so a step is k sorted runs of the codes, one stable sort
+that merges them, and one grouped sum of the multiplicities. Keys are
+decoded once, at the end.
 """
 
 from __future__ import annotations
@@ -59,6 +65,10 @@ class StatLattice:
         if min(mults) < 1 or not _conserves(sum(mults), k, n):
             raise ValueError(f"multiplicities must be positive and sum to {k}^{n}")
         keys = np.array([key for key, _ in items], dtype=np.int64)
+        totals = keys.reshape(len(keys), k, -1).sum(axis=1)
+        # the fold packs digits below their column totals, which every entry shares
+        if keys.min() < 0 or np.any(totals[:, 0] != n) or np.any(totals != totals[0]):
+            raise ValueError(f"keys must be nonnegative and share column totals with count {n}")
         mults = np.array(mults, dtype=_mult_dtype(k, n))
         self._freeze(family, k, n, keys, mults, log_base)
 
@@ -131,7 +141,7 @@ def init(first_obs, k: int, family: str | None = None) -> StatLattice:
     # the n=0 lattice: one all-zero key; -0.0 + x is x bitwise for every x
     one = np.array([1], dtype=_mult_dtype(k, 0))
     empty = StatLattice._from_arrays(family, k, 0, np.zeros((1, k * w), np.int64), one, -0.0)
-    return extend(empty, first_obs)
+    return _fold(empty, [first_obs])
 
 
 def _word_places(radix: list[int]) -> np.ndarray:
@@ -155,37 +165,73 @@ def _word_places(radix: list[int]) -> np.ndarray:
     return np.array(words[::-1])
 
 
+def _fold(
+    lattice: StatLattice, observations: Sequence, budget: int = DEFAULT_ENTRY_BUDGET
+) -> StatLattice:
+    """Absorb the observations in order, merging colliding successors."""
+    family, k, w = lattice.family, lattice.k, lattice.slot_width
+    stats = []
+    for obs in observations:
+        families.check_observation(family, obs, lattice.categories)
+        r = families.observation_statistic(family, obs).total
+        if len(r) != w - 1:
+            raise ValueError("observation width does not match the lattice family")
+        stats.append((1, *r))
+    if not stats:
+        return lattice
+    # every entry shares the column totals, and no digit outgrows its
+    # column's final total, so radix total + 1 never carries
+    first = lattice.key_array[0].tolist()
+    totals = [sum(first[c::w]) + sum(s[c] for s in stats) for c in range(w)]
+    if max(totals) * k >= _WORD_SPAN:
+        raise ValueError("a statistic digit would leave the int64 key range")
+    kept = (k - 1) * w  # the last slot is the totals minus the others
+    radix = [t + 1 for t in totals] * (k - 1)
+    places = _word_places(radix)
+    codes = places @ lattice.key_array[:, :kept].T  # (W, E), word 0 most significant
+    # shifts[i, :, j]: what absorbing observation i into slot j adds to each
+    # word; the dropped last slot adds nothing
+    shifts = np.zeros((len(stats), len(places), k), dtype=np.int64)
+    shifts[:, :, :-1] = np.einsum("pjc,ic->ipj", places.reshape(len(places), k - 1, w), stats)
+    mults, n, log_base = lattice.mult_array, lattice.n, lattice.log_base
+    growth = [len(mults)]
+    for obs, shift in zip(observations, shifts):
+        succ = (codes[:, None, :] + shift[:, :, None]).reshape(len(codes), -1)
+        # k sorted runs, which the stable sort under lexsort merges
+        order = np.lexsort(succ[::-1])
+        succ = succ[:, order]
+        fresh = np.zeros(succ.shape[1], dtype=bool)
+        fresh[0] = True
+        for word in succ:
+            fresh[1:] |= word[1:] != word[:-1]
+        starts = np.flatnonzero(fresh)
+        n += 1
+        growth.append(len(starts))
+        if len(starts) > budget:
+            raise ResourceLimitError(
+                f"entry budget {budget} exceeded at {len(starts)} entries on observation {n}",
+                entry_count=len(starts),
+                step=n,
+                growth=tuple(growth),
+            )
+        codes = succ[:, starts]
+        # to Python ints at the step where k**n reaches 2**63, else no copy
+        mults = np.tile(mults.astype(_mult_dtype(k, n), copy=False), k)
+        mults = np.add.reduceat(mults[order], starts)
+        log_base = log_base + families.log_base_measure(family, obs)
+
+    # decode once: column c is word `row[c]`'s code // place % radix
+    row, place = places.argmax(axis=0), places.max(axis=0)
+    head = (codes[row] // place[:, None] % np.array(radix, dtype=np.int64)[:, None]).T
+    keys = np.empty((len(head), k * w), dtype=np.int64)
+    keys[:, :kept] = head
+    keys[:, kept:] = np.array(totals) - head.reshape(len(head), k - 1, w).sum(axis=1)
+    return StatLattice._from_arrays(family, k, n, keys, mults, log_base)
+
+
 def extend(lattice: StatLattice, obs, budget: int = DEFAULT_ENTRY_BUDGET) -> StatLattice:
     """Absorb one observation: spawn k successors per entry, merge collisions."""
-    families.check_observation(lattice.family, obs, lattice.categories)
-    r = families.observation_statistic(lattice.family, obs).total
-    k, w = lattice.k, lattice.slot_width
-    if len(r) != w - 1:
-        raise ValueError("observation width does not match the lattice family")
-    keys, size = lattice.key_array, lattice.distinct_count()
-    # each column's largest successor digit; radix = that + 1, so codes never carry
-    top = [int(a) + b for a, b in zip(keys.max(axis=0).tolist(), (1, *r) * k)]
-    if max(top) * k >= _WORD_SPAN:
-        raise ValueError("a statistic digit would leave the int64 key range")
-    bump = np.kron(np.eye(k, dtype=np.int64), np.array([[1, *r]], dtype=np.int64))  # row j: x into slot j
-    places = _word_places([t + 1 for t in top])
-    succ = ((bump @ places.T)[:, None, :] + keys @ places.T).reshape(k * size, len(places))
-    order = np.lexsort(succ.T[::-1])
-    ranked = succ[order]
-    fresh = np.ones(len(order), dtype=bool)
-    fresh[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    starts = np.flatnonzero(fresh)
-    if len(starts) > budget:
-        raise ResourceLimitError(
-            f"entry budget {budget} exceeded at {len(starts)} entries", entry_count=len(starts)
-        )
-    first = order[starts]
-    merged = keys[first % size] + bump[first // size]
-    # to Python ints at the step where k**n reaches 2**63, else no copy
-    mults = lattice.mult_array.astype(_mult_dtype(k, lattice.n + 1), copy=False)
-    mults = np.add.reduceat(mults[order % size], starts)
-    log_base = lattice.log_base + families.log_base_measure(lattice.family, obs)
-    return StatLattice._from_arrays(lattice.family, k, lattice.n + 1, merged, mults, log_base)
+    return _fold(lattice, [obs], budget)
 
 
 def build(
@@ -194,13 +240,10 @@ def build(
     family: str | None = None,
     budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> StatLattice:
-    """Fold extend over the dataset, starting from init(data[0], k)."""
+    """Fold the dataset into init(data[0], k)."""
     if len(data) == 0:
         raise ValueError("dataset must be non-empty")
-    lattice = init(data[0], k, family)
-    for obs in data[1:]:
-        lattice = extend(lattice, obs, budget=budget)
-    return lattice
+    return _fold(init(data[0], k, family), data[1:], budget)
 
 
 def _header(family: str, k: int, n: int, log_base: float) -> str:

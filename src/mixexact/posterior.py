@@ -225,23 +225,45 @@ def _log_multiplicities(mults: np.ndarray) -> np.ndarray:
     return np.array([math.log(m) for m in distinct.tolist()])[inverse]
 
 
+def _on_digits(fn, digits: np.ndarray, const: float) -> np.ndarray:
+    """fn(digits + const) for one int64 key column.
+
+    A table over 0..max(digits) is gathered when it is shorter than the
+    column, else fn runs on the column. Both evaluate fn at the same
+    doubles, so the result is bitwise the same either way.
+    """
+    top = int(digits.max())
+    if top >= len(digits):
+        return fn(digits.astype(float) + const)
+    return fn(np.arange(top + 1, dtype=float) + const)[digits]
+
+
 def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
-    flat = _slots(lat.key_array, lat.k)
-    counts, sums = flat[:, :, 0], flat[:, :, 1:]
+    k, w, keys = lat.k, lat.slot_width, lat.key_array
     alpha = np.asarray(prior.alpha)
     log_mult = _log_multiplicities(lat.mult_array)
+    contrib = np.empty((len(keys), k))
 
     if prior.family == "poisson":
         a0 = np.array([c.shape for c in prior.components])
         b0 = np.array([c.rate for c in prior.components])
         prior_const = float(np.sum(gammaln(a0) - a0 * np.log(b0)))
-        shp = a0 + sums[:, :, 0]
-        contrib = gammaln(counts + alpha) + gammaln(shp) - shp * np.log(b0 + counts)
+        for j in range(k):
+            counts, sums = keys[:, 2 * j], keys[:, 2 * j + 1]
+            contrib[:, j] = _on_digits(gammaln, counts, alpha[j]) + _on_digits(gammaln, sums, a0[j])
+            contrib[:, j] -= (sums + a0[j]) * _on_digits(np.log, counts, b0[j])
     elif prior.family == "multinomial":
         beta = np.array([c.concentration for c in prior.components])  # (k, v)
         prior_const = float(np.sum(gammaln(beta)) - np.sum(gammaln(beta.sum(axis=1))))
-        conc = beta[None, :, :] + sums
-        contrib = gammaln(counts + alpha) + np.sum(gammaln(conc), axis=2) - gammaln(conc.sum(axis=2))
+        conc = beta[None, :, :] + _slots(keys, k)[:, :, 1:]
+        terms = np.empty(conc.shape)
+        for j in range(k):
+            contrib[:, j] = _on_digits(gammaln, keys[:, j * w], alpha[j])
+            for u in range(w - 1):
+                terms[:, j, u] = _on_digits(gammaln, keys[:, j * w + 1 + u], beta[j, u])
+        contrib += np.sum(terms, axis=2)
+        # a float sum over the categories is not a function of one digit
+        contrib -= gammaln(conc.sum(axis=2))
     else:
         raise UnsupportedFamilyError(f"no lattice weight path for family {prior.family!r}")
 

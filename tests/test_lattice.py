@@ -129,7 +129,11 @@ class TestExtend:
     def test_budget_enforced(self):
         with pytest.raises(ResourceLimitError) as err:
             build(WORKED_DATA, 4, budget=10)
-        assert err.value.entry_count > 10
+        # 4 entries after the first observation, 10 after the second, 20 after the third
+        assert err.value.entry_count == 20
+        assert err.value.step == 3
+        assert err.value.growth == (4, 10, 20)
+        assert "on observation 3" in str(err.value)
 
     def test_wrong_family_observation_rejected(self):
         with pytest.raises(ValueError):
@@ -239,6 +243,15 @@ class TestMultiplicityDtype:
     )
     def test_constructor_rejects_broken_conservation(self, entries):
         with pytest.raises(ValueError, match="sum to 2\\^1"):
+            StatLattice("poisson", 2, 1, entries, 0.0)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{(1, 2, 0, 0): 1, (0, 0, 1, 3): 1}, {(2, 0, 0, 0): 2}, {(1, -1, 0, 1): 2}],
+        ids=["totals-disagree", "counts-above-n", "negative-digit"],
+    )
+    def test_constructor_rejects_keys_the_fold_cannot_pack(self, entries):
+        with pytest.raises(ValueError, match="column totals"):
             StatLattice("poisson", 2, 1, entries, 0.0)
 
     @pytest.mark.parametrize("excess", [2**63, 2**64, 10**19, 10**30])

@@ -285,8 +285,11 @@ class TestLogUnnormalizedWeight:
         with pytest.raises(ValueError):
             log_unnormalized_weight([GroupStat(1, (1,))], 1, asym_prior())
 
-    def test_matches_engine_vector(self):
-        lat = build([0, 1, 2], 2)
+    # digits of 2**60 lie far beyond the entry count, so the engine takes
+    # its direct path there instead of a digit table
+    @pytest.mark.parametrize("data", [[0, 1, 2], [2**60, 2**60]], ids=["table", "direct"])
+    def test_matches_engine_vector(self, data):
+        lat = build(data, 2)
         wp = normalize(lat, asym_prior())
         for i, (n1, s1, n2, s2) in enumerate(wp.key_array.tolist()):
             stats_row = [GroupStat(n1, (s1,)), GroupStat(n2, (s2,))]

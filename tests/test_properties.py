@@ -1,12 +1,14 @@
 """Property tests of the lattice engine against the brute-force oracle.
 
 Hypothesis runs derandomized, so every run draws the same examples. Sizes
-stay at desk scale (k**n at most a few hundred allocations) to keep the
-whole module within a few seconds.
+stay at desk scale to keep the whole module within a few seconds: k**n at
+most a few hundred allocations wherever the oracle runs, and a few thousand
+lattice entries where the fold is compared with itself.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -104,6 +106,47 @@ def test_dump_load_dump_is_identity(case):
     data, prior = case
     text = lattice.dump(lattice.build(data, prior.k))
     assert lattice.dump(lattice.load(text)) == text
+
+
+@st.composite
+def fold_cases(draw):
+    """(data, k) with k in 1..4, in one of three regimes: small digits, whose
+    codes fit one int64 word; wide digits, whose codes need several words
+    from k=3 on; and sizes at the step where k**n reaches 2**63."""
+    regime = draw(st.sampled_from(["one-word", "multi-word", "dtype-boundary"]))
+    if regime == "dtype-boundary":
+        k = draw(st.sampled_from([2, 4]))
+        if k == 2:
+            n = draw(st.integers(62, 64))
+            return draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), k
+        # zeros but the last keep the k=4 lattice at a few thousand entries
+        n = draw(st.integers(31, 32))
+        return [0] * (n - 1) + [draw(st.integers(0, 3))], k
+    k = draw(st.integers(1, 4))
+    wide = regime == "multi-word"
+    if draw(st.booleans()):
+        n = draw(st.integers(1, (8, 8, 6, 5)[k - 1]))
+        values = st.integers(0, 2**40 if wide else 8)
+        return draw(st.lists(values, min_size=n, max_size=n)), k
+    v = draw(st.integers(2, 3))
+    n = draw(st.integers(1, (6, 6, 4, 3)[k - 1]))
+    return draw(st.lists(multinomial_rows(v, wide), min_size=n, max_size=n)), k
+
+
+@PROPERTY
+@given(case=fold_cases())
+def test_build_equals_the_stepwise_fold(case):
+    data, k = case
+    built = lattice.build(data, k)
+    folded = lattice.init(data[0], k)
+    for obs in data[1:]:
+        folded = lattice.extend(folded, obs)
+    assert np.array_equal(built.key_array, folded.key_array)
+    assert built.mult_array.dtype == folded.mult_array.dtype
+    assert built.mult_array.dtype == (object if k > 1 and k ** len(data) >= 2**63 else np.int64)
+    assert built.mult_array.tolist() == folded.mult_array.tolist()
+    assert built.log_base.hex() == folded.log_base.hex()
+    assert lattice.dump(built) == lattice.dump(folded)
 
 
 def _cells(line: str) -> list[str]:
