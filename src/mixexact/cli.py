@@ -151,11 +151,13 @@ def ingest(path: str, family: str) -> tuple[list, dict]:
         widths = {len(obs) for obs in data}
         if len(widths) != 1:
             raise IngestError(f"{path}: rows disagree on category count: {sorted(widths)}")
-        totals = [sum(obs) for obs in data]
-        report = {"n": len(data), "min": min(totals), "max": max(totals), "sum": sum(totals)}
-    else:
-        report = {"n": len(data), "min": min(data), "max": max(data), "sum": sum(data)}
-    return data, report
+        return data, _report([sum(obs) for obs in data])
+    return data, _report(data)
+
+
+def _report(values: list) -> dict:
+    """Size, extremes and sum of the values (row totals for multinomial data)."""
+    return {"n": len(values), "min": min(values), "max": max(values), "sum": sum(values)}
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -212,7 +214,7 @@ def build_prior(config: RunConfig, data: list) -> MixturePrior:
     return MixturePrior(alpha, comps)
 
 
-def resolve_data(config: RunConfig) -> tuple[list, dict | None]:
+def resolve_data(config: RunConfig) -> tuple[list, dict]:
     if config.data is not None:
         if config.family is None:
             raise ValueError("--data needs --family to parse the file")
@@ -223,7 +225,7 @@ def resolve_data(config: RunConfig) -> tuple[list, dict | None]:
             config.family = "poisson"
         elif config.family != "poisson":
             raise ValueError("the synthetic generator emits Poisson counts only")
-        return data, {"n": len(data), "min": min(data), "max": max(data), "sum": sum(data)}
+        return data, _report(data)
     raise ValueError("no dataset: pass --data or --synthetic with --seed")
 
 
@@ -267,22 +269,20 @@ def _marginal(config: RunConfig, wp: posterior.WeightedPosterior) -> posterior.D
 
 def run_subcommand(config: RunConfig) -> int:
     data, report = resolve_data(config)
-    if report is not None:
-        print(
-            f"ingest n={report['n']} min={report['min']} max={report['max']} sum={report['sum']}"
-        )
+    print(f"ingest n={report['n']} min={report['min']} max={report['max']} sum={report['sum']}")
 
     if config.command == "oracle":
         prior = build_prior(config, data)
+        # --compare weighs the lattice first, so a family without one writes no artifact
+        if config.compare:
+            lat = lattice.build(data, config.k, config.family, budget=config.entry_budget)
+            wp = posterior.normalize(lat, prior)
         result = oracle.oracle_posterior(data, prior, cap=config.oracle_cap)
         _write_artifact(result.summary().to_text(), config.out)
         if config.dump_table is not None:
             _write_artifact(oracle.weight_table_csv(data, prior, cap=config.oracle_cap), config.dump_table)
         if config.compare:
-            lat = lattice.build(data, config.k, config.family, budget=config.entry_budget)
-            wp = posterior.normalize(lat, prior)
-            _, _, verdict = oracle.compare_report(wp, result)
-            print(verdict)
+            print(oracle.compare_report(wp, result)[2])
         return 0
 
     lat = lattice.build(data, config.k, config.family, budget=config.entry_budget)

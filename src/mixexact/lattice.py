@@ -50,39 +50,20 @@ class StatLattice:
     `key_array` is (E, k*w) int64 in lexicographic row order and
     `mult_array` holds the matching multiplicities: int64 while k**n < 2**63,
     an object array of Python ints from there on (`_mult_dtype`). `tolist()`
-    gives Python ints either way. The constructor takes a {key: multiplicity}
-    mapping.
+    gives Python ints either way. A lattice comes from the fold (`init`,
+    `extend`, `build`) or from `load`, which checks every invariant of the
+    text it parses; both hand their arrays to `_from_arrays`, which freezes them.
     """
 
     __slots__ = ("family", "k", "n", "key_array", "mult_array", "log_base")
 
-    def __init__(self, family: str, k: int, n: int, entries: Mapping[Key, int], log_base: float):
-        items = sorted(entries.items())
-        if not items:
-            raise ValueError("a lattice needs at least one entry")
-        mults = [int(m) for _, m in items]
-        # positive and summing to k**n, so each fits the dtype k**n selects
-        if min(mults) < 1 or not _conserves(sum(mults), k, n):
-            raise ValueError(f"multiplicities must be positive and sum to {k}^{n}")
-        keys = np.array([key for key, _ in items], dtype=np.int64)
-        totals = keys.reshape(len(keys), k, -1).sum(axis=1)
-        # the fold packs digits below their column totals, which every entry shares
-        if keys.min() < 0 or np.any(totals[:, 0] != n) or np.any(totals != totals[0]):
-            raise ValueError(f"keys must be nonnegative and share column totals with count {n}")
-        mults = np.array(mults, dtype=_mult_dtype(k, n))
-        self._freeze(family, k, n, keys, mults, log_base)
-
     @classmethod
     def _from_arrays(cls, family, k, n, keys, mults, log_base) -> "StatLattice":
         lat = cls.__new__(cls)
-        lat._freeze(family, k, n, keys, mults, log_base)
+        keys.flags.writeable = mults.flags.writeable = False
+        for name, value in zip(cls.__slots__, (family, k, n, keys, mults, log_base)):
+            object.__setattr__(lat, name, value)
         return lat
-
-    def _freeze(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"StatLattice is immutable; cannot set {name!r}")
@@ -115,27 +96,18 @@ def _mult_dtype(k: int, n: int):
     return np.int64 if k == 1 or (n < 64 and k**n < _WORD_SPAN) else object
 
 
-def _conserves(total: int, k: int, n: int) -> bool:
-    # the bit-length test keeps k**n cheap when n is absurdly large
-    return not (k > 1 and n * math.log2(k) > total.bit_length() + 1) and total == k**n
-
-
-def _require_lattice_family(family: str) -> None:
-    if family == "normal":
-        # real-valued statistics collide only within-partition; growth is
-        # Bell-number-like, so enumeration goes through the oracle instead
-        raise UnsupportedFamilyError("normal-family lattices are not supported; use the oracle")
-    if family not in families.FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-
-
 def init(first_obs, k: int, family: str | None = None) -> StatLattice:
     """Lattice of a single observation: k singleton entries, multiplicity 1."""
     if k < 1:
         raise ValueError(f"component count must be >= 1, got {k}")
     if family is None:
         family = families.infer_family(first_obs)
-    _require_lattice_family(family)
+    if family == "normal":
+        # real-valued statistics collide only within-partition; growth is
+        # Bell-number-like, so enumeration goes through the oracle instead
+        raise UnsupportedFamilyError("normal-family lattices are not supported; use the oracle")
+    if family not in families.FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     families.check_observation(family, first_obs)
     w = 1 + len(families.observation_statistic(family, first_obs).total)
     # the n=0 lattice: one all-zero key; -0.0 + x is x bitwise for every x
@@ -378,6 +350,7 @@ def load(text: str) -> StatLattice:
     if not np.all(step[np.arange(len(step)), lead] > 0):
         raise LatticeFormatError("keys are duplicated or out of order")
     total = sum(mults.tolist())  # Python ints: the sum cannot wrap
-    if not _conserves(total, k, n):
+    # the bit-length test keeps k**n cheap when n is absurdly large
+    if (k > 1 and n * math.log2(k) > total.bit_length() + 1) or total != k**n:
         raise LatticeFormatError(f"dump violates conservation: total {total} != {k}^{n}")
     return StatLattice._from_arrays(family, k, n, keys, mults, log_base)

@@ -206,8 +206,23 @@ def log_unnormalized_weight(
 
 
 def _slots(key_array: np.ndarray, k: int) -> np.ndarray:
-    """(E, k, w) float copy of a key array: counts at [..., 0], aggregates after."""
-    return key_array.reshape(len(key_array), k, -1).astype(float)
+    """(E, k, w) int64 view of a key array: counts at [..., 0], aggregates after."""
+    return key_array.reshape(len(key_array), k, -1)
+
+
+def _gamma_update(key_array: np.ndarray, prior: MixturePrior, j=slice(None)):
+    """Each entry's Gamma update of component(s) j, read from the key
+    columns in place: shape a + S and rate b + n."""
+    slots = _slots(key_array, prior.k)[:, j]
+    a0, b0 = np.array([(c.shape, c.rate) for c in prior.components], dtype=float).T
+    return a0[j] + slots[..., 1], b0[j] + slots[..., 0]
+
+
+def _dirichlet_update(key_array: np.ndarray, prior: MixturePrior, j=slice(None)):
+    """Each entry's Dirichlet concentrations beta + S of component(s) j,
+    read from the key columns in place (the categories on the last axis)."""
+    beta = np.array([c.concentration for c in prior.components], dtype=float)  # (k, v)
+    return beta[j] + _slots(key_array, prior.k)[:, j, 1:]
 
 
 def _log_multiplicities(mults: np.ndarray) -> np.ndarray:
@@ -255,7 +270,7 @@ def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
     elif prior.family == "multinomial":
         beta = np.array([c.concentration for c in prior.components])  # (k, v)
         prior_const = float(np.sum(gammaln(beta)) - np.sum(gammaln(beta.sum(axis=1))))
-        conc = beta[None, :, :] + _slots(keys, k)[:, :, 1:]
+        conc = _dirichlet_update(keys, prior)
         terms = np.empty(conc.shape)
         for j in range(k):
             contrib[:, j] = _on_digits(gammaln, keys[:, j * w], alpha[j])
@@ -305,26 +320,21 @@ def bayes_factor(log_m_a: float, log_m_b: float) -> float:
 
 def expected_weights(wp: WeightedPosterior) -> np.ndarray:
     """E[p_j | x]: weight-mixture of Dirichlet posterior means."""
-    counts = _slots(wp.key_array, wp.k)[:, :, 0]
     alpha = np.asarray(wp.prior.alpha)
-    means = (counts + alpha) / (wp.n + alpha.sum())
+    means = _slots(wp.key_array, wp.k)[:, :, 0] + alpha
+    means /= wp.n + alpha.sum()
     return wp.weights @ means
 
 
 def expected_component_means(wp: WeightedPosterior) -> np.ndarray:
     """E of each component's mean parameters: (k,) Poisson, (k, v) multinomial."""
-    flat = _slots(wp.key_array, wp.k)
-    counts = flat[:, :, 0]
     if wp.family == "poisson":
-        a0 = np.array([c.shape for c in wp.prior.components])
-        b0 = np.array([c.rate for c in wp.prior.components])
-        return wp.weights @ ((a0 + flat[:, :, 1]) / (b0 + counts))
-    if wp.family == "multinomial":
-        beta = np.array([c.concentration for c in wp.prior.components])
-        conc = beta[None, :, :] + flat[:, :, 1:]
-        means = conc / conc.sum(axis=2, keepdims=True)
-        return np.einsum("e,ejv->jv", wp.weights, means)
-    raise UnsupportedFamilyError(f"no component-mean path for family {wp.family!r}")
+        shape, rate = _gamma_update(wp.key_array, wp.prior)
+        shape /= rate
+        return wp.weights @ shape
+    conc = _dirichlet_update(wp.key_array, wp.prior)
+    conc /= conc.sum(axis=2, keepdims=True)
+    return np.einsum("e,ejv->jv", wp.weights, conc)
 
 
 def mass_concentration(wp: WeightedPosterior, threshold: float = 0.99) -> int:
@@ -339,11 +349,8 @@ def mass_concentration(wp: WeightedPosterior, threshold: float = 0.99) -> int:
 
 
 def summarize(wp: WeightedPosterior) -> PosteriorSummary:
-    means = expected_component_means(wp)
-    if means.ndim == 1:
-        means_t = tuple((float(m),) for m in means)
-    else:
-        means_t = tuple(tuple(float(x) for x in row) for row in means)
+    # (k,) Poisson and (k, v) multinomial means alike become k tuples of floats
+    means = tuple(map(tuple, expected_component_means(wp).reshape(wp.k, -1).tolist()))
     return PosteriorSummary(
         family=wp.family,
         k=wp.k,
@@ -352,7 +359,7 @@ def summarize(wp: WeightedPosterior) -> PosteriorSummary:
         mass99=mass_concentration(wp, 0.99),
         log_evidence=wp.log_evidence,
         expected_weights=tuple(float(w) for w in expected_weights(wp)),
-        expected_means=means_t,
+        expected_means=means,
     )
 
 
@@ -381,6 +388,9 @@ class _Members:
     # (lower support edge, density finite at that edge)
     edge: tuple[float | None, bool] = (None, False)
     coef: np.ndarray  # (3, D)
+    # closed forms of the log density at t and the point of lower-tail mass
+    # u, each taking the member parameters in order after t or u
+    closed_logpdf = closed_ppf = None
 
     def __init__(self, weights, *params):
         weights = np.asarray(weights, dtype=float)
@@ -398,10 +408,10 @@ class _Members:
 
     def logpdf(self, t: np.ndarray, idx=slice(None)) -> np.ndarray:
         """(points, members) log densities by the closed form."""
-        raise NotImplementedError
+        return self.closed_logpdf(t[:, None], *(p[idx] for p in self.params))
 
     def ppf(self, u, idx=slice(None)) -> np.ndarray:
-        raise NotImplementedError
+        return self.closed_ppf(u, *(p[idx] for p in self.params))
 
     def mixture_pdf(self, t, idx=slice(None)) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -426,37 +436,30 @@ class _Members:
 
 
 class _GammaMembers(_Members):
+    closed_logpdf, closed_ppf = staticmethod(gamma_logpdf), staticmethod(gamma_ppf)
+
     def __init__(self, shapes, rates, weights):
         super().__init__(weights, shapes, rates)
-        self.shapes, self.rates = a, b = self.params
+        a, b = self.params
         self.coef = np.stack([a - 1.0, -b, a * np.log(b) - gammaln(a)])
         self.edge = (0.0, bool(np.all(a >= 1.0)))
 
     def basis(self, t):
         return np.stack([np.log(t), t, np.ones_like(t)], axis=1)
 
-    def logpdf(self, t, idx=slice(None)):
-        return gamma_logpdf(t[:, None], self.shapes[idx], self.rates[idx])
-
-    def ppf(self, u, idx=slice(None)):
-        return gamma_ppf(u, self.shapes[idx], self.rates[idx])
-
 
 class _BetaMembers(_Members):
+    """Members on (0, 1); their grids stay strictly inside it."""
+
+    closed_logpdf, closed_ppf = staticmethod(beta_logpdf), staticmethod(beta_ppf)
+
     def __init__(self, a, b, weights):
         super().__init__(weights, a, b)
-        self.a, self.b = a, b = self.params
+        a, b = self.params
         self.coef = np.stack([a - 1.0, b - 1.0, -betaln(a, b)])
-        self.edge = (None, False)  # stay strictly inside (0, 1)
 
     def basis(self, t):
         return np.stack([np.log(t), np.log1p(-t), np.ones_like(t)], axis=1)
-
-    def logpdf(self, t, idx=slice(None)):
-        return beta_logpdf(t[:, None], self.a[idx], self.b[idx])
-
-    def ppf(self, u, idx=slice(None)):
-        return beta_ppf(u, self.a[idx], self.b[idx])
 
 
 _PROBE_UNIFORM = 4096
@@ -474,11 +477,9 @@ def mass_grid(members: _Members) -> np.ndarray:
     """
     # the fattest member sets the upper end; the lower end is the support
     # edge when every member is finite there, else the thinnest quantile
-    all_ppf_hi = members.ppf(1.0 - DEFAULT_COVERAGE)
-    all_ppf_lo = members.ppf(DEFAULT_COVERAGE)
-    hi = float(np.max(all_ppf_hi))
+    hi = float(np.max(members.ppf(1.0 - DEFAULT_COVERAGE)))
     edge, finite = members.edge
-    lo = edge if (edge is not None and finite) else float(np.min(all_ppf_lo))
+    lo = edge if (edge is not None and finite) else float(np.min(members.ppf(DEFAULT_COVERAGE)))
 
     # probe guidance can ignore negligible members; their curvature share
     # is bounded by their total weight
@@ -497,11 +498,18 @@ def mass_grid(members: _Members) -> np.ndarray:
 
     h1 = np.diff(probe)[:-1]
     h2 = np.diff(probe)[1:]
-    d2 = 2.0 * (h1 * f[2:] - (h1 + h2) * f[1:-1] + h2 * f[:-2]) / (h1 * h2 * (h1 + h2))
-    w = np.abs(np.concatenate([d2[:1], d2, d2[-1:]])) ** (1.0 / 3.0)
-    # small floor keeps flat stretches covered and the cumulative invertible
-    w += w.max() * 1e-4 + 1e-300
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(probe))])
+    # a density that overflows at a divergent edge makes the cumulative inf or nan
+    with np.errstate(all="ignore"):
+        d2 = 2.0 * (h1 * f[2:] - (h1 + h2) * f[1:-1] + h2 * f[:-2]) / (h1 * h2 * (h1 + h2))
+        w = np.abs(np.concatenate([d2[:1], d2, d2[-1:]])) ** (1.0 / 3.0)
+        # small floor keeps flat stretches covered and the cumulative invertible
+        w += w.max() * 1e-4 + 1e-300
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(probe))])
+    if not np.isfinite(cum[-1]):
+        # name every end whose density is not finite, else the larger one
+        edges = [e for e, v in ((lo, f[0]), (hi, f[-1])) if not np.isfinite(v)]
+        where = " and ".join(map(repr, edges or [lo if f[0] > f[-1] else hi]))
+        raise NumericalError(f"density diverges at the support edge {where}; pass an explicit grid (--grid)")
     cum /= cum[-1]
     grid = np.interp(np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS), cum, probe)
     grid[0], grid[-1] = lo, hi
@@ -511,39 +519,37 @@ def mass_grid(members: _Members) -> np.ndarray:
 
 
 def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> tuple[_Members, str]:
-    flat = _slots(wp.key_array, wp.k)
-    counts = flat[:, j, 0]
-    comp = wp.prior.components[j]
+    if not (0 <= j < wp.k):
+        raise ValueError(f"component index {j} out of range for k={wp.k}")
     if category is not None and wp.family != "multinomial":
         raise ValueError(f"{wp.family} components have no categories; q marginals need multinomial data")
     if wp.family == "poisson":
-        return (
-            _GammaMembers(comp.shape + flat[:, j, 1], comp.rate + counts, wp.weights),
-            f"lambda{j + 1}",
-        )
-    if wp.family == "multinomial":
-        if category is None:
-            raise ValueError("multinomial marginals need a category index")
-        v = wp.slot_width - 1
-        if not (0 <= category < v):
-            raise ValueError(f"category index {category} out of range for v={v}")
-        beta = np.asarray(comp.concentration)
-        conc_u = beta[category] + flat[:, j, 1 + category]
-        conc_total = beta.sum() + flat[:, j, 1:].sum(axis=1)
-        return (
-            _BetaMembers(conc_u, conc_total - conc_u, wp.weights),
-            f"q{j + 1},{category + 1}",
-        )
-    raise UnsupportedFamilyError(f"no marginal-density path for family {wp.family!r}")
+        return _GammaMembers(*_gamma_update(wp.key_array, wp.prior, j), wp.weights), f"lambda{j + 1}"
+    if category is None:
+        raise ValueError("multinomial marginals need a category index")
+    v = wp.slot_width - 1
+    if not (0 <= category < v):
+        raise ValueError(f"category index {category} out of range for v={v}")
+    a = _dirichlet_update(wp.key_array, wp.prior, j)[:, category]
+    # the second shape is sum(beta) + sum(S): a sum of the concentrations
+    # would round differently when beta is not dyadic, and an int64 sum of
+    # the digits could wrap
+    sums = _slots(wp.key_array, wp.k)[:, j, 1:].sum(axis=1, dtype=float)
+    total = np.sum(wp.prior.components[j].concentration) + sums
+    return _BetaMembers(a, total - a, wp.weights), f"q{j + 1},{category + 1}"
 
 
-def _validate_grid(grid, open_unit: bool) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty grid")
-    if open_unit and (np.any(grid <= 0.0) or np.any(grid >= 1.0)):
-        raise ValueError("grid points must lie strictly inside (0, 1)")
-    return grid
+def _marginal(members: _Members, param: str, grid) -> DensityGrid:
+    """The members' mixture density on the given grid, or on their mass grid."""
+    if grid is None:
+        grid = mass_grid(members)
+    else:
+        grid = np.asarray(grid, dtype=float)
+        if grid.size == 0:
+            raise ValueError("empty grid")
+        if isinstance(members, _BetaMembers) and (np.any(grid <= 0.0) or np.any(grid >= 1.0)):
+            raise ValueError("grid points must lie strictly inside (0, 1)")
+    return DensityGrid(param, grid, members.mixture_pdf(grid))
 
 
 def marginal_component_density(
@@ -553,14 +559,7 @@ def marginal_component_density(
     category: int | None = None,
 ) -> DensityGrid:
     """Posterior marginal of component j's mean parameter as a weight mixture."""
-    if not (0 <= j < wp.k):
-        raise ValueError(f"component index {j} out of range for k={wp.k}")
-    members, param = _component_members(wp, j, category)
-    if grid is None:
-        grid = mass_grid(members)
-    else:
-        grid = _validate_grid(grid, open_unit=wp.family == "multinomial")
-    return DensityGrid(param, grid, members.mixture_pdf(grid))
+    return _marginal(*_component_members(wp, j, category), grid)
 
 
 def marginal_weight_density(wp: WeightedPosterior, j: int, grid=None) -> DensityGrid:
@@ -569,11 +568,5 @@ def marginal_weight_density(wp: WeightedPosterior, j: int, grid=None) -> Density
         raise ValueError(f"component index {j} out of range for k={wp.k}")
     counts = _slots(wp.key_array, wp.k)[:, j, 0]
     alpha = np.asarray(wp.prior.alpha)
-    members = _BetaMembers(
-        counts + alpha[j], wp.n - counts + alpha.sum() - alpha[j], wp.weights
-    )
-    if grid is None:
-        grid = mass_grid(members)
-    else:
-        grid = _validate_grid(grid, open_unit=True)
-    return DensityGrid(f"p{j + 1}", grid, members.mixture_pdf(grid))
+    members = _BetaMembers(counts + alpha[j], wp.n - counts + alpha.sum() - alpha[j], wp.weights)
+    return _marginal(members, f"p{j + 1}", grid)

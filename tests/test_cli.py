@@ -534,6 +534,19 @@ class TestExitCodes:
         assert code == 2
         assert "oracle" in err
 
+    def test_normal_oracle_compare_is_2_before_any_artifact(self, capsys, tmp_path):
+        path = tmp_path / "reals.txt"
+        path.write_text("0.5\n1.5\n")
+        out_path, table = tmp_path / "o.txt", tmp_path / "table.csv"
+        code, out, err = run_cli(
+            capsys, "oracle", "--data", str(path), "--family", "normal", "--k", "2",
+            "--nig", "0,1,3,2;0,1,3,2", "--compare", "--out", str(out_path), "--dump-table", str(table),
+        )
+        assert code == 2
+        assert err == "error: normal-family lattices are not supported; use the oracle\n"
+        assert out == "ingest n=2 min=0.5 max=1.5 sum=2.0\n"
+        assert not out_path.exists() and not table.exists()
+
     def test_category_marginal_on_poisson_is_2(self, capsys, worked_file):
         code, out, err = run_cli(
             capsys, "marginal", "--data", worked_file, "--family", "poisson", "--k", "2",
@@ -663,6 +676,22 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert "inf" not in proc.stdout
+
+    def test_divergent_weight_grid_is_6_with_one_error_line(self, tmp_path):
+        # Beta(3.5, 0.5) has its 1 - 1e-8 quantile at 1.0, where it diverges
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n0\n3\n")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "mixexact.cli", "marginal", "--data", str(path),
+                "--family", "poisson", "--k", "2", "--alpha", "0.5,0.5", "--param", "p1",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 6
+        assert proc.stderr == "error: density diverges at the support edge 1.0; pass an explicit grid (--grid)\n"
+        assert proc.stdout == "ingest n=3 min=0 max=3 sum=3\n"
 
 
 class TestDeterminism:

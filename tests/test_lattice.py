@@ -16,6 +16,16 @@ from mixexact.posterior import MixturePrior
 WORKED_DATA = [0, 0, 0, 1, 2, 2, 4]
 
 
+def _dump_text(k: int, n: int, entries: dict) -> str:
+    """A Poisson dump's text for {key: multiplicity}, keys in sorted order."""
+    rows = ["\t".join(map(str, (*key, m))) + "\n" for key, m in sorted(entries.items())]
+    return f"family=poisson k={k} n={n} logh=0x0.0p+0\n" + "".join(rows)
+
+
+# the n=0 lattice: one all-zero key, multiplicity 1
+PRIOR_ONLY = _dump_text(2, 0, {(0, 0, 0, 0): 1})
+
+
 class TestInit:
     def test_singleton_lattice(self):
         lat = init(3, 2)
@@ -187,10 +197,6 @@ class TestArrayLattice:
         with pytest.raises(AttributeError):
             lat.n = 3
 
-    def test_empty_mapping_rejected(self):
-        with pytest.raises(ValueError):
-            StatLattice("poisson", 2, 0, {}, 0.0)
-
 
 def _fold(data, k: int) -> list[StatLattice]:
     """init/extend over data, keeping the lattice after every step."""
@@ -232,27 +238,27 @@ class TestMultiplicityDtype:
         assert loaded.mult_array.tolist() == [comb(70, n1) for n1 in range(71)]
         assert dump(loaded) == text
 
-    def test_constructor_follows_the_dtype_rule(self):
-        assert StatLattice("poisson", 2, 0, {(0, 0, 0, 0): 1}, 0.0).mult_array.dtype == np.int64
-        wide = StatLattice("poisson", 2, 63, {(63, 0, 0, 0): 1, (0, 0, 63, 0): 2**63 - 1}, 0.0)
+    def test_load_follows_the_dtype_rule(self):
+        assert load(PRIOR_ONLY).mult_array.dtype == np.int64
+        wide = load(_dump_text(2, 63, {(63, 0, 0, 0): 1, (0, 0, 63, 0): 2**63 - 1}))
         assert wide.mult_array.dtype == object
         assert wide.total_count() == 2**63
 
     @pytest.mark.parametrize(
         "entries", [{(1, 0, 0, 0): 5}, {(1, 0, 0, 0): 2**64}, {(1, 0, 0, 0): 2**64, (0, 0, 1, 0): 2 - 2**64}]
     )
-    def test_constructor_rejects_broken_conservation(self, entries):
-        with pytest.raises(ValueError, match="sum to 2\\^1"):
-            StatLattice("poisson", 2, 1, entries, 0.0)
+    def test_load_rejects_multiplicities_that_break_conservation(self, entries):
+        with pytest.raises(LatticeFormatError, match="2\\^1|nonpositive multiplicity"):
+            load(_dump_text(2, 1, entries))
 
     @pytest.mark.parametrize(
         "entries",
         [{(1, 2, 0, 0): 1, (0, 0, 1, 3): 1}, {(2, 0, 0, 0): 2}, {(1, -1, 0, 1): 2}],
         ids=["totals-disagree", "counts-above-n", "negative-digit"],
     )
-    def test_constructor_rejects_keys_the_fold_cannot_pack(self, entries):
-        with pytest.raises(ValueError, match="column totals"):
-            StatLattice("poisson", 2, 1, entries, 0.0)
+    def test_load_rejects_keys_the_fold_cannot_pack(self, entries):
+        with pytest.raises(LatticeFormatError, match="n=1|each other's totals|digit out of range"):
+            load(_dump_text(2, 1, entries))
 
     @pytest.mark.parametrize("excess", [2**63, 2**64, 10**19, 10**30])
     def test_multiplicity_beyond_int64_does_not_wrap(self, excess):
@@ -403,8 +409,7 @@ class TestLoadValidation:
         assert issubclass(LatticeFormatError, ValueError)
 
     def test_prior_only_lattice_round_trips(self):
-        text = dump(StatLattice("poisson", 2, 0, {(0, 0, 0, 0): 1}, 0.0))
-        assert dump(load(text)) == text
+        assert dump(load(PRIOR_ONLY)) == PRIOR_ONLY
 
 
 class TestDumpLoad:
@@ -448,9 +453,13 @@ class TestDumpLoad:
 
 
 class TestDirectConstruction:
+    def test_only_the_fold_and_load_make_lattices(self):
+        with pytest.raises(TypeError):
+            StatLattice("poisson", 2, 0, {(0, 0, 0, 0): 1}, 0.0)
+
     def test_prior_only_lattice(self):
-        # n=0 is representable directly: one all-zero entry
-        lat = StatLattice("poisson", 2, 0, {(0, 0, 0, 0): 1}, 0.0)
+        # n=0 is representable: one all-zero entry, loaded from its dump
+        lat = load(PRIOR_ONLY)
         assert lat.distinct_count() == 1
         assert lat.total_count() == 1
         assert lat.slot_width == 2

@@ -17,7 +17,7 @@ from scipy import stats as sps
 from mixexact import posterior
 from mixexact.errors import MixtureError, NumericalError
 from mixexact.families import DirichletMultinomial, GroupStat, PoissonGamma
-from mixexact.lattice import StatLattice, build
+from mixexact.lattice import build, load
 from mixexact.oracle import oracle_posterior
 from mixexact.posterior import (
     DensityGrid,
@@ -36,6 +36,9 @@ from mixexact.posterior import (
 )
 
 WORKED_DATA = [0, 0, 0, 1, 2, 2, 4]
+
+# the n=0 lattice: one all-zero key, multiplicity 1
+PRIOR_ONLY = "family=poisson k=2 n=0 logh=0x0.0p+0\n0\t0\t0\t0\t1\n"
 
 
 def asym_prior() -> MixturePrior:
@@ -254,7 +257,7 @@ class TestNormalizeInvariants:
         assert wp.weights == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_prior_only_lattice(self):
-        lat = StatLattice("poisson", 2, 0, {(0, 0, 0, 0): 1}, 0.0)
+        lat = load(PRIOR_ONLY)
         prior = MixturePrior((2.0, 3.0), (PoissonGamma(1, 1), PoissonGamma(1, 1)))
         wp = normalize(lat, prior)
         assert expected_weights(wp) == pytest.approx([0.4, 0.6], abs=1e-15)
@@ -395,6 +398,33 @@ class TestNonFiniteResults:
         with pytest.raises(NumericalError):
             posterior.mass_grid(members)
 
+    def test_divergent_mass_grid_names_each_divergent_edge(self):
+        # Beta(0.01, 1) has its 1e-8 quantile at 0.0 and Beta(1, 0.01) its
+        # 1 - 1e-8 quantile at 1.0, and each diverges there
+        cases = [
+            (([0.01, 1.0], [1.0, 0.01]), "edge 0.0 and 1.0"),
+            (([0.01], [1.0]), "edge 0.0"),
+            (([1.0], [0.01]), "edge 1.0"),
+        ]
+        for (a, b), named in cases:
+            members = posterior._BetaMembers(a, b, np.full(len(a), 1.0 / len(a)))
+            with pytest.raises(NumericalError, match=f"diverges at the support {named}; pass an explicit grid"):
+                posterior.mass_grid(members)
+
+
+class TestIntegerPriorParameters:
+    def test_integer_gamma_parameters_match_float_ones(self):
+        lat = build(WORKED_DATA, 2)
+        as_int = normalize(lat, MixturePrior((1.0, 1.0), (PoissonGamma(1, 1),) * 2))
+        as_float = normalize(lat, MixturePrior((1.0, 1.0), (PoissonGamma(1.0, 1.0),) * 2))
+        assert summarize(as_int) == summarize(as_float)
+        assert expected_component_means(as_int).tobytes() == expected_component_means(as_float).tobytes()
+        for j in range(2):
+            grid_int = marginal_component_density(as_int, j)
+            grid_float = marginal_component_density(as_float, j)
+            assert grid_int.grid.tobytes() == grid_float.grid.tobytes()
+            assert grid_int.density.tobytes() == grid_float.density.tobytes()
+
 
 class TestDensityGrids:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -477,7 +507,7 @@ class TestDensityGrids:
         )
 
     def test_prior_only_weight_marginal_is_uniform(self):
-        lat = StatLattice("poisson", 2, 0, {(0, 0, 0, 0): 1}, 0.0)
+        lat = load(PRIOR_ONLY)
         wp = normalize(lat, sym_prior())
         g = marginal_weight_density(wp, 0, grid=[0.1, 0.4, 0.8])
         assert g.density == pytest.approx([1.0, 1.0, 1.0], abs=1e-13)
@@ -542,8 +572,9 @@ class TestDistinctMembers:
 
     def test_members_are_summed_per_distinct_parameter(self):
         members = posterior._GammaMembers([2.0, 1.0, 2.0, 1.0], [3.0, 1.0, 3.0, 1.0], [0.1, 0.2, 0.3, 0.4])
-        assert members.shapes.tolist() == [1.0, 2.0]
-        assert members.rates.tolist() == [1.0, 3.0]
+        shapes, rates = members.params
+        assert shapes.tolist() == [1.0, 2.0]
+        assert rates.tolist() == [1.0, 3.0]
         assert members.weights.tolist() == [0.2 + 0.4, 0.1 + 0.3]
 
     def test_support_edge_takes_the_closed_form(self):
