@@ -29,6 +29,7 @@ from .oracle import (
     OracleResult,
     compare_report,
     enumerate_allocations,
+    log_unnormalized_weight,
     oracle_distinct_statistics,
     oracle_posterior,
     quadrature_evidence,
@@ -43,7 +44,6 @@ from .posterior import (
     expected_component_means,
     expected_weights,
     log_evidence,
-    log_unnormalized_weight,
     marginal_component_density,
     marginal_weight_density,
     mass_concentration,

@@ -252,9 +252,12 @@ def _explicit_grid(config: RunConfig) -> np.ndarray | None:
 def _write_artifact(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:  # the path is configuration
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _marginal(config: RunConfig, wp: posterior.WeightedPosterior) -> posterior.DensityGrid:

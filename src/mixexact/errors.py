@@ -21,7 +21,8 @@ class ResourceLimitError(MixtureError):
     """The lattice exceeded its configured entry budget.
 
     `step` is the observation count at which it ran out, and `growth` the
-    entry counts after each step of the fold up to and including that one.
+    entry counts from the fold's start up to and including that step. The
+    budget covers every observation: `build` starts at the n=0 lattice, 1 entry.
     """
 
     def __init__(self, message: str, entry_count: int, step: int, growth: tuple[int, ...]):

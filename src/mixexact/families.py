@@ -4,16 +4,16 @@ Three observation families are supported: Poisson counts with Gamma priors
 on the mean, multinomial count vectors with Dirichlet priors on the cell
 probabilities, and real observations with Normal-Inverse-Gamma priors on
 (mean, variance). Each prior knows how to absorb a group statistic, report
-its log normalizing constant, and evaluate posterior quantities for the
-mean-value parameters. All Gamma-heavy arithmetic stays in log space, and
-every density and quantile is a closed form over `scipy.special`.
+its log normalizing constant and give its posterior mean. The marginal
+densities and quantiles of the mean-value parameters are free closed forms
+over `scipy.special`, and all Gamma-heavy arithmetic stays in log space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar, Union
 
 import numpy as np
 from scipy.special import (
@@ -27,12 +27,10 @@ from scipy.special import (
     xlogy,
 )
 
-FAMILIES = ("poisson", "multinomial", "normal")
-
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-# Closed forms shared by the component methods and the density grids. They
+# Closed forms shared by the oracle and the density grids. They
 # broadcast over points and parameters alike; densities outside the support
 # have log 0 = -inf, and the support edge carries its limit (+inf, finite or
 # -inf by the shape).
@@ -66,6 +64,17 @@ def beta_logpdf(t, a, b):
 def beta_ppf(u, a, b):
     """Point with lower-tail mass u under Beta(a, b)."""
     return betaincinv(a, b, u)
+
+
+def student_t_logpdf(t, df, loc, scale):
+    """log density of Student-t(df, loc, scale) at t, for scalar df and scale."""
+    z = (np.asarray(t, dtype=float) - loc) / scale
+    return (
+        math.log(poch(0.5 * df, 0.5))
+        - 0.5 * (math.log(df) + math.log(math.pi))
+        - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+        - math.log(scale)
+    )
 
 
 @dataclass(frozen=True)
@@ -108,9 +117,6 @@ class PoissonGamma:
     def posterior_mean(self) -> tuple[float, ...]:
         return (self.shape / self.rate,)
 
-    def mean_logpdf(self, t):
-        return gamma_logpdf(t, self.shape, self.rate)
-
 
 @dataclass(frozen=True)
 class DirichletMultinomial:
@@ -144,12 +150,6 @@ class DirichletMultinomial:
     def posterior_mean(self) -> tuple[float, ...]:
         total = sum(self.concentration)
         return tuple(b / total for b in self.concentration)
-
-    def category_logpdf(self, t, category: int):
-        # marginal of one Dirichlet coordinate is Beta(b_u, sum(b) - b_u)
-        b_u = self.concentration[category]
-        rest = sum(self.concentration) - b_u
-        return beta_logpdf(t, b_u, rest)
 
 
 @dataclass(frozen=True)
@@ -200,20 +200,6 @@ class NormalInverseGamma:
     def posterior_mean(self) -> tuple[float, ...]:
         return (self.location,)
 
-    def location_scale(self) -> float:
-        return math.sqrt(self.scale / (self.shape * self.precision_scale))
-
-    def location_logpdf(self, t):
-        # marginal of mu is Student-t with df = shape
-        df, scale = self.shape, self.location_scale()
-        z = (np.asarray(t, dtype=float) - self.location) / scale
-        return (
-            math.log(poch(0.5 * df, 0.5))
-            - 0.5 * (math.log(df) + math.log(math.pi))
-            - 0.5 * (df + 1.0) * np.log1p(z * z / df)
-            - math.log(scale)
-        )
-
 
 ComponentPrior = Union[PoissonGamma, DirichletMultinomial, NormalInverseGamma]
 
@@ -256,15 +242,15 @@ def check_observation(family: str, obs: Observation, categories: int | None = No
         raise ValueError(f"unknown family {family!r}")
 
 
-def observation_statistic(family: str, obs: Observation) -> GroupStat:
-    """Single-observation group statistic (1, R(x))."""
+def observation_statistic(family: str, obs: Observation) -> tuple:
+    """The sufficient statistic R(x) of one observation."""
     if family == "poisson":
-        return GroupStat(1, (int(obs),))
+        return (int(obs),)
     if family == "multinomial":
-        return GroupStat(1, tuple(int(c) for c in obs))
+        return tuple(int(c) for c in obs)
     if family == "normal":
         x = float(obs)
-        return GroupStat(1, (x, x * x))
+        return (x, x * x)
     raise ValueError(f"unknown family {family!r}")
 
 

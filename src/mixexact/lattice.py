@@ -96,26 +96,6 @@ def _mult_dtype(k: int, n: int):
     return np.int64 if k == 1 or (n < 64 and k**n < _WORD_SPAN) else object
 
 
-def init(first_obs, k: int, family: str | None = None) -> StatLattice:
-    """Lattice of a single observation: k singleton entries, multiplicity 1."""
-    if k < 1:
-        raise ValueError(f"component count must be >= 1, got {k}")
-    if family is None:
-        family = families.infer_family(first_obs)
-    if family == "normal":
-        # real-valued statistics collide only within-partition; growth is
-        # Bell-number-like, so enumeration goes through the oracle instead
-        raise UnsupportedFamilyError("normal-family lattices are not supported; use the oracle")
-    if family not in families.FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    families.check_observation(family, first_obs)
-    w = 1 + len(families.observation_statistic(family, first_obs).total)
-    # the n=0 lattice: one all-zero key; -0.0 + x is x bitwise for every x
-    one = np.array([1], dtype=_mult_dtype(k, 0))
-    empty = StatLattice._from_arrays(family, k, 0, np.zeros((1, k * w), np.int64), one, -0.0)
-    return _fold(empty, [first_obs])
-
-
 def _word_places(radix: list[int]) -> np.ndarray:
     """Mixed-radix place values that pack key columns into int64 words.
 
@@ -145,12 +125,7 @@ def _fold(
     stats = []
     for obs in observations:
         families.check_observation(family, obs, lattice.categories)
-        r = families.observation_statistic(family, obs).total
-        if len(r) != w - 1:
-            raise ValueError("observation width does not match the lattice family")
-        stats.append((1, *r))
-    if not stats:
-        return lattice
+        stats.append((1, *families.observation_statistic(family, obs)))
     # every entry shares the column totals, and no digit outgrows its
     # column's final total, so radix total + 1 never carries
     first = lattice.key_array[0].tolist()
@@ -201,6 +176,11 @@ def _fold(
     return StatLattice._from_arrays(family, k, n, keys, mults, log_base)
 
 
+def init(first_obs, k: int, family: str | None = None) -> StatLattice:
+    """Lattice of a single observation: k singleton entries, multiplicity 1."""
+    return build([first_obs], k, family)
+
+
 def extend(lattice: StatLattice, obs, budget: int = DEFAULT_ENTRY_BUDGET) -> StatLattice:
     """Absorb one observation: spawn k successors per entry, merge collisions."""
     return _fold(lattice, [obs], budget)
@@ -212,10 +192,23 @@ def build(
     family: str | None = None,
     budget: int = DEFAULT_ENTRY_BUDGET,
 ) -> StatLattice:
-    """Fold the dataset into init(data[0], k)."""
+    """Fold every observation into the n=0 lattice; the budget covers each step."""
     if len(data) == 0:
         raise ValueError("dataset must be non-empty")
-    return _fold(init(data[0], k, family), data[1:], budget)
+    if k < 1:
+        raise ValueError(f"component count must be >= 1, got {k}")
+    if family is None:
+        family = families.infer_family(data[0])
+    if family == "normal":
+        # real-valued statistics collide only within-partition; growth is
+        # Bell-number-like, so enumeration goes through the oracle instead
+        raise UnsupportedFamilyError("normal-family lattices are not supported; use the oracle")
+    families.check_observation(family, data[0])
+    w = 1 + len(families.observation_statistic(family, data[0]))
+    # the n=0 lattice: one all-zero key; -0.0 + x is x bitwise for every x
+    one = np.array([1], dtype=_mult_dtype(k, 0))
+    empty = StatLattice._from_arrays(family, k, 0, np.zeros((1, k * w), np.int64), one, -0.0)
+    return _fold(empty, data, budget)
 
 
 def _header(family: str, k: int, n: int, log_base: float) -> str:

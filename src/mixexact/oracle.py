@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from . import families, posterior
 from .errors import NumericalError, OracleCapError
@@ -33,6 +33,27 @@ def enumerate_allocations(n: int, k: int, cap: int = DEFAULT_ORACLE_CAP) -> Iter
     if k**n > cap:
         raise OracleCapError(f"k^n = {k}^{n} = {k**n} exceeds the oracle cap {cap}")
     return itertools.product(range(1, k + 1), repeat=n)
+
+
+def log_unnormalized_weight(
+    stat: Sequence[GroupStat], multiplicity: int, prior: MixturePrior
+) -> float:
+    """log weight of one allocation statistic (includes log multiplicity).
+
+    The per-component factor is log K(updated) - log K(prior), which makes
+    the weight exactly the complete-data marginal likelihood contribution
+    of the statistic, up to the shared base measure and Dirichlet constant.
+    """
+    if len(stat) != prior.k:
+        raise ValueError(f"statistic has {len(stat)} slots for k={prior.k}")
+    n = sum(s.count for s in stat)
+    alpha = prior.alpha
+    value = math.log(multiplicity)
+    value += sum(gammaln(s.count + a) for s, a in zip(stat, alpha))
+    value -= gammaln(n + sum(alpha))
+    for comp, s in zip(prior.components, stat):
+        value += comp.updated(s).log_partition() - comp.log_partition()
+    return float(value)
 
 
 def _stats_row(key: tuple, k: int, family: str) -> tuple[GroupStat, ...]:
@@ -56,7 +77,7 @@ def _allocations(
     if family == "normal":
         values = [float(x) for x in data]
     else:
-        stats = [families.observation_statistic(family, x).total for x in data]
+        stats = [families.observation_statistic(family, x) for x in data]
     rows: dict = {}
     for z in allocations:
         if family == "normal":
@@ -147,14 +168,18 @@ class OracleResult:
         for i in range(len(self.keys)):
             post = self.component_posteriors(i)[j]
             if self.family == "poisson":
-                logpdf = post.mean_logpdf(grid)
+                logpdf = families.gamma_logpdf(grid, post.shape, post.rate)
             elif self.family == "multinomial":
                 if category is None:
                     raise ValueError("multinomial density needs a category index")
-                logpdf = post.category_logpdf(grid, category)
+                # one Dirichlet coordinate is Beta(b_u, sum(b) - b_u)
+                b_u = post.concentration[category]
+                logpdf = families.beta_logpdf(grid, b_u, sum(post.concentration) - b_u)
                 param = f"q{j + 1},{category + 1}"
             else:
-                logpdf = post.location_logpdf(grid)
+                # mu is Student-t with df = shape
+                scale = math.sqrt(post.scale / (post.shape * post.precision_scale))
+                logpdf = families.student_t_logpdf(grid, post.shape, post.location, scale)
             dens += float(self.weights[i]) * np.exp(logpdf)
         return posterior.DensityGrid(param, grid, dens)
 
@@ -199,7 +224,7 @@ def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
     with np.errstate(all="ignore"):
         logw = np.array(
             [
-                posterior.log_unnormalized_weight(stats_row, mult, prior)
+                log_unnormalized_weight(stats_row, mult, prior)
                 for stats_row, mult in zip(group_stats, mults)
             ]
         )
@@ -239,7 +264,7 @@ def weight_table_csv(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
             )
         else:
             stat_text = " ".join(str(v) for v in key)
-        logw = posterior.log_unnormalized_weight(stats_row, 1, prior)
+        logw = log_unnormalized_weight(stats_row, 1, prior)
         lines.append(f"{''.join(str(zi) for zi in z)},{stat_text},{logw!r}")
     return "\n".join(lines) + "\n"
 

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import betaln, gammaln, logsumexp
 
-from .errors import NumericalError, UnsupportedFamilyError
+from .errors import NumericalError
 from .families import (
     ComponentPrior,
-    GroupStat,
     beta_logpdf,
     beta_ppf,
     gamma_logpdf,
@@ -184,27 +182,6 @@ def _check_compatible(lat: StatLattice, prior: MixturePrior) -> None:
         raise ValueError("lattice and prior disagree on the category count")
 
 
-def log_unnormalized_weight(
-    stat: Sequence[GroupStat], multiplicity: int, prior: MixturePrior
-) -> float:
-    """log weight of one allocation statistic (includes log multiplicity).
-
-    The per-component factor is log K(updated) - log K(prior), which makes
-    the weight exactly the complete-data marginal likelihood contribution
-    of the statistic, up to the shared base measure and Dirichlet constant.
-    """
-    if len(stat) != prior.k:
-        raise ValueError(f"statistic has {len(stat)} slots for k={prior.k}")
-    n = sum(s.count for s in stat)
-    alpha = prior.alpha
-    value = math.log(multiplicity)
-    value += sum(gammaln(s.count + a) for s, a in zip(stat, alpha))
-    value -= gammaln(n + sum(alpha))
-    for comp, s in zip(prior.components, stat):
-        value += comp.updated(s).log_partition() - comp.log_partition()
-    return float(value)
-
-
 def _slots(key_array: np.ndarray, k: int) -> np.ndarray:
     """(E, k, w) int64 view of a key array: counts at [..., 0], aggregates after."""
     return key_array.reshape(len(key_array), k, -1)
@@ -267,7 +244,7 @@ def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
             counts, sums = keys[:, 2 * j], keys[:, 2 * j + 1]
             contrib[:, j] = _on_digits(gammaln, counts, alpha[j]) + _on_digits(gammaln, sums, a0[j])
             contrib[:, j] -= (sums + a0[j]) * _on_digits(np.log, counts, b0[j])
-    elif prior.family == "multinomial":
+    else:  # multinomial: a lattice has no other family
         beta = np.array([c.concentration for c in prior.components])  # (k, v)
         prior_const = float(np.sum(gammaln(beta)) - np.sum(gammaln(beta.sum(axis=1))))
         conc = _dirichlet_update(keys, prior)
@@ -279,8 +256,6 @@ def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
         contrib += np.sum(terms, axis=2)
         # a float sum over the categories is not a function of one digit
         contrib -= gammaln(conc.sum(axis=2))
-    else:
-        raise UnsupportedFamilyError(f"no lattice weight path for family {prior.family!r}")
 
     # sorted addition makes the sum invariant under component relabeling,
     # so symmetric priors give exactly symmetric weights
@@ -379,10 +354,10 @@ class _Members:
     member permutation, e.g. across label-symmetric components, give
     bitwise equal weights, grids and densities.
 
-    A member's log density is linear in a 3-column basis of the point,
-    log f_d(t) = basis(t) @ coef[:, d], so a mixture on a grid is one
-    (points, 3) @ (3, D) product, exponentiated and contracted with the
-    weights.
+    A member's log density is linear in a 3-column basis of the point that
+    each subclass defines, log f_d(t) = basis(t) @ coef[:, d], so a mixture
+    on a grid is one (points, 3) @ (3, D) product, exponentiated and
+    contracted with the weights.
     """
 
     # (lower support edge, density finite at that edge)
@@ -402,9 +377,6 @@ class _Members:
         starts = np.flatnonzero(start)
         self.weights = np.add.reduceat(weights[order], starts)
         self.params = tuple(p[starts] for p in params)
-
-    def basis(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def logpdf(self, t: np.ndarray, idx=slice(None)) -> np.ndarray:
         """(points, members) log densities by the closed form."""
@@ -545,8 +517,8 @@ def _marginal(members: _Members, param: str, grid) -> DensityGrid:
         grid = mass_grid(members)
     else:
         grid = np.asarray(grid, dtype=float)
-        if grid.size == 0:
-            raise ValueError("empty grid")
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValueError(f"grid must be a non-empty 1-D vector, got shape {grid.shape}")
         if isinstance(members, _BetaMembers) and (np.any(grid <= 0.0) or np.any(grid >= 1.0)):
             raise ValueError("grid points must lie strictly inside (0, 1)")
     return DensityGrid(param, grid, members.mixture_pdf(grid))
@@ -566,6 +538,8 @@ def marginal_weight_density(wp: WeightedPosterior, j: int, grid=None) -> Density
     """Posterior marginal of the mixture weight p_j: a Beta mixture."""
     if not (0 <= j < wp.k):
         raise ValueError(f"component index {j} out of range for k={wp.k}")
+    if wp.k == 1:
+        raise ValueError("p1 is identically 1 when k = 1; it has no density")
     counts = _slots(wp.key_array, wp.k)[:, j, 0]
     alpha = np.asarray(wp.prior.alpha)
     members = _BetaMembers(counts + alpha[j], wp.n - counts + alpha.sum() - alpha[j], wp.weights)

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixexact
 from mixexact import cli, lattice
 from mixexact.cli import ingest
 from mixexact.errors import IngestError
@@ -619,6 +623,52 @@ class TestExitCodes:
         assert code == 4
         assert err == f"error: {message}\n"
 
+    def test_unwritable_out_is_2(self, capsys, worked_file, tmp_path):
+        out = tmp_path / "missing" / "x.txt"
+        code, stdout, err = run_cli(
+            capsys, "posterior", "--data", worked_file, "--family", "poisson", "--k", "2",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == "ingest n=7 min=0 max=4 sum=9\n"
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_directory_out_is_2(self, capsys, worked_file, tmp_path):
+        code, _, err = run_cli(
+            capsys, "enumerate", "--data", worked_file, "--family", "poisson", "--k", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    def test_unwritable_dump_table_is_2(self, capsys, worked_file, tmp_path):
+        table = tmp_path / "missing" / "t.csv"
+        code, stdout, err = run_cli(
+            capsys, "oracle", "--data", worked_file, "--family", "poisson", "--k", "2",
+            "--dump-table", str(table),
+        )
+        assert code == 2
+        assert "distinct=42" in stdout  # the summary went out before the table
+        assert err == f"error: cannot write {table}: No such file or directory\n"
+
+    def test_budget_covers_the_first_observation(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "enumerate", "--synthetic", "poisson:n=1,rate=2", "--seed", "1", "--k", "4",
+            "--budget", "1",
+        )
+        assert code == 4
+        assert "distinct=" not in stdout
+        assert err.startswith("error: entry budget 1 exceeded at 4 entries on observation 1")
+
+    def test_single_component_weight_marginal_is_2(self, capsys, worked_file):
+        code, stdout, err = run_cli(
+            capsys, "marginal", "--data", worked_file, "--family", "poisson", "--k", "1",
+            "--param", "p1",
+        )
+        assert code == 2
+        assert "param,density" not in stdout
+        assert err == "error: p1 is identically 1 when k = 1; it has no density\n"
+
     def test_oracle_cap_is_5(self, capsys, worked_file):
         code, _, _ = run_cli(
             capsys,
@@ -739,3 +789,52 @@ class TestColdImport:
         assert loaded == "[]"
         # the quadrature check still imports its integrator on demand
         assert float(quad) == pytest.approx(float(closed), rel=1e-6)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_session() -> list[list]:
+    """(command, output lines) for each `$ ` line of the README's Command line shell block."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Command line") :]
+    block = section[section.index("```sh\n") + len("```sh\n") :]
+    session: list[list] = []
+    for line in block[: block.index("```")].splitlines():
+        if line.startswith("$ "):
+            session.append([line[2:], []])
+        elif session[-1][0].endswith("\\"):  # a continued command
+            session[-1][0] = session[-1][0][:-1] + line
+        elif line:
+            session[-1][1].append(line)
+    return session
+
+
+class TestReadmeSession:
+    def test_commands_print_what_the_readme_shows(self, tmp_path):
+        # the subprocesses import the package this test imports
+        src = str(Path(mixexact.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        session = readme_session()
+        assert sum(command.startswith("mixexact ") for command, _ in session) == 6
+        for command, expected in session:
+            argv = shlex.split(command)
+            if argv[0] == "printf":  # printf 'text' > file
+                assert argv[2] == ">"
+                (tmp_path / argv[3]).write_text(argv[1].encode().decode("unicode_escape"))
+                lines = []
+            elif argv[0] == "head":  # head -<count> file
+                lines = (tmp_path / argv[2]).read_text().splitlines()[: int(argv[1][1:])]
+            else:
+                assert argv[0] == "mixexact"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "mixexact.cli", *argv[1:]],
+                    cwd=tmp_path, env=env, capture_output=True, text=True,
+                )
+                assert proc.returncode == 0, (command, proc.stderr)
+                lines = proc.stdout.splitlines()
+            if "..." in expected:  # elided output: only its last lines are shown
+                tail = expected[expected.index("...") + 1 :]
+                assert lines[-len(tail) :] == tail, command
+            else:
+                assert lines == expected, command

@@ -3,7 +3,9 @@
 The dump and log-weight digests were taken from the engine before the
 packed-code fold and the digit-table weights replaced the per-step gather
 and the direct log-gamma calls; the summary and grid digests before the
-posterior read the int64 key columns in place instead of a float copy. So
+posterior read the int64 key columns in place instead of a float copy; the
+oracle digests before the scalar weight moved into the oracle and the
+conjugate classes gave their density methods up for free closed forms. So
 these tests hold the code to bitwise equal output. The digests depend on
 float64 `log`, `exp` and the `scipy.special` functions returning the same
 bits, which holds for one numpy/scipy build on one CPU family.
@@ -16,8 +18,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from mixexact import lattice, posterior
-from mixexact.families import DirichletMultinomial, PoissonGamma
+from mixexact import lattice, oracle, posterior
+from mixexact.families import DirichletMultinomial, NormalInverseGamma, PoissonGamma
 from mixexact.posterior import MixturePrior
 
 # name: (data, prior, distinct entries, dump sha256, log-weight sha256, summary sha256)
@@ -147,3 +149,69 @@ def test_q_densities_are_bitwise_stable(name):
 def test_worked_example_evidence():
     data, prior, *_ = GOLDEN["worked-example"]
     assert repr(posterior.log_evidence(lattice.build(data, 2), prior)) == "-12.490069462412716"
+
+
+# name: (data, prior, component-density grid, category), then the sha256 of
+# each oracle output
+ORACLE_CASES = {
+    "worked-example": (*GOLDEN["worked-example"][:2], np.linspace(0.0, 6.0, 61), None),
+    "multinomial-nondyadic": (*GOLDEN["multinomial-nondyadic"][:2], INTERIOR, 1),
+    "normal-n4": (
+        [-1.2, 0.3, 0.9, 2.5],
+        MixturePrior(
+            (1.0, 2.0), (NormalInverseGamma(0.0, 1.0, 3.0, 2.0), NormalInverseGamma(1.0, 0.5, 4.0, 3.0))
+        ),
+        np.linspace(-3.0, 4.0, 57),
+        None,
+    ),
+}
+ORACLE_DIGESTS = {
+    "worked-example": {
+        "log_weights": "8ae573d2925140b7977eb0953d1c4562c401ea5ab6eec07366e5b24cc48f95cf",
+        "summary": "00660317fe0dc0ff68dfa948579222ecf7bed286e22a0b9179e0ed0bb0168c67",
+        "component": "fa5fc8016dfa1b284b5db0df78d9d6f80229c8b29ae0a68e7364cd77777508a8",
+        "weight": "ab39ce332e63e270c04dda4f9cdf256d1bad4b35624abadda9bab5c9853a8eb0",
+        "table": "023bdde4508acd32180afc96f73e06f695d414e5a30abd039d7dc26fb025a6cd",
+    },
+    "multinomial-nondyadic": {
+        "log_weights": "61e122b602839e5b611f5f985b43826d260f7e8e65365560994b964de79c926c",
+        "summary": "0a33d47b26362eb31aa09382b52c744dc268e73ee7acac112090432f4d811530",
+        "component": "f1c3e17ee920ceabf5ff70b17b453b74d95d6dfd9e661f41f14b34b08cf356ae",
+        "weight": "409a421533c24b389aa7e117d6f801e8f11bb0ea7cca70f776192cc763b04369",
+        "table": "7b5c9888235ece69cdcb606c8607db753fe4063e9df88176da8e39306c527e18",
+    },
+    "normal-n4": {
+        "log_weights": "6898cfe70c4c6b4b00f7465d1ce1acc5b465d98321aa3185ff4bc652bd3e4edb",
+        "summary": "5a9ebf6143261af8616f5d95f86a4c17d5958407b8ac67b69e0528e3dbebcfd1",
+        "component": "d1f1ecb8d617947ef87b1405bebebc6455a2baeb16981bcb0a74c8a8a30a393b",
+        "weight": "a04edab3783e2d6ba0699b515f4c87dc04e57037451fffae3a3b38eef8c95a2c",
+        "table": "8cdb4bfdecfc7da0bdc9b0cd65bea3954cc0d80e5330765ea1448c4b65503b29",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_oracle_outputs_are_bitwise_stable(name):
+    data, prior, grid, category = ORACLE_CASES[name]
+    result = oracle.oracle_posterior(data, prior)
+    outputs = {
+        "log_weights": result.log_weights.tobytes(),
+        "summary": result.summary().to_text().encode(),
+        # lambda1, q1,2 or mu1
+        "component": result.component_density(0, grid, category=category).density.tobytes(),
+        "weight": result.weight_density(0, INTERIOR).density.tobytes(),
+        "table": oracle.weight_table_csv(data, prior).encode(),
+    }
+    assert {key: _sha256(value) for key, value in outputs.items()} == ORACLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "data, prior, expected",
+    [
+        ([0, 1, 3], GOLDEN["worked-example"][1], "-5.9070065152958655"),
+        (*ORACLE_CASES["normal-n4"][:2], "-8.12473106295333"),
+    ],
+    ids=["poisson", "normal"],
+)
+def test_quadrature_evidence_is_bitwise_stable(data, prior, expected):
+    assert repr(oracle.quadrature_evidence(data, prior)) == expected

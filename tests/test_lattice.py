@@ -139,11 +139,18 @@ class TestExtend:
     def test_budget_enforced(self):
         with pytest.raises(ResourceLimitError) as err:
             build(WORKED_DATA, 4, budget=10)
-        # 4 entries after the first observation, 10 after the second, 20 after the third
+        # the n=0 lattice's 1 entry, then 4, 10 and 20 after the first three observations
         assert err.value.entry_count == 20
         assert err.value.step == 3
-        assert err.value.growth == (4, 10, 20)
+        assert err.value.growth == (1, 4, 10, 20)
         assert "on observation 3" in str(err.value)
+
+    def test_budget_covers_the_first_observation(self):
+        with pytest.raises(ResourceLimitError) as err:
+            build([3], 4, budget=1)
+        assert err.value.entry_count == 4
+        assert err.value.step == 1
+        assert err.value.growth == (1, 4)
 
     def test_wrong_family_observation_rejected(self):
         with pytest.raises(ValueError):

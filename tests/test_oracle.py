@@ -10,7 +10,7 @@ import pytest
 
 from mixexact import lattice, posterior
 from mixexact.errors import NumericalError, OracleCapError
-from mixexact.families import DirichletMultinomial, NormalInverseGamma, PoissonGamma
+from mixexact.families import DirichletMultinomial, GroupStat, NormalInverseGamma, PoissonGamma
 from mixexact.oracle import (
     compare_report,
     enumerate_allocations,
@@ -196,7 +196,7 @@ class TestNormalOracle:
         t1 = sum(data)
         t2 = sum(x * x for x in data)
         comp = prior.components[0]
-        expect = comp.updated(posterior.GroupStat(3, (t1, t2)))
+        expect = comp.updated(GroupStat(3, (t1, t2)))
         assert post.location == pytest.approx(expect.location, abs=1e-15)
         assert post.precision_scale == expect.precision_scale
         assert post.shape == expect.shape

@@ -18,7 +18,7 @@ from mixexact import posterior
 from mixexact.errors import MixtureError, NumericalError
 from mixexact.families import DirichletMultinomial, GroupStat, PoissonGamma
 from mixexact.lattice import build, load
-from mixexact.oracle import oracle_posterior
+from mixexact.oracle import log_unnormalized_weight, oracle_posterior
 from mixexact.posterior import (
     DensityGrid,
     MixturePrior,
@@ -27,7 +27,6 @@ from mixexact.posterior import (
     expected_component_means,
     expected_weights,
     log_evidence,
-    log_unnormalized_weight,
     marginal_component_density,
     marginal_weight_density,
     mass_concentration,
@@ -461,6 +460,16 @@ class TestDensityGrids:
         wp = normalize(build([0, 1], 2), asym_prior())
         with pytest.raises(ValueError):
             marginal_component_density(wp, 0, grid=[])
+
+    def test_two_dimensional_grid_rejected_before_any_density(self):
+        wp = normalize(build([0, 1], 2), asym_prior())
+        with pytest.raises(ValueError, match="1-D"):
+            marginal_component_density(wp, 0, [[0.5, 1.0], [2.0, 3.0]])
+
+    def test_single_component_weight_has_no_density(self):
+        wp = normalize(build([0, 1], 1), MixturePrior((1.0,), (PoissonGamma(1.0, 1.0),)))
+        with pytest.raises(ValueError, match="p1 is identically 1 when k = 1"):
+            marginal_weight_density(wp, 0)
 
     def test_weight_grid_must_be_inside_unit_interval(self):
         wp = normalize(build([0, 1], 2), asym_prior())
