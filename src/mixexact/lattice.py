@@ -42,6 +42,8 @@ Key = tuple[int, ...]
 _WORD_SPAN = 2**63  # codes of one int64 word stay below this
 # digits stay below _WORD_SPAN / k, so no sum over the k slots of a column wraps
 _INT64_DIGITS = 19  # decimal digits of the largest int64, 2**63 - 1
+_BLOCK_ROWS = 2**14  # dump writes this many rows at a time; their buffers stay cache-sized
+_ZERO, _TAB, _NEWLINE = ord("0"), ord("\t"), ord("\n")
 
 
 class StatLattice:
@@ -215,14 +217,54 @@ def _header(family: str, k: int, n: int, log_base: float) -> str:
     return f"family={family} k={k} n={n} logh={log_base.hex()}\n"
 
 
+def _cells(values: np.ndarray, sep: int, width: int = 0) -> np.ndarray:
+    """values.shape + (width,) uint8 cells: each value's ASCII digits, NUL
+    bytes for the rest and `sep` last. int64 values take one divmod plane per
+    digit, right-aligned; Python ints (a 1-D object array) take `str`. The
+    width defaults to the widest value's digits plus the separator."""
+    if values.dtype == object:
+        text = np.array([str(v) for v in values.tolist()], dtype=bytes)
+        out = np.empty((len(text), text.itemsize + 1), dtype=np.uint8)
+        out[:, :-1] = text.view(np.uint8).reshape(len(text), -1)
+    else:
+        width = width or len(str(int(values.max()))) + 1
+        out = np.empty(values.shape + (width,), dtype=np.uint8)
+        rest = values
+        for i in range(width - 2, -1, -1):
+            high = rest // 10
+            digit = rest - high * 10 + _ZERO
+            if i < width - 2:
+                digit *= rest > 0  # a leading zero is NUL
+            out[..., i] = digit
+            rest = high
+    out[..., -1] = sep
+    return out
+
+
 def dump(lattice: StatLattice) -> str:
-    """Flat text form: header, then one sorted line per entry."""
-    size, width = lattice.key_array.shape
-    # int64 while the multiplicities are, object (Python ints) once they are not
-    table = np.column_stack((lattice.key_array, lattice.mult_array))
-    row = "\t".join(["%d"] * (width + 1)) + "\n"
-    header = _header(lattice.family, lattice.k, lattice.n, lattice.log_base)
-    return header + (row * size) % tuple(table.ravel().tolist())
+    """Flat text form: header, then one sorted line per entry.
+
+    Rows are written as bytes, one block at a time: a uint8 buffer of
+    fixed-width cells, digits and separators with NUL padding, whose NUL
+    bytes `bytes.translate` deletes. Key cells come from a table over
+    0..max(key) whose rows are padded to a power-of-two width, so the
+    gather copies one word per cell; a key array whose largest digit is not
+    below its row count takes divmod planes of its own instead.
+    """
+    keys, mults = lattice.key_array, lattice.mult_array
+    top = int(keys.max())
+    table = None
+    if top < len(keys):
+        width = 1 << len(str(top)).bit_length()  # a power of two above the digits
+        table = _cells(np.arange(top + 1), _TAB, width).view(f"V{width}")[:, 0]
+    blocks = [_header(lattice.family, lattice.k, lattice.n, lattice.log_base)]
+    for start in range(0, len(keys), _BLOCK_ROWS):
+        part = keys[start : start + _BLOCK_ROWS]
+        key_cells = _cells(part, _TAB) if table is None else table[part]
+        mult_cells = _cells(mults[start : start + _BLOCK_ROWS], _NEWLINE)
+        lines = np.concatenate((key_cells.view(np.uint8).reshape(len(part), -1), mult_cells), axis=1)
+        blocks.append(lines.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(blocks)
 
 
 def _cell_values(digit: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -65,14 +65,22 @@ def _stats_row(key: tuple, k: int, family: str) -> tuple[GroupStat, ...]:
     return tuple(GroupStat(key[j * w], key[j * w + 1 : (j + 1) * w]) for j in range(k))
 
 
+def _categories(prior: MixturePrior) -> int | None:
+    return prior.components[0].categories if prior.family == "multinomial" else None
+
+
 def _allocations(
-    data: Sequence, k: int, family: str, cap: int
+    data: Sequence, k: int, family: str, cap: int, categories: int | None
 ) -> Iterator[tuple[tuple[int, ...], tuple, tuple[GroupStat, ...]]]:
     """Every allocation vector z with its statistic key and per-slot GroupStat row.
 
-    Discrete keys are (count, aggregate...) per slot. Per-observation
-    statistics are computed once, and allocations with equal keys share one row.
+    Every observation is checked first, against the category count when
+    it is multinomial, so no entry point reads invalid data. Discrete keys
+    are (count, aggregate...) per slot. Per-observation statistics are
+    computed once, and allocations with equal keys share one row.
     """
+    for obs in data:
+        families.check_observation(family, obs, categories)
     allocations = enumerate_allocations(len(data), k, cap)
     if family == "normal":
         values = [float(x) for x in data]
@@ -101,10 +109,10 @@ def _allocations(
         yield z, key, row
 
 
-def _grouped(data: Sequence, k: int, family: str, cap: int) -> dict:
+def _grouped(data: Sequence, k: int, family: str, cap: int, categories: int | None) -> dict:
     """{key: [multiplicity, GroupStat row]} over all allocations."""
     grouped: dict = {}
-    for _, key, row in _allocations(data, k, family, cap):
+    for _, key, row in _allocations(data, k, family, cap, categories):
         grouped.setdefault(key, [0, row])[0] += 1
     return grouped
 
@@ -212,11 +220,8 @@ class OracleResult:
 def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
     """Posterior by direct summation over every allocation vector."""
     family = prior.family
-    categories = prior.components[0].categories if family == "multinomial" else None
-    for obs in data:
-        families.check_observation(family, obs, categories)
     n, k = len(data), prior.k
-    grouped = _grouped(data, k, family, cap)
+    grouped = _grouped(data, k, family, cap, _categories(prior))
     keys = sorted(grouped)
     mults = [grouped[key][0] for key in keys]
     group_stats = [grouped[key][1] for key in keys]
@@ -249,7 +254,9 @@ def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
 def oracle_distinct_statistics(data: Sequence, k: int) -> int:
     """Number of distinct canonical statistics over all k**n allocations."""
     family = families.infer_family(data[0])
-    return len(_grouped(data, k, family, DEFAULT_ORACLE_CAP))
+    # the first observation sets the category count, as in lattice.build
+    categories = len(data[0]) if family == "multinomial" else None
+    return len(_grouped(data, k, family, DEFAULT_ORACLE_CAP, categories))
 
 
 def weight_table_csv(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORACLE_CAP) -> str:
@@ -257,7 +264,7 @@ def weight_table_csv(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
     family = prior.family
     k = prior.k
     lines = ["allocation,statistic,log_weight"]
-    for z, key, stats_row in _allocations(data, k, family, cap):
+    for z, key, stats_row in _allocations(data, k, family, cap, _categories(prior)):
         if family == "normal":
             stat_text = " ".join(
                 f"{s.count}:{s.total[0]!r}:{s.total[1]!r}" for s in stats_row
@@ -354,7 +361,7 @@ def quadrature_evidence(data: Sequence, prior: MixturePrior) -> float:
 
     alpha = prior.alpha
     log_terms = []
-    for _, _, stats_row in _allocations(data, k, family, DEFAULT_ORACLE_CAP):
+    for _, _, stats_row in _allocations(data, k, family, DEFAULT_ORACLE_CAP, _categories(prior)):
         term = sum(
             math.lgamma(s.count + a_j) for s, a_j in zip(stats_row, alpha)
         ) - math.lgamma(n + sum(alpha))

@@ -5,7 +5,8 @@ packed-code fold and the digit-table weights replaced the per-step gather
 and the direct log-gamma calls; the summary and grid digests before the
 posterior read the int64 key columns in place instead of a float copy; the
 oracle digests before the scalar weight moved into the oracle and the
-conjugate classes gave their density methods up for free closed forms. So
+conjugate classes gave their density methods up for free closed forms; the
+digests of `DUMPS` before `dump` wrote bytes instead of a `%`-format. So
 these tests hold the code to bitwise equal output. The digests depend on
 float64 `log`, `exp` and the `scipy.special` functions returning the same
 bits, which holds for one numpy/scipy build on one CPU family.
@@ -111,6 +112,30 @@ def test_dump_and_log_weights_are_bitwise_stable(name):
     assert lat.distinct_count() == distinct
     assert _sha256(lattice.dump(lat).encode()) == dump_digest
     assert _sha256(posterior.normalize(lat, prior).log_weights.tobytes()) == weight_digest
+
+
+# dumps the benchmark never writes, taken before dump became a byte writer:
+# name: (data, k, distinct entries, dump sha256)
+DUMPS = {
+    "object-multiplicities": ([0] * 70, 2, 71, "075e68fc854f3df3625e5a792834970c187a2f9ae6e509fbbc556ad173e4e07f"),
+    "beyond-float-range": (
+        [0] * 1100 + [3],
+        2,
+        2202,
+        "51108db2d4ff2fa6077e1428d57a27b02a9eb1ec0544cd3ca9ac4598f6a17fab",
+    ),
+    "k1": ([3, 4, 5], 1, 1, "f92e746e8f709221180986a709eb91d550d67190ec4ca30b877bf25dd61680f1"),
+    # digits above the row count: divmod planes instead of the digit table
+    "direct-digits": ([2**60, 2**60], 2, 3, "74239740480b68757a5c383b1e0efa775fbb1eed785591e6178cda3c2f1f2631"),
+}
+
+
+@pytest.mark.parametrize("name", list(DUMPS))
+def test_dumps_off_the_benchmark_are_bitwise_stable(name):
+    data, k, distinct, digest = DUMPS[name]
+    lat = lattice.build(data, k)
+    assert lat.distinct_count() == distinct
+    assert _sha256(lattice.dump(lat).encode()) == digest
 
 
 def _posterior(name: str) -> posterior.WeightedPosterior:

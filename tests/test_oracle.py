@@ -241,3 +241,32 @@ class TestQuadrature:
         prior = MixturePrior((1.0,), (DirichletMultinomial((1.0, 1.0)),))
         with pytest.raises(ValueError):
             quadrature_evidence([(1, 0)], prior)
+
+
+class TestInvalidData:
+    """Every oracle entry point that reads data checks each observation."""
+
+    def test_weight_table_rejects_a_fractional_count(self):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            weight_table_csv([1.5, 2], asym_prior())
+
+    def test_weight_table_rejects_a_wrong_category_count(self):
+        prior = MixturePrior((1.0,), (DirichletMultinomial((1.0, 1.0)),))
+        with pytest.raises(ValueError, match="expected 2 categories"):
+            weight_table_csv([(1, 0, 2)], prior)
+
+    def test_quadrature_rejects_a_fractional_count(self):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            quadrature_evidence([1.5], asym_prior())
+
+    def test_posterior_rejects_a_fractional_count(self):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            oracle_posterior([1.5], asym_prior())
+
+    def test_distinct_statistics_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            oracle_distinct_statistics([0, -1], 2)
+
+    def test_distinct_statistics_rejects_ragged_categories(self):
+        with pytest.raises(ValueError, match="expected 2 categories"):
+            oracle_distinct_statistics([(1, 0), (1, 0, 0)], 2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mixexact import lattice, oracle, posterior
@@ -147,6 +147,25 @@ def test_build_equals_the_stepwise_fold(case):
     assert built.mult_array.tolist() == folded.mult_array.tolist()
     assert built.log_base.hex() == folded.log_base.hex()
     assert lattice.dump(built) == lattice.dump(folded)
+
+
+def plain_dump(lat: lattice.StatLattice) -> str:
+    """dump's text by the plainest formatter: str of every cell."""
+    header = f"family={lat.family} k={lat.k} n={lat.n} logh={lat.log_base.hex()}\n"
+    rows = (key + [mult] for key, mult in zip(lat.key_array.tolist(), lat.mult_array.tolist()))
+    return header + "".join("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+@PROPERTY
+@given(case=fold_cases())
+# k = 1; object multiplicities; multi-word multinomial keys
+@example(case=([3, 0, 5], 1))
+@example(case=([0] * 70, 2))
+@example(case=([(10**6, 0, 3), (0, 999_999, 1), (5, 5, 10**6)], 3))
+def test_dump_equals_a_plain_formatter(case):
+    data, k = case
+    lat = lattice.build(data, k)
+    assert lattice.dump(lat) == plain_dump(lat)
 
 
 def _cells(line: str) -> list[str]:
