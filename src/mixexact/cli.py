@@ -21,24 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import datasets, lattice, oracle, posterior
-from .errors import (
-    EXIT_INGEST_FAILURE,
-    EXIT_INVALID_CONFIG,
-    EXIT_NUMERICAL,
-    EXIT_ORACLE_CAP,
-    EXIT_RESOURCE_LIMIT,
-    IngestError,
-    NumericalError,
-    OracleCapError,
-    ResourceLimitError,
-    UnsupportedFamilyError,
-)
-from .families import (
-    DirichletMultinomial,
-    NormalInverseGamma,
-    PoissonGamma,
-    check_observation,
-)
+from .errors import IngestError, MixtureError, ResourceLimitError
+from .families import DirichletMultinomial, NormalInverseGamma, PoissonGamma, observe
 from .lattice import DEFAULT_ENTRY_BUDGET
 from .oracle import DEFAULT_ORACLE_CAP
 from .posterior import DEFAULT_GRID_POINTS, MixturePrior
@@ -140,7 +124,8 @@ def ingest(path: str, family: str) -> tuple[list, dict]:
                 obs = float(cells[0])
             else:
                 raise IngestError(f"unknown family {family!r}")
-            check_observation(family, obs)
+            # the first row fixes the category count, so a ragged row names its own line
+            observe(family, obs, len(data[0]) if data and family == "multinomial" else None)
         except (ValueError, TypeError) as exc:
             raise IngestError(f"{path} line {lineno}: {exc}") from exc
         data.append(obs)
@@ -148,9 +133,6 @@ def ingest(path: str, family: str) -> tuple[list, dict]:
     if not data:
         raise IngestError(f"{path}: no observations")
     if family == "multinomial":
-        widths = {len(obs) for obs in data}
-        if len(widths) != 1:
-            raise IngestError(f"{path}: rows disagree on category count: {sorted(widths)}")
         return data, _report([sum(obs) for obs in data])
     return data, _report(data)
 
@@ -417,22 +399,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = resolve_config(args)
         return run_subcommand(config)
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGEST_FAILURE
-    except (ResourceLimitError, MemoryError) as exc:
-        # a MemoryError may carry no message
+    except (MixtureError, MemoryError, ValueError, KeyError, TypeError) as exc:
+        # a MemoryError may carry no message, and runs out of a resource
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_RESOURCE_LIMIT
-    except OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE_CAP
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, UnsupportedFamilyError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
+        if isinstance(exc, MemoryError):
+            return ResourceLimitError.exit_code
+        return getattr(exc, "exit_code", MixtureError.exit_code)
 
 
 if __name__ == "__main__":

@@ -1,20 +1,23 @@
-"""Exception types and process exit codes shared across the package."""
+"""Exception types shared across the package, each with its process exit code."""
 
 from __future__ import annotations
 
-EXIT_INVALID_CONFIG = 2
-EXIT_INGEST_FAILURE = 3
-EXIT_RESOURCE_LIMIT = 4
-EXIT_ORACLE_CAP = 5
-EXIT_NUMERICAL = 6
-
 
 class MixtureError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package.
+
+    `exit_code` is the command line's exit status for the error: 2, an
+    invalid configuration or unsupported request, unless a subclass says
+    otherwise.
+    """
+
+    exit_code = 2
 
 
 class IngestError(MixtureError):
     """Input data could not be parsed or failed validation."""
+
+    exit_code = 3
 
 
 class ResourceLimitError(MixtureError):
@@ -25,6 +28,8 @@ class ResourceLimitError(MixtureError):
     budget covers every observation: `build` starts at the n=0 lattice, 1 entry.
     """
 
+    exit_code = 4
+
     def __init__(self, message: str, entry_count: int, step: int, growth: tuple[int, ...]):
         super().__init__(message)
         self.entry_count = entry_count
@@ -34,6 +39,8 @@ class ResourceLimitError(MixtureError):
 
 class OracleCapError(MixtureError):
     """The brute-force allocation count k**n exceeded the configured cap."""
+
+    exit_code = 5
 
 
 class UnsupportedFamilyError(MixtureError):
@@ -46,3 +53,5 @@ class LatticeFormatError(MixtureError, ValueError):
 
 class NumericalError(MixtureError, ArithmeticError):
     """A result came out non-finite or a numerical construction failed."""
+
+    exit_code = 6

@@ -219,48 +219,36 @@ def infer_family(obs: Observation) -> str:
     raise ValueError(f"not a supported observation: {obs!r}")
 
 
-def check_observation(family: str, obs: Observation, categories: int | None = None) -> None:
-    """Raise ValueError unless obs is a valid observation of the family."""
+def observe(family: str, obs: Observation, categories: int | None = None) -> tuple[tuple, float]:
+    """R(x) and log h(x) of one observation; ValueError unless it is one of the family.
+
+    R(x) is the sufficient statistic the conjugate update absorbs, and h(x)
+    the allocation-free data factor of the likelihood. Integer counts become
+    Python ints before any arithmetic, so NumPy scalars never wrap.
+    """
     if family == "poisson":
         if not isinstance(obs, (int, np.integer)) or isinstance(obs, bool) or obs < 0:
             raise ValueError(f"Poisson observation must be a nonnegative integer, got {obs!r}")
-    elif family == "multinomial":
+        x = int(obs)
+        # gammaln takes no Python int past 2**64; below 2**63 the float is the same double
+        return (x,), float(-gammaln(float(x + 1)))
+    if family == "multinomial":
         if not isinstance(obs, tuple) or len(obs) < 2:
             raise ValueError(f"multinomial observation must be a tuple of >= 2 counts, got {obs!r}")
         if categories is not None and len(obs) != categories:
             raise ValueError(f"expected {categories} categories, got {len(obs)}")
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0 for c in obs):
+        counts = tuple(int(c) for c in obs if isinstance(c, (int, np.integer)) and not isinstance(c, bool))
+        if len(counts) < len(obs) or min(counts) < 0:
             raise ValueError(f"multinomial counts must be nonnegative integers, got {obs!r}")
-        if sum(obs) < 1:
+        d = sum(counts)
+        if d < 1:
             raise ValueError(f"multinomial observation must have a positive total, got {obs!r}")
-    elif family == "normal":
+        return counts, float(gammaln(float(d + 1)) - sum(gammaln(float(c + 1)) for c in counts))
+    if family == "normal":
         if isinstance(obs, bool) or not isinstance(obs, (int, float, np.floating, np.integer)):
             raise ValueError(f"normal observation must be a finite real, got {obs!r}")
-        if not math.isfinite(float(obs)):
-            raise ValueError(f"normal observation must be finite, got {obs!r}")
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-
-def observation_statistic(family: str, obs: Observation) -> tuple:
-    """The sufficient statistic R(x) of one observation."""
-    if family == "poisson":
-        return (int(obs),)
-    if family == "multinomial":
-        return tuple(int(c) for c in obs)
-    if family == "normal":
         x = float(obs)
-        return (x, x * x)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def log_base_measure(family: str, obs: Observation) -> float:
-    """log h(x): the allocation-free data factor of the likelihood."""
-    if family == "poisson":
-        return float(-gammaln(obs + 1))
-    if family == "multinomial":
-        d = sum(obs)
-        return float(gammaln(d + 1) - sum(gammaln(c + 1) for c in obs))
-    if family == "normal":
-        return -0.5 * LOG_2PI
+        if not math.isfinite(x):
+            raise ValueError(f"normal observation must be finite, got {obs!r}")
+        return (x, x * x), -0.5 * LOG_2PI
     raise ValueError(f"unknown family {family!r}")

@@ -124,10 +124,9 @@ def _fold(
 ) -> StatLattice:
     """Absorb the observations in order, merging colliding successors."""
     family, k, w = lattice.family, lattice.k, lattice.slot_width
-    stats = []
-    for obs in observations:
-        families.check_observation(family, obs, lattice.categories)
-        stats.append((1, *families.observation_statistic(family, obs)))
+    # each observation is read once: R(x) for the shifts, log h(x) for log_base
+    observed = [families.observe(family, obs, lattice.categories) for obs in observations]
+    stats = [(1, *r) for r, _ in observed]
     # every entry shares the column totals, and no digit outgrows its
     # column's final total, so radix total + 1 never carries
     first = lattice.key_array[0].tolist()
@@ -144,7 +143,7 @@ def _fold(
     shifts[:, :, :-1] = np.einsum("pjc,ic->ipj", places.reshape(len(places), k - 1, w), stats)
     mults, n, log_base = lattice.mult_array, lattice.n, lattice.log_base
     growth = [len(mults)]
-    for obs, shift in zip(observations, shifts):
+    for (_, log_h), shift in zip(observed, shifts):
         succ = (codes[:, None, :] + shift[:, :, None]).reshape(len(codes), -1)
         # k sorted runs, which the stable sort under lexsort merges
         order = np.lexsort(succ[::-1])
@@ -167,7 +166,7 @@ def _fold(
         # to Python ints at the step where k**n reaches 2**63, else no copy
         mults = np.tile(mults.astype(_mult_dtype(k, n), copy=False), k)
         mults = np.add.reduceat(mults[order], starts)
-        log_base = log_base + families.log_base_measure(family, obs)
+        log_base = log_base + log_h
 
     # decode once: column c is word `row[c]`'s code // place % radix
     row, place = places.argmax(axis=0), places.max(axis=0)
@@ -205,8 +204,7 @@ def build(
         # real-valued statistics collide only within-partition; growth is
         # Bell-number-like, so enumeration goes through the oracle instead
         raise UnsupportedFamilyError("normal-family lattices are not supported; use the oracle")
-    families.check_observation(family, data[0])
-    w = 1 + len(families.observation_statistic(family, data[0]))
+    w = 1 + len(families.observe(family, data[0])[0])
     # the n=0 lattice: one all-zero key; -0.0 + x is x bitwise for every x
     one = np.array([1], dtype=_mult_dtype(k, 0))
     empty = StatLattice._from_arrays(family, k, 0, np.zeros((1, k * w), np.int64), one, -0.0)

@@ -69,29 +69,32 @@ def _categories(prior: MixturePrior) -> int | None:
     return prior.components[0].categories if prior.family == "multinomial" else None
 
 
+def _observed(data: Sequence, family: str, categories: int | None) -> tuple[list[tuple], float]:
+    """R(x) of each observation and log h of the data.
+
+    Every entry point reads the data here, once per observation, through
+    `families.observe`, which checks it against the category count when it
+    is multinomial, so no entry point enumerates invalid data.
+    """
+    observed = [families.observe(family, obs, categories) for obs in data]
+    return [r for r, _ in observed], sum(log_h for _, log_h in observed)
+
+
 def _allocations(
-    data: Sequence, k: int, family: str, cap: int, categories: int | None
+    stats: list[tuple], k: int, family: str, cap: int
 ) -> Iterator[tuple[tuple[int, ...], tuple, tuple[GroupStat, ...]]]:
     """Every allocation vector z with its statistic key and per-slot GroupStat row.
 
-    Every observation is checked first, against the category count when
-    it is multinomial, so no entry point reads invalid data. Discrete keys
-    are (count, aggregate...) per slot. Per-observation statistics are
-    computed once, and allocations with equal keys share one row.
+    Discrete keys are (count, aggregate...) per slot, and allocations with
+    equal keys share one row.
     """
-    for obs in data:
-        families.check_observation(family, obs, categories)
-    allocations = enumerate_allocations(len(data), k, cap)
-    if family == "normal":
-        values = [float(x) for x in data]
-    else:
-        stats = [families.observation_statistic(family, x) for x in data]
+    allocations = enumerate_allocations(len(stats), k, cap)
     rows: dict = {}
     for z in allocations:
         if family == "normal":
             groups: list[list[float]] = [[] for _ in range(k)]
-            for x, zi in zip(values, z):
-                groups[zi - 1].append(x)
+            for r, zi in zip(stats, z):
+                groups[zi - 1].append(r[0])  # R(x) = (x, x^2)
             # sort values, never sums: distinct statistics correspond exactly to
             # distinct per-component multisets, no float arithmetic in the key
             key = tuple(tuple(sorted(g)) for g in groups)
@@ -109,10 +112,10 @@ def _allocations(
         yield z, key, row
 
 
-def _grouped(data: Sequence, k: int, family: str, cap: int, categories: int | None) -> dict:
+def _grouped(stats: list[tuple], k: int, family: str, cap: int) -> dict:
     """{key: [multiplicity, GroupStat row]} over all allocations."""
     grouped: dict = {}
-    for _, key, row in _allocations(data, k, family, cap, categories):
+    for _, key, row in _allocations(stats, k, family, cap):
         grouped.setdefault(key, [0, row])[0] += 1
     return grouped
 
@@ -221,7 +224,8 @@ def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
     """Posterior by direct summation over every allocation vector."""
     family = prior.family
     n, k = len(data), prior.k
-    grouped = _grouped(data, k, family, cap, _categories(prior))
+    stats, log_base = _observed(data, family, _categories(prior))
+    grouped = _grouped(stats, k, family, cap)
     keys = sorted(grouped)
     mults = [grouped[key][0] for key in keys]
     group_stats = [grouped[key][1] for key in keys]
@@ -233,7 +237,6 @@ def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
                 for stats_row, mult in zip(group_stats, mults)
             ]
         )
-        log_base = sum(families.log_base_measure(family, obs) for obs in data)
         log_m = float(logsumexp(logw) + prior.log_dirichlet_constant() + log_base)
     if not (np.all(np.isfinite(logw)) and math.isfinite(log_m)):
         raise NumericalError("oracle log weights or log evidence overflow double precision")
@@ -256,7 +259,7 @@ def oracle_distinct_statistics(data: Sequence, k: int) -> int:
     family = families.infer_family(data[0])
     # the first observation sets the category count, as in lattice.build
     categories = len(data[0]) if family == "multinomial" else None
-    return len(_grouped(data, k, family, DEFAULT_ORACLE_CAP, categories))
+    return len(_grouped(_observed(data, family, categories)[0], k, family, DEFAULT_ORACLE_CAP))
 
 
 def weight_table_csv(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORACLE_CAP) -> str:
@@ -264,7 +267,8 @@ def weight_table_csv(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
     family = prior.family
     k = prior.k
     lines = ["allocation,statistic,log_weight"]
-    for z, key, stats_row in _allocations(data, k, family, cap, _categories(prior)):
+    stats, _ = _observed(data, family, _categories(prior))
+    for z, key, stats_row in _allocations(stats, k, family, cap):
         if family == "normal":
             stat_text = " ".join(
                 f"{s.count}:{s.total[0]!r}:{s.total[1]!r}" for s in stats_row
@@ -361,12 +365,12 @@ def quadrature_evidence(data: Sequence, prior: MixturePrior) -> float:
 
     alpha = prior.alpha
     log_terms = []
-    for _, _, stats_row in _allocations(data, k, family, DEFAULT_ORACLE_CAP, _categories(prior)):
+    stats, log_base = _observed(data, family, _categories(prior))
+    for _, _, stats_row in _allocations(stats, k, family, DEFAULT_ORACLE_CAP):
         term = sum(
             math.lgamma(s.count + a_j) for s, a_j in zip(stats_row, alpha)
         ) - math.lgamma(n + sum(alpha))
         for comp, s in zip(prior.components, stats_row):
             term += math.log(component_integral(comp, s)) - comp.log_partition()
         log_terms.append(term)
-    log_base = sum(families.log_base_measure(family, obs) for obs in data)
     return float(logsumexp(np.array(log_terms)) + prior.log_dirichlet_constant() + log_base)

@@ -390,7 +390,8 @@ class _Members:
         coef = self.coef[:, idx]
         w = self.weights[idx]
         out = np.empty(t.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # overflow is an inf density, which mass_grid and the grid checks report
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             basis = self.basis(t)
             # blocks of bounded element count keep memory flat in D, and an
             # in-place exp spares a second block-sized allocation
@@ -478,10 +479,10 @@ def mass_grid(members: _Members) -> np.ndarray:
         w += w.max() * 1e-4 + 1e-300
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(probe))])
     if not np.isfinite(cum[-1]):
-        # name every end whose density is not finite, else the larger one
-        edges = [e for e, v in ((lo, f[0]), (hi, f[-1])) if not np.isfinite(v)]
-        where = " and ".join(map(repr, edges or [lo if f[0] > f[-1] else hi]))
-        raise NumericalError(f"density diverges at the support edge {where}; pass an explicit grid (--grid)")
+        # name every end whose density is not finite, else the whole probe
+        edges = " and ".join(repr(e) for e, v in ((lo, f[0]), (hi, f[-1])) if not np.isfinite(v))
+        where = f"diverges at the support edge {edges}" if edges else f"overflows inside [{lo!r}, {hi!r}]"
+        raise NumericalError(f"density {where}; pass an explicit grid (--grid)")
     cum /= cum[-1]
     grid = np.interp(np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS), cum, probe)
     grid[0], grid[-1] = lo, hi

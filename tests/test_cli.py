@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -17,7 +20,15 @@ import pytest
 import mixexact
 from mixexact import cli, lattice
 from mixexact.cli import ingest
-from mixexact.errors import IngestError
+from mixexact.errors import (
+    IngestError,
+    LatticeFormatError,
+    MixtureError,
+    NumericalError,
+    OracleCapError,
+    ResourceLimitError,
+    UnsupportedFamilyError,
+)
 
 WORKED = "0\n0\n0\n1\n2\n2\n4\n"
 
@@ -107,6 +118,13 @@ class TestIngest:
         path = tmp_path / "ragged.csv"
         path.write_text("1,2\n1,2,3\n")
         with pytest.raises(IngestError):
+            ingest(str(path), "multinomial")
+
+    def test_ragged_row_names_its_own_line(self, tmp_path):
+        # the first row fixes the category count
+        path = tmp_path / "ragged.csv"
+        path.write_text("1,2\n\n3,4\n1,2,3\n5,6\n")
+        with pytest.raises(IngestError, match=r"ragged\.csv line 4: expected 2 categories, got 3$"):
             ingest(str(path), "multinomial")
 
     def test_empty_file_rejected(self, tmp_path):
@@ -495,7 +513,35 @@ class TestConfigResolution:
         assert code == 2
 
 
+# each error a run can raise, with the exit code and stderr line it becomes
+RAISED = {
+    "ingest": (IngestError("counts.txt line 2: bad"), 3, "error: counts.txt line 2: bad\n"),
+    "budget": (ResourceLimitError("entry budget 1 exceeded", 2, 1, (1, 2)), 4, "error: entry budget 1 exceeded\n"),
+    "memory": (MemoryError(), 4, "error: MemoryError\n"),
+    "cap": (OracleCapError("k^n exceeds the cap"), 5, "error: k^n exceeds the cap\n"),
+    "numerical": (NumericalError("log evidence overflows"), 6, "error: log evidence overflows\n"),
+    "unsupported": (UnsupportedFamilyError("no lattice"), 2, "error: no lattice\n"),
+    "lattice-format": (LatticeFormatError("bad dump"), 2, "error: bad dump\n"),
+    "value": (ValueError("k must be >= 1"), 2, "error: k must be >= 1\n"),
+    "key": (KeyError("gamma"), 2, "error: 'gamma'\n"),
+    "type": (TypeError("not a number"), 2, "error: not a number\n"),
+}
+
+
 class TestExitCodes:
+    def test_each_error_class_carries_its_exit_code(self):
+        classes = (MixtureError, IngestError, ResourceLimitError, OracleCapError, NumericalError,
+                   UnsupportedFamilyError, LatticeFormatError)
+        assert [cls.exit_code for cls in classes] == [2, 3, 4, 5, 6, 2, 2]
+
+    @pytest.mark.parametrize("error,code,line", RAISED.values(), ids=RAISED)
+    def test_raised_error_sets_code_and_message(self, capsys, worked_file, monkeypatch, error, code, line):
+        def fails(config):
+            raise error
+
+        monkeypatch.setattr(cli, "run_subcommand", fails)
+        assert run_cli(capsys, "evidence", "--data", worked_file, "--family", "poisson") == (code, "", line)
+
     def test_invalid_config_is_2(self, capsys, worked_file):
         code, _, _ = run_cli(
             capsys, "evidence", "--data", worked_file, "--family", "poisson", "--k", "0"
@@ -727,6 +773,19 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "inf" not in proc.stdout
 
+    def test_interior_overflow_is_6_with_one_error_line(self, worked_file):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "mixexact.cli", "marginal", "--data", worked_file,
+                "--family", "poisson", "--k", "2", "--gamma", "1e300,1;1,1", "--param", "lambda1",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 6
+        assert proc.stderr == "error: density overflows inside [0.0, 1e+300]; pass an explicit grid (--grid)\n"
+        assert proc.stdout == "ingest n=7 min=0 max=4 sum=9\n"
+
     def test_divergent_weight_grid_is_6_with_one_error_line(self, tmp_path):
         # Beta(3.5, 0.5) has its 1 - 1e-8 quantile at 1.0, where it diverges
         path = tmp_path / "zeros.txt"
@@ -838,3 +897,28 @@ class TestReadmeSession:
                 assert lines[-len(tail) :] == tail, command
             else:
                 assert lines == expected, command
+
+
+def readme_library() -> str:
+    """The README's Library quick start: its ```python blocks, joined in order."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library quick start") : text.index("## Command line")]
+    return "".join(block[: block.index("```")] for block in section.split("```python\n")[1:])
+
+
+class TestReadmeLibrary:
+    def test_quick_start_gives_what_its_comments_show(self):
+        code = readme_library()
+        namespace: dict = {}
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            exec(compile(code, str(README), "exec"), namespace)
+        # `print(...)  # text`: the text is a line of the output, in order
+        shown = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(") and "# " in line]
+        assert shown == ["-12.490069462412716", "MATCH entries=42 max_rel=3.716e-15"]
+        printed = stdout.getvalue().splitlines()
+        assert [line for line in printed if line in shown] == shown
+        # `lattice = build(...)  # 42 distinct statistics, Σμ = 128`
+        distinct, total = map(int, re.search(r"# (\d+) distinct statistics, Σμ = (\d+)\n", code).groups())
+        assert (distinct, total) == (42, 128)
+        assert (namespace["lattice"].distinct_count(), namespace["lattice"].total_count()) == (distinct, total)

@@ -16,13 +16,11 @@ from mixexact.families import (
     PoissonGamma,
     beta_logpdf,
     beta_ppf,
-    check_observation,
     gamma_isf,
     gamma_logpdf,
     gamma_ppf,
     infer_family,
-    log_base_measure,
-    observation_statistic,
+    observe,
     student_t_logpdf,
 )
 
@@ -229,39 +227,39 @@ class TestClosedForms:
 
 class TestObservations:
     def test_poisson_accepts_nonnegative_ints(self):
-        check_observation("poisson", 0)
-        check_observation("poisson", 7)
+        observe("poisson", 0)
+        observe("poisson", 7)
 
     @pytest.mark.parametrize("bad", [-1, 1.5, "2", True, (1,)])
     def test_poisson_rejects(self, bad):
         with pytest.raises(ValueError):
-            check_observation("poisson", bad)
+            observe("poisson", bad)
 
     def test_multinomial_accepts_count_tuples(self):
-        check_observation("multinomial", (3, 1, 0))
-        check_observation("multinomial", (0, 1), categories=2)
+        observe("multinomial", (3, 1, 0))
+        observe("multinomial", (0, 1), categories=2)
 
     @pytest.mark.parametrize("bad", [(1,), (1, -1), (0, 0), (1.5, 2), 3])
     def test_multinomial_rejects(self, bad):
         with pytest.raises(ValueError):
-            check_observation("multinomial", bad)
+            observe("multinomial", bad)
 
     def test_multinomial_category_count_enforced(self):
         with pytest.raises(ValueError):
-            check_observation("multinomial", (1, 2), categories=3)
+            observe("multinomial", (1, 2), categories=3)
 
     def test_normal_accepts_reals(self):
-        check_observation("normal", -0.5)
-        check_observation("normal", 3)
+        observe("normal", -0.5)
+        observe("normal", 3)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, "x", True])
     def test_normal_rejects(self, bad):
         with pytest.raises(ValueError):
-            check_observation("normal", bad)
+            observe("normal", bad)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            check_observation("beta", 1)
+            observe("beta", 1)
 
     @pytest.mark.parametrize(
         "obs,family",
@@ -277,20 +275,30 @@ class TestObservations:
             infer_family(bad)
 
     def test_observation_statistics(self):
-        assert observation_statistic("poisson", 3) == (3,)
-        assert observation_statistic("multinomial", (2, 0, 1)) == (2, 0, 1)
+        assert observe("poisson", 3)[0] == (3,)
+        assert observe("multinomial", (2, 0, 1))[0] == (2, 0, 1)
         # normal aggregates (x, x^2)
-        assert observation_statistic("normal", 1.5) == (1.5, 2.25)
+        assert observe("normal", 1.5)[0] == (1.5, 2.25)
 
     def test_log_base_measure(self):
         # Poisson h(x) = 1/x!
-        assert log_base_measure("poisson", 4) == pytest.approx(-math.log(24), abs=1e-12)
-        assert log_base_measure("poisson", 0) == 0.0
+        assert observe("poisson", 4)[1] == pytest.approx(-math.log(24), abs=1e-12)
+        assert observe("poisson", 0)[1] == 0.0
         # multinomial h(x) = d! / prod x_u!
-        assert log_base_measure("multinomial", (2, 1, 1)) == pytest.approx(
-            math.log(12), abs=1e-12
-        )
+        assert observe("multinomial", (2, 1, 1))[1] == pytest.approx(math.log(12), abs=1e-12)
         # normal h(x) = (2 pi)^(-1/2)
-        assert log_base_measure("normal", 0.7) == pytest.approx(
-            -0.5 * math.log(2 * math.pi), abs=1e-15
-        )
+        assert observe("normal", 0.7)[1] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "family,obs",
+        [("poisson", np.uint8(255)), ("poisson", np.int8(127)), ("poisson", np.int64(2**63 - 1)),
+         ("multinomial", (np.uint8(128), np.uint8(128))), ("multinomial", (np.int8(100), np.int8(100)))],
+        ids=["uint8", "int8", "int64", "uint8-row", "int8-row"],
+    )
+    def test_numpy_integers_read_as_python_ints(self, family, obs):
+        # a NumPy count would wrap in x + 1 or in the row total
+        python = int(obs) if family == "poisson" else tuple(int(c) for c in obs)
+        stat, log_h = observe(family, obs)
+        assert stat == observe(family, python)[0]
+        assert all(type(v) is int for v in stat)
+        assert log_h == observe(family, python)[1] and math.isfinite(log_h)

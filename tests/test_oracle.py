@@ -270,3 +270,33 @@ class TestInvalidData:
     def test_distinct_statistics_rejects_ragged_categories(self):
         with pytest.raises(ValueError, match="expected 2 categories"):
             oracle_distinct_statistics([(1, 0), (1, 0, 0)], 2)
+
+
+# (family, values, NumPy dtype, k): each value fits its dtype, and the row
+# total or x + 1 of some value does not
+NUMPY_INTEGER_CASES = {
+    "uint8-poisson": ("poisson", [255, 3, 7], np.uint8, 2),
+    "uint8-multinomial": ("multinomial", [[200, 100], [3, 4]], np.uint8, 2),
+    "uint8-positive-total": ("multinomial", [[128, 128]], np.uint8, 2),
+    "int8-poisson": ("poisson", [127, 3, 7], np.int8, 2),
+    "int8-multinomial": ("multinomial", [[100, 100], [3, 4]], np.int8, 2),
+    "int64-poisson": ("poisson", [2**63 - 1], np.int64, 1),
+    "int64-multinomial": ("multinomial", [[2**62, 2**62]], np.int64, 1),
+}
+
+
+@pytest.mark.parametrize("family,values,dtype,k", NUMPY_INTEGER_CASES.values(), ids=NUMPY_INTEGER_CASES)
+def test_numpy_integers_give_the_python_int_evidence(family, values, dtype, k):
+    array = np.array(values, dtype=dtype)
+    if family == "poisson":
+        as_numpy, as_python = list(array), values
+        component = PoissonGamma(1.0, 1.0)
+    else:
+        as_numpy, as_python = [tuple(row) for row in array], [tuple(row) for row in values]
+        component = DirichletMultinomial((1.0, 1.0))
+    prior = MixturePrior((1.0,) * k, (component,) * k)
+    engine = [posterior.log_evidence(lattice.build(data, k), prior) for data in (as_numpy, as_python)]
+    oracle = [oracle_posterior(data, prior).log_evidence for data in (as_numpy, as_python)]
+    assert math.isfinite(engine[1]) and math.isfinite(oracle[1])
+    assert engine[0].hex() == engine[1].hex()
+    assert oracle[0].hex() == oracle[1].hex()

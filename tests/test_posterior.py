@@ -410,6 +410,14 @@ class TestNonFiniteResults:
             with pytest.raises(NumericalError, match=f"diverges at the support {named}; pass an explicit grid"):
                 posterior.mass_grid(members)
 
+    def test_interior_overflow_is_named_without_a_warning(self):
+        # a Gamma(1e300, 1) prior puts members whose density overflows exp
+        # between the finite ends of the probe
+        prior = MixturePrior((1.0, 1.0), (PoissonGamma(1e300, 1.0), PoissonGamma(1.0, 1.0)))
+        wp = normalize(build(WORKED_DATA, 2), prior)
+        with pytest.raises(NumericalError, match=r"^density overflows inside \[0\.0, 1e\+300\]; pass an explicit grid"):
+            marginal_component_density(wp, 0)
+
 
 class TestIntegerPriorParameters:
     def test_integer_gamma_parameters_match_float_ones(self):
