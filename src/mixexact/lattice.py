@@ -10,17 +10,20 @@ k**n < 2**63 no multiplicity and no partial sum of a merge can exceed k**n,
 so they are int64; from the step where k**n reaches 2**63 they are Python
 ints in an object array. Only the dtype changes, never the code path.
 
-Keys live in one (E, k*w) int64 array in lexicographic row order. `build`
-and `extend` run one fold over packed codes. It fixes a mixed radix once,
-from the column totals the fold will reach: n+1 for counts and total+1 for
-each aggregate, so no digit ever carries. The last slot is dropped, since
-the shared totals determine it, and the other slots pack into int64 words,
-slot 0 most significant, so code order is key order; one word holds them
-whenever the radix product fits, and wider keys use several words on the
-same path. Absorbing x into slot j adds one constant per word (zero for the
+Keys live in one (E, k*w) int64 array in lexicographic row order, stored
+by column: its memory is one C-contiguous (k*w, E) block and `key_array` is
+that block's transpose, so each layer reads a key column as one contiguous
+run. `build` and `extend` run one fold over packed codes. It fixes a mixed
+radix once, from the column totals the fold will reach: n+1 for counts and
+total+1 for each aggregate, so no digit ever carries. The last slot is
+dropped, since the shared totals determine it, and the other slots pack
+into int64 words, slot 0 most significant, so code order is key order; one
+word holds them whenever the radix product fits, and wider keys use several
+words on the same path. Absorbing x into slot j adds one constant per word (zero for the
 dropped slot), so a step is k sorted runs of the codes, one stable sort
 that merges them, and one grouped sum of the multiplicities. Keys are
-decoded once, at the end.
+decoded once, at the end, one divmod per key column, with the last slot
+formed as the totals minus the others.
 """
 
 from __future__ import annotations
@@ -49,19 +52,22 @@ _ZERO, _TAB, _NEWLINE = ord("0"), ord("\t"), ord("\n")
 class StatLattice:
     """Immutable sorted key array with exact multiplicities.
 
-    `key_array` is (E, k*w) int64 in lexicographic row order and
+    `key_array` is (E, k*w) int64 in lexicographic row order, the
+    transpose of one C-contiguous (k*w, E) block of key columns, and
     `mult_array` holds the matching multiplicities: int64 while k**n < 2**63,
     an object array of Python ints from there on (`_mult_dtype`). `tolist()`
     gives Python ints either way. A lattice comes from the fold (`init`,
     `extend`, `build`) or from `load`, which checks every invariant of the
-    text it parses; both hand their arrays to `_from_arrays`, which freezes them.
+    text it parses; both hand their key columns and multiplicities to
+    `_from_arrays`, which freezes them.
     """
 
     __slots__ = ("family", "k", "n", "key_array", "mult_array", "log_base")
 
     @classmethod
-    def _from_arrays(cls, family, k, n, keys, mults, log_base) -> "StatLattice":
+    def _from_arrays(cls, family, k, n, columns, mults, log_base) -> "StatLattice":
         lat = cls.__new__(cls)
+        keys = columns.T
         keys.flags.writeable = mults.flags.writeable = False
         for name, value in zip(cls.__slots__, (family, k, n, keys, mults, log_base)):
             object.__setattr__(lat, name, value)
@@ -119,6 +125,17 @@ def _word_places(radix: list[int]) -> np.ndarray:
     return np.array(words[::-1])
 
 
+def _increasing(codes: np.ndarray) -> bool:
+    """Whether (W, E) packed codes increase strictly from entry to entry,
+    word 0 deciding first."""
+    tied = np.ones(codes.shape[1] - 1, dtype=bool)
+    for word in codes:
+        if np.any(tied & (word[1:] < word[:-1])):
+            return False
+        tied &= word[1:] == word[:-1]
+    return not tied.any()
+
+
 def _fold(
     lattice: StatLattice, observations: Sequence, budget: int = DEFAULT_ENTRY_BUDGET
 ) -> StatLattice:
@@ -136,7 +153,7 @@ def _fold(
     kept = (k - 1) * w  # the last slot is the totals minus the others
     radix = [t + 1 for t in totals] * (k - 1)
     places = _word_places(radix)
-    codes = places @ lattice.key_array[:, :kept].T  # (W, E), word 0 most significant
+    codes = places @ lattice.key_array.T[:kept]  # (W, E), word 0 most significant
     # shifts[i, :, j]: what absorbing observation i into slot j adds to each
     # word; the dropped last slot adds nothing
     shifts = np.zeros((len(stats), len(places), k), dtype=np.int64)
@@ -168,13 +185,17 @@ def _fold(
         mults = np.add.reduceat(mults[order], starts)
         log_base = log_base + log_h
 
-    # decode once: column c is word `row[c]`'s code // place % radix
-    row, place = places.argmax(axis=0), places.max(axis=0)
-    head = (codes[row] // place[:, None] % np.array(radix, dtype=np.int64)[:, None]).T
-    keys = np.empty((len(head), k * w), dtype=np.int64)
-    keys[:, :kept] = head
-    keys[:, kept:] = np.array(totals) - head.reshape(len(head), k - 1, w).sum(axis=1)
-    return StatLattice._from_arrays(family, k, n, keys, mults, log_base)
+    # decode once, straight into key columns: each word gives up its digits
+    # least significant first, one divmod per column
+    columns = np.empty((k * w, len(mults)), dtype=np.int64)
+    for word, place in zip(codes, places):
+        for c in np.flatnonzero(place)[::-1]:
+            np.divmod(word, radix[c], out=(word, columns[c]))
+    last = columns[kept:]
+    last[:] = np.array(totals)[:, None]
+    for j in range(k - 1):
+        last -= columns[j * w : (j + 1) * w]
+    return StatLattice._from_arrays(family, k, n, columns, mults, log_base)
 
 
 def init(first_obs, k: int, family: str | None = None) -> StatLattice:
@@ -207,7 +228,7 @@ def build(
     w = 1 + len(families.observe(family, data[0])[0])
     # the n=0 lattice: one all-zero key; -0.0 + x is x bitwise for every x
     one = np.array([1], dtype=_mult_dtype(k, 0))
-    empty = StatLattice._from_arrays(family, k, 0, np.zeros((1, k * w), np.int64), one, -0.0)
+    empty = StatLattice._from_arrays(family, k, 0, np.zeros((k * w, 1), np.int64), one, -0.0)
     return _fold(empty, data, budget)
 
 
@@ -242,25 +263,34 @@ def _cells(values: np.ndarray, sep: int, width: int = 0) -> np.ndarray:
 def dump(lattice: StatLattice) -> str:
     """Flat text form: header, then one sorted line per entry.
 
-    Rows are written as bytes, one block at a time: a uint8 buffer of
+    Rows are written as bytes, one block at a time: a uint8 line buffer of
     fixed-width cells, digits and separators with NUL padding, whose NUL
     bytes `bytes.translate` deletes. Key cells come from a table over
-    0..max(key) whose rows are padded to a power-of-two width, so the
-    gather copies one word per cell; a key array whose largest digit is not
-    below its row count takes divmod planes of its own instead.
+    0..max(key) whose rows are padded to a power-of-two width, gathered one
+    key column at a time, so the gather copies one word per cell; a key
+    array whose largest digit is not below its row count takes divmod
+    planes of its own instead.
     """
     keys, mults = lattice.key_array, lattice.mult_array
     top = int(keys.max())
-    table = None
     if top < len(keys):
         width = 1 << len(str(top)).bit_length()  # a power of two above the digits
         table = _cells(np.arange(top + 1), _TAB, width).view(f"V{width}")[:, 0]
+    else:
+        width, table = len(str(top)) + 1, None
+    key_bytes = keys.shape[1] * width
     blocks = [_header(lattice.family, lattice.k, lattice.n, lattice.log_base)]
     for start in range(0, len(keys), _BLOCK_ROWS):
         part = keys[start : start + _BLOCK_ROWS]
-        key_cells = _cells(part, _TAB) if table is None else table[part]
         mult_cells = _cells(mults[start : start + _BLOCK_ROWS], _NEWLINE)
-        lines = np.concatenate((key_cells.view(np.uint8).reshape(len(part), -1), mult_cells), axis=1)
+        lines = np.empty((len(part), key_bytes + mult_cells.shape[1]), dtype=np.uint8)
+        lines[:, key_bytes:] = mult_cells
+        if table is None:
+            lines[:, :key_bytes] = _cells(part, _TAB, width).reshape(len(part), -1)
+        else:
+            cells = lines[:, :key_bytes].view(table.dtype)
+            for c, column in enumerate(part.T):  # one gather per key column
+                cells[:, c] = table[column]
         blocks.append(lines.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(blocks)
 
@@ -287,8 +317,9 @@ def _cell_error(raw: bytes, at: int) -> LatticeFormatError:
 
 
 def _parse_body(body: str, family: str, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and multiplicities of the entry lines of a dump, held to dump's
-    grammar; the parse's cell-sized temporaries end with this call."""
+    """(k*w, E) key columns and the multiplicities of the entry lines of a
+    dump, held to dump's grammar; the parse's cell-sized temporaries end
+    with this call."""
     try:
         raw = body.encode("ascii")
     except UnicodeEncodeError as exc:
@@ -327,7 +358,11 @@ def _parse_body(body: str, family: str, k: int, n: int) -> tuple[np.ndarray, np.
     starts, lengths = starts.reshape(rows, width + 1), lengths.reshape(rows, width + 1)
     if lengths[:, :-1].max() > _INT64_DIGITS or table[:, :-1].max() >= _WORD_SPAN:
         raise LatticeFormatError("malformed lattice entry: a key digit beyond int64")
-    keys = table[:, :-1].astype(np.int64)
+    # the key cells become key columns, a block of rows at a time so that
+    # both sides of the transpose stay cache-sized
+    columns = np.empty((width, rows), dtype=np.int64)
+    for start in range(0, rows, _BLOCK_ROWS):
+        columns[:, start : start + _BLOCK_ROWS] = table[start : start + _BLOCK_ROWS, :-1].T
     if _mult_dtype(k, n) is object:
         cells = zip(starts[:, -1].tolist(), (starts[:, -1] + lengths[:, -1]).tolist())
         try:
@@ -338,7 +373,7 @@ def _parse_body(body: str, family: str, k: int, n: int) -> tuple[np.ndarray, np.
         raise LatticeFormatError(f"dump violates conservation: a multiplicity above {k}^{n}")
     else:
         mults = table[:, -1].astype(np.int64)
-    return keys, mults
+    return columns, mults
 
 
 def load(text: str) -> StatLattice:
@@ -348,7 +383,8 @@ def load(text: str) -> StatLattice:
     of k*w + 1 tab-separated cells, each `0` or ASCII digits without a
     leading zero, every line ending in a single `\\n`. The body is parsed as
     bytes: separators by `flatnonzero`, values by a Horner pass over the
-    cell-length columns.
+    cell-length columns; the key values are then written as key columns,
+    on which the totals, empty-slot and order checks run.
     """
     if not text:
         raise LatticeFormatError("empty lattice dump")
@@ -367,23 +403,25 @@ def load(text: str) -> StatLattice:
         raise LatticeFormatError(f"malformed lattice header: {head!r}")
     if not body:
         raise LatticeFormatError("lattice dump has no entries")
-    keys, mults = _parse_body(body, family, k, n)
+    columns, mults = _parse_body(body, family, k, n)
 
-    rows, w = len(keys), keys.shape[1] // k
-    slots = keys.reshape(rows, k, w)
-    totals = np.einsum("ejc->ec", slots)  # the sum over slots, faster than .sum(axis=1)
-    step = np.diff(keys, axis=0)
-    lead = (step != 0).argmax(axis=1)
-    if int(keys.max()) * k >= _WORD_SPAN or mults.min() < 1:
+    w = len(columns) // k
+    if int(columns.max()) * k >= _WORD_SPAN or mults.min() < 1:
         raise LatticeFormatError("digit out of range or nonpositive multiplicity")
-    if np.any(totals[:, 0] != n) or np.any(totals != totals[0]):
+    # column c of every slot adds up to the shared total of column c
+    totals = [columns[c::w].sum(axis=0) for c in range(w)]
+    if np.any(totals[0] != n) or any(np.any(t != t[0]) for t in totals):
         raise LatticeFormatError(f"entries disagree with n={n} or with each other's totals")
-    if np.any((slots[:, :, 0] == 0) & slots[:, :, 1:].any(axis=2)):
-        raise LatticeFormatError("an empty slot carries a nonzero aggregate")
-    if not np.all(step[np.arange(len(step)), lead] > 0):
+    for j in range(0, k * w, w):
+        if np.any((columns[j] == 0) & columns[j + 1 : j + w].any(axis=0)):
+            raise LatticeFormatError("an empty slot carries a nonzero aggregate")
+    # with the totals shared, the fold's packed codes of the first k - 1
+    # slots order the keys: every digit is below its radix, total + 1
+    radix = [int(t[0]) + 1 for t in totals] * (k - 1)
+    if not _increasing(_word_places(radix) @ columns[: (k - 1) * w]):
         raise LatticeFormatError("keys are duplicated or out of order")
     total = sum(mults.tolist())  # Python ints: the sum cannot wrap
     # the bit-length test keeps k**n cheap when n is absurdly large
     if (k > 1 and n * math.log2(k) > total.bit_length() + 1) or total != k**n:
         raise LatticeFormatError(f"dump violates conservation: total {total} != {k}^{n}")
-    return StatLattice._from_arrays(family, k, n, keys, mults, log_base)
+    return StatLattice._from_arrays(family, k, n, columns, mults, log_base)

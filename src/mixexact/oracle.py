@@ -256,6 +256,8 @@ def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
 
 def oracle_distinct_statistics(data: Sequence, k: int) -> int:
     """Number of distinct canonical statistics over all k**n allocations."""
+    if len(data) == 0:
+        raise ValueError("dataset must be non-empty")
     family = families.infer_family(data[0])
     # the first observation sets the category count, as in lattice.build
     categories = len(data[0]) if family == "multinomial" else None

@@ -74,7 +74,7 @@ class WeightedPosterior:
 
     prior: MixturePrior
     n: int
-    key_array: np.ndarray  # (E, k*w) int64, lexicographic rows, shared with the lattice
+    key_array: np.ndarray  # (E, k*w) int64, lexicographic rows, the lattice's column-major array
     mult_array: np.ndarray  # (E,) exact multiplicities, the lattice's int64 or object array
     log_weights: np.ndarray  # unnormalized, includes log multiplicity
     weights: np.ndarray  # normalized, sums to 1
@@ -182,35 +182,107 @@ def _check_compatible(lat: StatLattice, prior: MixturePrior) -> None:
         raise ValueError("lattice and prior disagree on the category count")
 
 
-def _slots(key_array: np.ndarray, k: int) -> np.ndarray:
-    """(E, k, w) int64 view of a key array: counts at [..., 0], aggregates after."""
-    return key_array.reshape(len(key_array), k, -1)
+def _key_columns(key_array: np.ndarray, k: int) -> np.ndarray:
+    """(k, w, E) view of the contiguous key columns: counts at [:, 0],
+    aggregates after."""
+    return key_array.T.reshape(k, -1, len(key_array))
+
+
+def _row_major(const: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """const + columns as a row-major float array with the entry axis
+    first: (..., E) key columns and a (...) const give (E, ...). It is
+    filled one contiguous key column at a time. The weight products and
+    contractions over it sum in an order that depends on its layout, and
+    row-major is the order the golden digests pin."""
+    out = np.empty(columns.shape[-1:] + columns.shape[:-1])
+    for index in np.ndindex(columns.shape[:-1]):
+        np.add(const[index], columns[index], out=out[(slice(None), *index)])
+    return out
 
 
 def _gamma_update(key_array: np.ndarray, prior: MixturePrior, j=slice(None)):
     """Each entry's Gamma update of component(s) j, read from the key
-    columns in place: shape a + S and rate b + n."""
-    slots = _slots(key_array, prior.k)[:, j]
+    columns in place: shape a + S and rate b + n, (E, k) or (E,)."""
+    columns = _key_columns(key_array, prior.k)[j]
     a0, b0 = np.array([(c.shape, c.rate) for c in prior.components], dtype=float).T
-    return a0[j] + slots[..., 1], b0[j] + slots[..., 0]
+    return _row_major(a0[j], columns[..., 1, :]), _row_major(b0[j], columns[..., 0, :])
 
 
-def _dirichlet_update(key_array: np.ndarray, prior: MixturePrior, j=slice(None)):
-    """Each entry's Dirichlet concentrations beta + S of component(s) j,
-    read from the key columns in place (the categories on the last axis)."""
+def _dirichlet_update(key_array: np.ndarray, prior: MixturePrior) -> np.ndarray:
+    """Each entry's (E, k, v) Dirichlet concentrations beta + S, read from
+    the key columns in place (the categories on the last axis)."""
     beta = np.array([c.concentration for c in prior.components], dtype=float)  # (k, v)
-    return beta[j] + _slots(key_array, prior.k)[:, j, 1:]
+    return _row_major(beta, _key_columns(key_array, prior.k)[:, 1:])
+
+
+def _pairwise(columns: list, lo: int, hi: int) -> np.ndarray:
+    """numpy's pairwise summation of columns[lo:hi], a column at a time:
+    fewer than 8 terms in sequence, up to 128 in 8 interleaved partial sums
+    joined as a tree and the rest in sequence, more as two halves."""
+    n = hi - lo
+    if n < 8:
+        total = columns[lo]
+        for column in columns[lo + 1 : hi]:
+            total += column
+        return total
+    if n <= 128:
+        part = columns[lo : lo + 8]
+        stop = hi - n % 8
+        for i in range(lo + 8, stop, 8):
+            for j in range(8):
+                part[j] += columns[i + j]
+        total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
+        for column in columns[stop:hi]:
+            total += column
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise(columns, lo, lo + half) + _pairwise(columns, lo + half, hi)
+
+
+def _row_sum(columns: list) -> np.ndarray:
+    """Entrywise sum of float columns, added as numpy sums one row of them.
+
+    numpy's `sum(axis=-1)` starts a row from +0.0 and adds its values
+    pairwise (`_pairwise`). Adding whole columns in that order gives every
+    entry the bits of the row-major sum without a row-major copy. The
+    columns are overwritten.
+    """
+    total = _pairwise(columns, 0, len(columns))
+    total += 0.0  # numpy's start: a row of -0.0 sums to +0.0
+    return total
+
+
+def _sorted_sum(columns: list) -> np.ndarray:
+    """Entrywise sum of float columns in ascending order, bitwise equal to
+    `np.sort(c, axis=1).sum(axis=1)` of the matching (E, k) array.
+
+    An odd-even transposition network orders each entry's values across
+    the columns: k rounds of compare-exchanges on neighbouring columns, by
+    `np.minimum` and `np.maximum`. Equal values have equal bits, except
+    that the pair may come out as two zeros of one sign; a zero's sign
+    changes no nonzero sum, and a zero sum is +0.0 (`_row_sum`). The list
+    and its columns are overwritten.
+    """
+    spare = np.empty_like(columns[0])
+    for rnd in range(len(columns)):
+        for i in range(rnd % 2, len(columns) - 1, 2):
+            np.minimum(columns[i], columns[i + 1], out=spare)
+            np.maximum(columns[i], columns[i + 1], out=columns[i + 1])
+            columns[i], spare = spare, columns[i]
+    return _row_sum(columns)
 
 
 def _log_multiplicities(mults: np.ndarray) -> np.ndarray:
     """`math.log` of each multiplicity, one call per distinct float image.
 
     For an int within the float range `math.log(m)` is `log(float(m))`, so
-    equal images have equal logs, and float images sort fast on either
-    dtype. Only a multiplicity beyond the float range sorts as an exact int.
+    equal images have equal logs. int64 multiplicities sort as they are,
+    with no float copy alive beside the sort's own; Python ints sort fast
+    as their float images, and only one beyond the float range sorts as an
+    exact int.
     """
     try:
-        images = mults.astype(np.float64)
+        images = mults if mults.dtype == np.int64 else mults.astype(np.float64)
     except OverflowError:
         images = mults
     distinct, inverse = np.unique(images, return_inverse=True)
@@ -231,36 +303,32 @@ def _on_digits(fn, digits: np.ndarray, const: float) -> np.ndarray:
 
 
 def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
-    k, w, keys = lat.k, lat.slot_width, lat.key_array
+    columns = _key_columns(lat.key_array, lat.k)
     alpha = np.asarray(prior.alpha)
     log_mult = _log_multiplicities(lat.mult_array)
-    contrib = np.empty((len(keys), k))
+    contrib = []  # one contiguous column of terms per component
 
     if prior.family == "poisson":
         a0 = np.array([c.shape for c in prior.components])
         b0 = np.array([c.rate for c in prior.components])
         prior_const = float(np.sum(gammaln(a0) - a0 * np.log(b0)))
-        for j in range(k):
-            counts, sums = keys[:, 2 * j], keys[:, 2 * j + 1]
-            contrib[:, j] = _on_digits(gammaln, counts, alpha[j]) + _on_digits(gammaln, sums, a0[j])
-            contrib[:, j] -= (sums + a0[j]) * _on_digits(np.log, counts, b0[j])
+        for j, (counts, sums) in enumerate(columns):
+            term = _on_digits(gammaln, counts, alpha[j]) + _on_digits(gammaln, sums, a0[j])
+            term -= (sums + a0[j]) * _on_digits(np.log, counts, b0[j])
+            contrib.append(term)
     else:  # multinomial: a lattice has no other family
         beta = np.array([c.concentration for c in prior.components])  # (k, v)
         prior_const = float(np.sum(gammaln(beta)) - np.sum(gammaln(beta.sum(axis=1))))
-        conc = _dirichlet_update(keys, prior)
-        terms = np.empty(conc.shape)
-        for j in range(k):
-            contrib[:, j] = _on_digits(gammaln, keys[:, j * w], alpha[j])
-            for u in range(w - 1):
-                terms[:, j, u] = _on_digits(gammaln, keys[:, j * w + 1 + u], beta[j, u])
-        contrib += np.sum(terms, axis=2)
-        # a float sum over the categories is not a function of one digit
-        contrib -= gammaln(conc.sum(axis=2))
+        for j, (counts, *aggregates) in enumerate(columns):
+            term = _on_digits(gammaln, counts, alpha[j])
+            term += _row_sum([_on_digits(gammaln, s, b) for s, b in zip(aggregates, beta[j])])
+            # a float sum over the categories is not a function of one digit
+            term -= gammaln(_row_sum([s + b for s, b in zip(aggregates, beta[j])]))
+            contrib.append(term)
 
     # sorted addition makes the sum invariant under component relabeling,
     # so symmetric priors give exactly symmetric weights
-    contrib.sort(axis=1)
-    out = contrib.sum(axis=1)
+    out = _sorted_sum(contrib)
     out += log_mult - gammaln(lat.n + alpha.sum()) - prior_const
     return out
 
@@ -296,7 +364,7 @@ def bayes_factor(log_m_a: float, log_m_b: float) -> float:
 def expected_weights(wp: WeightedPosterior) -> np.ndarray:
     """E[p_j | x]: weight-mixture of Dirichlet posterior means."""
     alpha = np.asarray(wp.prior.alpha)
-    means = _slots(wp.key_array, wp.k)[:, :, 0] + alpha
+    means = _row_major(alpha, _key_columns(wp.key_array, wp.k)[:, 0])
     means /= wp.n + alpha.sum()
     return wp.weights @ means
 
@@ -316,11 +384,11 @@ def mass_concentration(wp: WeightedPosterior, threshold: float = 0.99) -> int:
     """Smallest count of entries, largest weight first, reaching the threshold."""
     if not (0 < threshold <= 1):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    # tied weights add the same values in any order, and cumsum adds in
-    # sequence, so this equals the running float sum of the oracle's loop
-    order = np.argsort(-wp.weights)
-    reached = np.cumsum(wp.weights[order]) >= threshold
-    return int(reached.argmax()) + 1 if reached.any() else len(order)
+    # tied weights are equal values, so the descending sort fixes every
+    # addend, and cumsum adds in sequence: this equals the running float
+    # sum of the oracle's loop
+    reached = np.cumsum(np.sort(wp.weights)[::-1]) >= threshold
+    return int(reached.argmax()) + 1 if reached.any() else len(reached)
 
 
 def summarize(wp: WeightedPosterior) -> PosteriorSummary:
@@ -503,12 +571,13 @@ def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> t
     v = wp.slot_width - 1
     if not (0 <= category < v):
         raise ValueError(f"category index {category} out of range for v={v}")
-    a = _dirichlet_update(wp.key_array, wp.prior, j)[:, category]
+    beta = np.asarray(wp.prior.components[j].concentration, dtype=float)
+    aggregates = _key_columns(wp.key_array, wp.k)[j, 1:]
+    a = beta[category] + aggregates[category]
     # the second shape is sum(beta) + sum(S): a sum of the concentrations
     # would round differently when beta is not dyadic, and an int64 sum of
     # the digits could wrap
-    sums = _slots(wp.key_array, wp.k)[:, j, 1:].sum(axis=1, dtype=float)
-    total = np.sum(wp.prior.components[j].concentration) + sums
+    total = np.sum(beta) + _row_sum([s.astype(float) for s in aggregates])
     return _BetaMembers(a, total - a, wp.weights), f"q{j + 1},{category + 1}"
 
 
@@ -541,7 +610,7 @@ def marginal_weight_density(wp: WeightedPosterior, j: int, grid=None) -> Density
         raise ValueError(f"component index {j} out of range for k={wp.k}")
     if wp.k == 1:
         raise ValueError("p1 is identically 1 when k = 1; it has no density")
-    counts = _slots(wp.key_array, wp.k)[:, j, 0]
+    counts = _key_columns(wp.key_array, wp.k)[j, 0]
     alpha = np.asarray(wp.prior.alpha)
     members = _BetaMembers(counts + alpha[j], wp.n - counts + alpha.sum() - alpha[j], wp.weights)
     return _marginal(members, f"p{j + 1}", grid)

@@ -205,6 +205,42 @@ class TestArrayLattice:
             lat.n = 3
 
 
+class TestColumnLayout:
+    """Keys are stored by column: `key_array` is the read-only transpose of
+    one C-contiguous (k*w, E) block, whichever way the lattice was made."""
+
+    MADE = {
+        "build": lambda: build(WORKED_DATA, 3),
+        "build-k1": lambda: build(WORKED_DATA, 1),
+        "build-multinomial": lambda: build([(2, 1, 0), (0, 1, 2), (1, 1, 1)], 2),
+        "build-multiword": lambda: build([(70_000, 3_000, 90_000), (2_000, 80_000, 500)] * 2, 3),
+        "init": lambda: init(4, 3),
+        "extend": lambda: extend(build(WORKED_DATA, 2), 5),
+        "load": lambda: load(dump(build(WORKED_DATA, 3))),
+        "load-object-multiplicities": lambda: load(dump(build([0] * 70, 2))),
+    }
+
+    @pytest.mark.parametrize("name", list(MADE))
+    def test_keys_are_read_only_columns(self, name):
+        lat = self.MADE[name]()
+        assert lat.key_array.T.flags.c_contiguous
+        assert lat.key_array.shape == (lat.distinct_count(), lat.k * lat.slot_width)
+        assert not lat.key_array.flags.writeable
+        assert not lat.key_array.T.flags.writeable
+
+    @pytest.mark.parametrize(
+        "data, k",
+        [(WORKED_DATA, 3), ([10**6, 3, 7], 2), ([(2, 1, 0), (0, 1, 2)], 2), ([0] * 70, 2)],
+        ids=["digit-table", "divmod-planes", "multinomial", "object-multiplicities"],
+    )
+    def test_dump_reads_either_key_order_alike(self, data, k):
+        lat = build(data, k)
+        rows = np.ascontiguousarray(lat.key_array)
+        by_row = StatLattice._from_arrays(lat.family, k, lat.n, rows.T, lat.mult_array, lat.log_base)
+        assert by_row.key_array.flags.c_contiguous
+        assert dump(by_row) == dump(lat)
+
+
 def _fold(data, k: int) -> list[StatLattice]:
     """init/extend over data, keeping the lattice after every step."""
     steps = [init(data[0], k)]

@@ -267,6 +267,11 @@ class TestInvalidData:
         with pytest.raises(ValueError, match="nonnegative integer"):
             oracle_distinct_statistics([0, -1], 2)
 
+    def test_distinct_statistics_rejects_empty_data(self):
+        # as lattice.build does, rather than an IndexError from data[0]
+        with pytest.raises(ValueError, match="dataset must be non-empty"):
+            oracle_distinct_statistics([], 2)
+
     def test_distinct_statistics_rejects_ragged_categories(self):
         with pytest.raises(ValueError, match="expected 2 categories"):
             oracle_distinct_statistics([(1, 0), (1, 0, 0)], 2)

@@ -216,3 +216,46 @@ def test_corrupted_dumps_are_rejected(case, data):
 
     with pytest.raises(LatticeFormatError):
         lattice.load("\n".join([header, *rows]) + "\n")
+
+
+# magnitudes 2**54 apart: which terms meet first decides what rounds away
+SCALED = st.sampled_from([2.0**54, -(2.0**54), 2.0**53, 3.0, -3.0, 1.0, 0.5, 5e-324])
+
+
+@st.composite
+def contribution_rows(draw):
+    """(E, k) float arrays with k in 1..9, each entry drawn from a pool of a
+    few values, so rows tie; the pool holds +0.0 and -0.0 and values whose
+    magnitudes differ, so the order of addition changes the bits."""
+    k = draw(st.integers(1, 9))
+    e = draw(st.integers(1, 64))
+    values = st.one_of(SCALED, st.floats(-1e12, 1e12, allow_nan=False))
+    pool = draw(st.lists(values, min_size=1, max_size=6)) + [0.0, -0.0]
+    cells = draw(st.lists(st.sampled_from(pool), min_size=e * k, max_size=e * k))
+    return np.array(cells).reshape(e, k)
+
+
+@PROPERTY
+@given(c=contribution_rows())
+@example(c=np.full((2, 8), -0.0))
+@example(c=np.array([[-0.0, 0.0, 1.0, -1.0, 0.0, -0.0, 1e-300, -1e-300, 3.0]]))
+# orders that a network one round short leaves unsorted, with another sum
+@example(c=np.array([[2.0**53, 2.0**53, 0.5, 3.0, -(2.0**54)]]))
+@example(c=np.array([[3.0, 2.0**54, -3.0, -3.0, 0.5, -3.0, -(2.0**54), -(2.0**54), -3.0]]))
+def test_sorted_sum_equals_the_row_sort_sum(c):
+    # the weight path's network and column sum, against numpy's own
+    # row sort and row sum; k >= 8 sums pairwise
+    got = posterior._sorted_sum([column.copy() for column in c.T])
+    assert got.tobytes() == np.sort(c, axis=1).sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300])
+def test_row_sum_equals_numpy_row_sum(k):
+    rng = np.random.default_rng(k)
+    c = rng.standard_normal((64, k)) * 10.0 ** rng.integers(-12, 12, (64, k))
+    assert posterior._row_sum(list(c.T.copy())).tobytes() == c.sum(axis=1).tobytes()
+    # integer aggregates beyond 2**53 round as they convert, as in a
+    # category sum with dtype=float
+    s = rng.integers(2**54, 2**58, (64, k))
+    floats = [column.astype(float) for column in s.T]
+    assert posterior._row_sum(floats).tobytes() == s.sum(axis=1, dtype=float).tobytes()
