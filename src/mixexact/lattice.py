@@ -125,14 +125,14 @@ def _word_places(radix: list[int]) -> np.ndarray:
     return np.array(words[::-1])
 
 
-def _increasing(codes: np.ndarray) -> bool:
-    """Whether (W, E) packed codes increase strictly from entry to entry,
-    word 0 deciding first."""
-    tied = np.ones(codes.shape[1] - 1, dtype=bool)
-    for word in codes:
-        if np.any(tied & (word[1:] < word[:-1])):
+def _increasing(columns: np.ndarray) -> bool:
+    """Whether (C, E) key columns increase strictly and lexicographically
+    from entry to entry, row 0 deciding first."""
+    tied = np.ones(columns.shape[1] - 1, dtype=bool)
+    for column in columns:
+        if np.any(tied & (column[1:] < column[:-1])):
             return False
-        tied &= word[1:] == word[:-1]
+        tied &= column[1:] == column[:-1]
     return not tied.any()
 
 
@@ -415,10 +415,7 @@ def load(text: str) -> StatLattice:
     for j in range(0, k * w, w):
         if np.any((columns[j] == 0) & columns[j + 1 : j + w].any(axis=0)):
             raise LatticeFormatError("an empty slot carries a nonzero aggregate")
-    # with the totals shared, the fold's packed codes of the first k - 1
-    # slots order the keys: every digit is below its radix, total + 1
-    radix = [int(t[0]) + 1 for t in totals] * (k - 1)
-    if not _increasing(_word_places(radix) @ columns[: (k - 1) * w]):
+    if not _increasing(columns):
         raise LatticeFormatError("keys are duplicated or out of order")
     total = sum(mults.tolist())  # Python ints: the sum cannot wrap
     # the bit-length test keeps k**n cheap when n is absurdly large

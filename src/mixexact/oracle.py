@@ -171,8 +171,7 @@ class OracleResult:
 
     def component_density(self, j: int, grid, category: int | None = None) -> posterior.DensityGrid:
         """Mean-parameter marginal by the defining sum over grouped terms."""
-        if category is not None and self.family != "multinomial":
-            raise ValueError(f"{self.family} components have no categories; q marginals need multinomial data")
+        posterior.check_marginal_indices(self.k, j, self.family, category, _categories(self.prior))
         grid = np.asarray(grid, dtype=float)
         dens = np.zeros(grid.size)
         param = f"lambda{j + 1}" if self.family == "poisson" else f"mu{j + 1}"
@@ -181,8 +180,6 @@ class OracleResult:
             if self.family == "poisson":
                 logpdf = families.gamma_logpdf(grid, post.shape, post.rate)
             elif self.family == "multinomial":
-                if category is None:
-                    raise ValueError("multinomial density needs a category index")
                 # one Dirichlet coordinate is Beta(b_u, sum(b) - b_u)
                 b_u = post.concentration[category]
                 logpdf = families.beta_logpdf(grid, b_u, sum(post.concentration) - b_u)
@@ -195,6 +192,7 @@ class OracleResult:
         return posterior.DensityGrid(param, grid, dens)
 
     def weight_density(self, j: int, grid) -> posterior.DensityGrid:
+        posterior.check_marginal_indices(self.k, j)
         grid = np.asarray(grid, dtype=float)
         alpha = self.prior.alpha
         rest = sum(alpha) - alpha[j]

@@ -215,39 +215,37 @@ def _dirichlet_update(key_array: np.ndarray, prior: MixturePrior) -> np.ndarray:
     return _row_major(beta, _key_columns(key_array, prior.k)[:, 1:])
 
 
-def _pairwise(columns: list, lo: int, hi: int) -> np.ndarray:
-    """numpy's pairwise summation of columns[lo:hi], a column at a time:
-    fewer than 8 terms in sequence, up to 128 in 8 interleaved partial sums
-    joined as a tree and the rest in sequence, more as two halves."""
-    n = hi - lo
-    if n < 8:
-        total = columns[lo]
-        for column in columns[lo + 1 : hi]:
-            total += column
-        return total
-    if n <= 128:
-        part = columns[lo : lo + 8]
-        stop = hi - n % 8
-        for i in range(lo + 8, stop, 8):
-            for j in range(8):
-                part[j] += columns[i + j]
-        total = ((part[0] + part[1]) + (part[2] + part[3])) + ((part[4] + part[5]) + (part[6] + part[7]))
-        for column in columns[stop:hi]:
-            total += column
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise(columns, lo, lo + half) + _pairwise(columns, lo + half, hi)
+_BLOCK_ELEMENTS = 2**20  # float elements a block-wise pass holds at once
+
+
+def _stacked_sum(columns: list, ordered: bool) -> np.ndarray:
+    """numpy's own row sum of the columns, of each row sorted first when
+    ordered: the columns are stacked as (rows, k) blocks of at most
+    `_BLOCK_ELEMENTS`, so memory stays flat in E."""
+    total = np.empty(len(columns[0]))
+    rows = max(1, _BLOCK_ELEMENTS // len(columns))
+    for lo in range(0, len(total), rows):
+        block = np.stack([column[lo : lo + rows] for column in columns], axis=1)
+        if ordered:
+            block.sort(axis=1)
+        block.sum(axis=1, out=total[lo : lo + rows])
+    return total
 
 
 def _row_sum(columns: list) -> np.ndarray:
-    """Entrywise sum of float columns, added as numpy sums one row of them.
+    """Entrywise sum of float columns, bitwise equal to `sum(axis=1)` of
+    the matching (E, k) array.
 
-    numpy's `sum(axis=-1)` starts a row from +0.0 and adds its values
-    pairwise (`_pairwise`). Adding whole columns in that order gives every
-    entry the bits of the row-major sum without a row-major copy. The
-    columns are overwritten.
+    Below 8 terms numpy adds a row's values in sequence onto +0.0; adding
+    whole columns in that order gives every entry those bits without a
+    row-major copy, and overwrites the columns. From 8 terms numpy sums
+    pairwise, and `_stacked_sum` hands it the rows.
     """
-    total = _pairwise(columns, 0, len(columns))
+    if len(columns) >= 8:
+        return _stacked_sum(columns, ordered=False)
+    total = columns[0]
+    for column in columns[1:]:
+        total += column
     total += 0.0  # numpy's start: a row of -0.0 sums to +0.0
     return total
 
@@ -256,13 +254,16 @@ def _sorted_sum(columns: list) -> np.ndarray:
     """Entrywise sum of float columns in ascending order, bitwise equal to
     `np.sort(c, axis=1).sum(axis=1)` of the matching (E, k) array.
 
-    An odd-even transposition network orders each entry's values across
-    the columns: k rounds of compare-exchanges on neighbouring columns, by
-    `np.minimum` and `np.maximum`. Equal values have equal bits, except
-    that the pair may come out as two zeros of one sign; a zero's sign
-    changes no nonzero sum, and a zero sum is +0.0 (`_row_sum`). The list
-    and its columns are overwritten.
+    Below 8 terms an odd-even transposition network orders each entry's
+    values across the columns: k rounds of compare-exchanges on
+    neighbouring columns, by `np.minimum` and `np.maximum`. Equal values
+    have equal bits, except that the pair may come out as two zeros of one
+    sign; a zero's sign changes no nonzero sum, and a zero sum is +0.0
+    (`_row_sum`). The list and its columns are overwritten. From 8 terms
+    numpy sorts and sums the rows itself (`_stacked_sum`).
     """
+    if len(columns) >= 8:
+        return _stacked_sum(columns, ordered=True)
     spare = np.empty_like(columns[0])
     for rnd in range(len(columns)):
         for i in range(rnd % 2, len(columns) - 1, 2):
@@ -358,7 +359,11 @@ def log_evidence(lat: StatLattice, prior: MixturePrior) -> float:
 
 
 def bayes_factor(log_m_a: float, log_m_b: float) -> float:
-    return float(math.exp(log_m_a - log_m_b))
+    diff = log_m_a - log_m_b
+    try:
+        return float(math.exp(diff))
+    except OverflowError:
+        raise NumericalError(f"Bayes factor exp({diff!r}) overflows double precision") from None
 
 
 def expected_weights(wp: WeightedPosterior) -> np.ndarray:
@@ -408,9 +413,6 @@ def summarize(wp: WeightedPosterior) -> PosteriorSummary:
 
 # ---------------------------------------------------------------------------
 # density grids
-
-
-_BLOCK_ELEMENTS = 2**20  # points x members exponentiated at once
 
 
 class _Members:
@@ -559,18 +561,32 @@ def mass_grid(members: _Members) -> np.ndarray:
     return grid
 
 
+def check_marginal_indices(
+    k: int, j: int, family: str | None = None, category: int | None = None, v: int | None = None
+) -> None:
+    """Refuse a bad marginal index with the message every density entry
+    point shares, the engine's and the oracle's alike: family None asks
+    for the weight p_j, a family for component j's mean parameter, which
+    for multinomial data is category `category` of v."""
+    if not (0 <= j < k):
+        raise ValueError(f"component index {j} out of range for k={k}")
+    if family is None:
+        if k == 1:
+            raise ValueError("p1 is identically 1 when k = 1; it has no density")
+        return
+    if category is not None and family != "multinomial":
+        raise ValueError(f"{family} components have no categories; q marginals need multinomial data")
+    if family == "multinomial":
+        if category is None:
+            raise ValueError("multinomial marginals need a category index")
+        if not (0 <= category < v):
+            raise ValueError(f"category index {category} out of range for v={v}")
+
+
 def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> tuple[_Members, str]:
-    if not (0 <= j < wp.k):
-        raise ValueError(f"component index {j} out of range for k={wp.k}")
-    if category is not None and wp.family != "multinomial":
-        raise ValueError(f"{wp.family} components have no categories; q marginals need multinomial data")
+    check_marginal_indices(wp.k, j, wp.family, category, wp.slot_width - 1)
     if wp.family == "poisson":
         return _GammaMembers(*_gamma_update(wp.key_array, wp.prior, j), wp.weights), f"lambda{j + 1}"
-    if category is None:
-        raise ValueError("multinomial marginals need a category index")
-    v = wp.slot_width - 1
-    if not (0 <= category < v):
-        raise ValueError(f"category index {category} out of range for v={v}")
     beta = np.asarray(wp.prior.components[j].concentration, dtype=float)
     aggregates = _key_columns(wp.key_array, wp.k)[j, 1:]
     a = beta[category] + aggregates[category]
@@ -606,10 +622,7 @@ def marginal_component_density(
 
 def marginal_weight_density(wp: WeightedPosterior, j: int, grid=None) -> DensityGrid:
     """Posterior marginal of the mixture weight p_j: a Beta mixture."""
-    if not (0 <= j < wp.k):
-        raise ValueError(f"component index {j} out of range for k={wp.k}")
-    if wp.k == 1:
-        raise ValueError("p1 is identically 1 when k = 1; it has no density")
+    check_marginal_indices(wp.k, j)
     counts = _key_columns(wp.key_array, wp.k)[j, 0]
     alpha = np.asarray(wp.prior.alpha)
     members = _BetaMembers(counts + alpha[j], wp.n - counts + alpha.sum() - alpha[j], wp.weights)

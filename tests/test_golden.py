@@ -6,7 +6,10 @@ and the direct log-gamma calls; the summary and grid digests before the
 posterior read the int64 key columns in place instead of a float copy; the
 oracle digests before the scalar weight moved into the oracle and the
 conjugate classes gave their density methods up for free closed forms; the
-digests of `DUMPS` before `dump` wrote bytes instead of a `%`-format. So
+digests of `DUMPS` before `dump` wrote bytes instead of a `%`-format; the
+digests of the cases with eight or more terms to a sum (`poisson-k8-n5`,
+`multinomial-k2-v9`) before numpy's own row sort and row sum replaced a
+compare-exchange network and a hand copy of numpy's pairwise sum there. So
 these tests hold the code to bitwise equal output. The digests depend on
 float64 `log`, `exp` and the `scipy.special` functions returning the same
 bits, which holds for one numpy/scipy build on one CPU family.
@@ -80,6 +83,44 @@ GOLDEN = {
         "107d28fa7bd6a8afe1229db1a65b24a49b3fb0ec4b8a9063a2724197b324738e",
         "6731f2f244063b129be7a912df96819707569e000f63245621c333da1570f2c1",
         "cc7b35277831412e5d3d1e551111d105d44c49d6dc01a1dc0a2cc74f9b12583a",
+    ),
+    # eight weight terms to an entry, the sorted sums numpy's own:
+    # datasets.poisson_mixture_sample(5, 0.5, 1.0, 6.0, 11) under a prior
+    # that is not label-symmetric
+    "poisson-k8-n5": (
+        [1, 0, 7, 1, 3],
+        MixturePrior(
+            tuple(0.5 + 0.25 * j for j in range(8)),
+            tuple(PoissonGamma(1.0 + 0.5 * j, 1.0 + 0.3 * j) for j in range(8)),
+        ),
+        18_432,
+        "700075cb0eec541746c8a5d425346bb106d6af8eeb729f803ceb52c4368f17a9",
+        "31c0c74b4de21f5d5af393f12c893fd3aca3a3d2bd667b1097523485e2c045ae",
+        "f493c0ba695a9af133bb76e0a881547af4df28a00961e4c997b22d03758f5f63",
+    ),
+    # nine categories: numpy sums each entry's category terms pairwise
+    "multinomial-k2-v9": (
+        [
+            (1, 3, 3, 1, 0, 2, 2, 3, 2),
+            (2, 3, 3, 3, 3, 2, 3, 0, 0),
+            (3, 1, 2, 1, 3, 0, 2, 0, 0),
+            (3, 1, 3, 1, 3, 3, 1, 3, 2),
+            (3, 1, 2, 2, 3, 1, 1, 3, 3),
+            (3, 0, 3, 0, 3, 3, 3, 3, 2),
+            (2, 2, 0, 3, 3, 0, 2, 1, 2),
+            (2, 2, 1, 0, 3, 3, 0, 1, 0),
+        ],
+        MixturePrior(
+            (0.7, 1.3),
+            (
+                DirichletMultinomial(tuple(0.3 + 0.1 * u for u in range(9))),
+                DirichletMultinomial(tuple(1.9 - 0.05 * u for u in range(9))),
+            ),
+        ),
+        256,
+        "fdecf0d9744f86d1b9da1539c0562a1b61851bf5b94196e9ef3c63fde23bde5e",
+        "e2dd1333019891374f993bff4ba5423ce28ba75038af1e2aea64d97b12f529c7",
+        "cf6ee07a5e46428744487603b2b4697ba7ac9da380409e959c33b167f4b708ff",
     ),
 }
 
@@ -169,6 +210,29 @@ def test_q_densities_are_bitwise_stable(name):
         for u in range(v)
     ]
     assert _sha256(b"".join(densities)) == Q_DENSITIES[name]
+
+
+# name: (explicit grid, category), then the sha256 of the component-1
+# density on it: lambda1, or q1,1 with a category
+EXPLICIT_GRIDS = {
+    "poisson-k8-n5": (
+        np.linspace(0.05, 10.0, 41),
+        None,
+        "77d43449ccdd438fd328735a1adee33f03af1ca8e9e266ae171c7064994b156c",
+    ),
+    "multinomial-k2-v9": (
+        INTERIOR,
+        0,
+        "e41fa254b1a7167f438ec199cf3ddff684ce07830a02a6547d8626643288eddb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPLICIT_GRIDS))
+def test_explicit_grid_densities_are_bitwise_stable(name):
+    grid, category, digest = EXPLICIT_GRIDS[name]
+    g = posterior.marginal_component_density(_posterior(name), 0, grid, category=category)
+    assert _sha256(g.density.tobytes()) == digest
 
 
 def test_worked_example_evidence():

@@ -334,6 +334,33 @@ def _corrupt(text: str, line: int, cell: int | None, value: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _order_faults(data: list, k: int) -> tuple[str, str]:
+    """A multinomial dump with two adjacent entries that agree on slot 0
+    swapped, so a later slot orders them, and one with an entry repeated."""
+    lines = dump(build(data, k)).splitlines()
+    w = len(data[0]) + 1
+    i = next(i for i in range(1, len(lines) - 1) if lines[i].split("\t")[:w] == lines[i + 1].split("\t")[:w])
+    swapped = [*lines[:i], lines[i + 1], lines[i], *lines[i + 2 :]]
+    m = len(lines) // 2
+    repeated = [*lines[:m], lines[m], *lines[m:]]
+    return "\n".join(swapped) + "\n", "\n".join(repeated) + "\n"
+
+
+# k = 3: at k = 2 slot 0 and the shared totals fix slot 1
+MULTINOMIAL_ORDER = _order_faults([(2, 1, 0), (0, 1, 2), (1, 1, 1), (3, 0, 0), (0, 2, 1), (1, 0, 2)], 3)
+# digits too wide for one packed word of the fold
+MULTIWORD_ORDER = _order_faults(
+    [
+        (70_000, 3_000, 90_000, 1_000),
+        (2_000, 80_000, 500, 40_000),
+        (65_000, 1, 0, 12_345),
+        (3, 99_999, 7, 50_000),
+        (31_000, 31_000, 31_000, 31_000),
+    ],
+    3,
+)
+
+
 class TestLoadValidation:
     TEXT = dump(build(WORKED_DATA, 2))
     LINES = TEXT.splitlines()
@@ -359,6 +386,10 @@ class TestLoadValidation:
             (_corrupt(TEXT, 2, 1, str(2**70)), "malformed lattice entry"),
             ("\n".join([*LINES[:3], LINES[2], *LINES[3:]]) + "\n", "duplicated or out of order"),
             ("\n".join([LINES[0], LINES[2], LINES[1], *LINES[3:]]) + "\n", "duplicated or out of order"),
+            pytest.param(MULTINOMIAL_ORDER[0], "duplicated or out of order", id="multinomial-swapped"),
+            pytest.param(MULTINOMIAL_ORDER[1], "duplicated or out of order", id="multinomial-repeated"),
+            pytest.param(MULTIWORD_ORDER[0], "duplicated or out of order", id="multiword-swapped"),
+            pytest.param(MULTIWORD_ORDER[1], "duplicated or out of order", id="multiword-repeated"),
             ("\n".join(LINES[:1] + LINES[2:]) + "\n", "conservation"),
             (LINES[0] + "\n", "no entries"),
             # outside dump's grammar, and accepted before load parsed exactly it

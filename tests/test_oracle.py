@@ -125,6 +125,46 @@ class TestDiscreteOracle:
         with pytest.raises(ValueError, match="no categories"):
             result.component_density(0, np.linspace(0.1, 2.0, 5), category=0)
 
+    MULTINOMIAL_DATA = [(2, 1, 0), (0, 1, 2), (1, 1, 1)]
+    MULTINOMIAL_PRIOR = MixturePrior((1.0, 1.0), (DirichletMultinomial((1.0, 1.0, 1.0)),) * 2)
+
+    @pytest.mark.parametrize(
+        "multinomial, k, weight, j, category",
+        [
+            pytest.param(False, 2, False, -1, None, id="lambda-negative"),
+            pytest.param(False, 2, False, 2, None, id="lambda-k"),
+            pytest.param(False, 2, False, 0, 0, id="lambda-category"),
+            pytest.param(False, 2, True, -1, None, id="p-negative"),
+            pytest.param(False, 2, True, 2, None, id="p-k"),
+            pytest.param(False, 1, True, 0, None, id="p-k1"),
+            pytest.param(True, 2, False, -1, 0, id="q-negative-component"),
+            pytest.param(True, 2, False, 0, None, id="q-no-category"),
+            pytest.param(True, 2, False, 0, -1, id="q-negative-category"),
+            pytest.param(True, 2, False, 0, 3, id="q-category-v"),
+        ],
+    )
+    def test_bad_indices_raise_the_engine_message(self, multinomial, k, weight, j, category):
+        if multinomial:
+            data, prior = self.MULTINOMIAL_DATA, self.MULTINOMIAL_PRIOR
+        else:
+            data, prior = [0, 1, 4], MixturePrior((1.0,) * k, (PoissonGamma(1.0, 1.0),) * k)
+        wp = posterior.normalize(lattice.build(data, k), prior)
+        result = oracle_posterior(data, prior)
+        grid = np.linspace(0.05, 0.95, 19)
+        if weight:
+            calls = [lambda: posterior.marginal_weight_density(wp, j, grid), lambda: result.weight_density(j, grid)]
+        else:
+            calls = [
+                lambda: posterior.marginal_component_density(wp, j, grid, category=category),
+                lambda: result.component_density(j, grid, category=category),
+            ]
+        messages = []
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     def test_summary_round_numbers(self):
         result = oracle_posterior(WORKED_DATA, asym_prior())
         summary = result.summary()

@@ -183,6 +183,8 @@ class TestEvidence:
     def test_bayes_factor_basics(self):
         assert bayes_factor(-3.0, -3.0) == 1.0
         assert bayes_factor(math.log(2), 0.0) == pytest.approx(2.0, rel=1e-15)
+        with pytest.raises(NumericalError, match=r"exp\(1000\.0\) overflows"):
+            bayes_factor(1000.0, 0.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)

@@ -249,13 +249,21 @@ def test_sorted_sum_equals_the_row_sort_sum(c):
     assert got.tobytes() == np.sort(c, axis=1).sum(axis=1).tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300])
-def test_row_sum_equals_numpy_row_sum(k):
+@pytest.mark.parametrize(
+    "k, rows",
+    [
+        *(pytest.param(k, 64, id=str(k)) for k in [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300]),
+        # from 8 terms the rows are summed a block at a time
+        *(pytest.param(k, posterior._BLOCK_ELEMENTS // k + 3, id=f"{k}-past-one-block") for k in [8, 9]),
+    ],
+)
+def test_row_sum_equals_numpy_row_sum(k, rows):
     rng = np.random.default_rng(k)
-    c = rng.standard_normal((64, k)) * 10.0 ** rng.integers(-12, 12, (64, k))
+    c = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(-12, 12, (rows, k))
     assert posterior._row_sum(list(c.T.copy())).tobytes() == c.sum(axis=1).tobytes()
+    assert posterior._sorted_sum(list(c.T.copy())).tobytes() == np.sort(c, axis=1).sum(axis=1).tobytes()
     # integer aggregates beyond 2**53 round as they convert, as in a
     # category sum with dtype=float
-    s = rng.integers(2**54, 2**58, (64, k))
+    s = rng.integers(2**54, 2**58, (rows, k))
     floats = [column.astype(float) for column in s.T]
     assert posterior._row_sum(floats).tobytes() == s.sum(axis=1, dtype=float).tobytes()
