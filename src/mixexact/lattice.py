@@ -45,8 +45,18 @@ Key = tuple[int, ...]
 _WORD_SPAN = 2**63  # codes of one int64 word stay below this
 # digits stay below _WORD_SPAN / k, so no sum over the k slots of a column wraps
 _INT64_DIGITS = 19  # decimal digits of the largest int64, 2**63 - 1
-_BLOCK_ROWS = 2**14  # dump writes this many rows at a time; their buffers stay cache-sized
+_BLOCK_ROWS = 2**14  # dump writes and load parses this many rows at a time; their buffers stay small
 _ZERO, _TAB, _NEWLINE = ord("0"), ord("\t"), ord("\n")
+_FRONT = 24  # bytes before a parsed block: room for a cell's three words
+# _CELL_MASKS[size][d] keeps the top d bytes of a little-endian word of size bytes
+_CELL_MASKS = {
+    size: np.array([2 ** (8 * size) - 2 ** (8 * (size - d)) for d in range(size + 1)], f"<u{size}")
+    for size in (1, 2, 4, 8)
+}
+# SWAR steps (shift, scale, lanes): each folds neighbouring lanes into one,
+# scale times the lower (more significant) plus the upper, from eight
+# one-digit bytes to one 8-digit value
+_LANE_STEPS = ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10_000, 0xFFFFFFFF))
 
 
 class StatLattice:
@@ -295,13 +305,32 @@ def dump(lattice: StatLattice) -> str:
     return "".join(blocks)
 
 
-def _cell_values(digit: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """uint64 values of digit cells, one Horner step per digit column. Only
-    the first 19 digits of a longer cell count, so no value wraps."""
-    value = digit[starts].astype(np.uint64)
-    for d in range(1, min(int(lengths.max()), _INT64_DIGITS)):
-        live = np.flatnonzero(lengths > d)
-        value[live] = value[live] * 10 + digit[starts[live] + d]
+def _cell_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray, longest: int) -> np.ndarray:
+    """Unsigned values of the digit cells of `lengths` digits, at most
+    `longest`, that end before the offsets `ends` of a parsed block.
+
+    `buf` holds the block's bytes XOR '0', so its digits are 0..9, after
+    `_FRONT` bytes of room. Read as a little-endian word, the bytes that end
+    where a cell ends hold its last digits in the top bytes, the most
+    significant lowest. Masking off the bytes in front of the cell and
+    folding neighbouring lanes together (SWAR multiply-shift-mask steps)
+    turns them into their value. Each word is just wide enough for the
+    longest cell. A cell of more than 19 digits gets no meaningful value:
+    the callers reject it by its length, or read it with `int`.
+    """
+    value = 0
+    for i in range(0, min(longest, _INT64_DIGITS), 8):
+        steps = (min(longest - i, 8, _INT64_DIGITS - i) - 1).bit_length()
+        size = 1 << steps  # bytes of the word: words[e] ends i bytes before offset e
+        words = np.ndarray((len(buf) - _FRONT,), f"<u{size}", buf, _FRONT - i - size, (1,))
+        part = np.take(words, ends)
+        # mode="clip" takes each cell's digit count in this word, 0..size
+        part &= np.take(_CELL_MASKS[size], lengths - i if i else lengths, mode="clip")
+        for shift, scale, lanes in _LANE_STEPS[:steps]:
+            part *= (scale << shift) + 1
+            part >>= shift
+            part &= lanes & ~(-1 << 8 * size)
+        value = part if i == 0 else value + part.astype(np.uint64) * 10**i
     return value
 
 
@@ -318,61 +347,77 @@ def _cell_error(raw: bytes, at: int) -> LatticeFormatError:
 
 def _parse_body(body: str, family: str, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(k*w, E) key columns and the multiplicities of the entry lines of a
-    dump, held to dump's grammar; the parse's cell-sized temporaries end
-    with this call."""
+    dump, held to dump's grammar.
+
+    The lines are parsed in blocks of `_BLOCK_ROWS`, the rows dump writes at
+    a time, and each block writes its values straight into the preallocated
+    columns and multiplicities, so the parse's temporaries are block-sized.
+    A block's checks run on its bytes, in one order: a stray byte, an empty
+    cell, the key width (the first line's, checked in the first block), the
+    line shape, a leading zero, then the value ranges. The first defective
+    block decides the message.
+    """
     try:
         raw = body.encode("ascii")
     except UnicodeEncodeError as exc:
         bad = exc.object[exc.start]
         raise LatticeFormatError(f"malformed lattice entry: non-ASCII {bad!r}") from exc
     data = np.frombuffer(raw, dtype=np.uint8)
-    if data[-1] != ord("\n"):
+    if data[-1] != _NEWLINE:
         raise LatticeFormatError("malformed lattice entry: the last line has no newline")
-    digit = data - np.uint8(ord("0"))  # wraps above 9 for every other byte
-    seps = np.flatnonzero(digit > 9)
-    kinds = data[seps]
-    tabs = kinds == ord("\t")
-    stray = np.flatnonzero(~tabs & (kinds != ord("\n")))
-    if len(stray):
-        raise _cell_error(raw, int(seps[stray[0]]))
-    # cell i spans [starts[i], starts[i] + lengths[i]); the body ends in a separator
-    lengths = np.empty_like(seps)
-    lengths[0] = seps[0]
-    np.subtract(seps[1:], seps[:-1], out=lengths[1:])
-    lengths[1:] -= 1
-    starts = np.subtract(seps, lengths, out=seps)  # the separators are not needed again
-    if not lengths.all():
-        raise LatticeFormatError("malformed lattice entry: an empty cell or a blank line")
-    line_ends = np.flatnonzero(~tabs)
-    width = int(line_ends[0])
-    w = width // k
-    if width != k * w or (w == 2) != (family == "poisson") or w < 2:
-        raise LatticeFormatError(f"key width {width} does not fit a {family} lattice with k={k}")
-    if np.any(np.diff(line_ends) != width + 1):
-        raise LatticeFormatError(f"entries disagree on the key width {width}")
-    if np.any((digit[starts] == 0) & (lengths > 1)):
-        raise LatticeFormatError("malformed lattice entry: a leading zero")
-
-    rows = len(line_ends)
-    table = _cell_values(digit, starts, lengths).reshape(rows, width + 1)
-    starts, lengths = starts.reshape(rows, width + 1), lengths.reshape(rows, width + 1)
-    if lengths[:, :-1].max() > _INT64_DIGITS or table[:, :-1].max() >= _WORD_SPAN:
-        raise LatticeFormatError("malformed lattice entry: a key digit beyond int64")
-    # the key cells become key columns, a block of rows at a time so that
-    # both sides of the transpose stay cache-sized
+    line_ends = np.flatnonzero(data == _NEWLINE)
+    rows, width = len(line_ends), raw.count(b"\t", 0, line_ends[0])
+    cells, w = width + 1, width // k
+    wide = _mult_dtype(k, n) is object
     columns = np.empty((width, rows), dtype=np.int64)
+    mults = np.empty(rows, dtype=object if wide else np.int64)
     for start in range(0, rows, _BLOCK_ROWS):
-        columns[:, start : start + _BLOCK_ROWS] = table[start : start + _BLOCK_ROWS, :-1].T
-    if _mult_dtype(k, n) is object:
-        cells = zip(starts[:, -1].tolist(), (starts[:, -1] + lengths[:, -1]).tolist())
-        try:
-            mults = np.array([int(raw[a:b]) for a, b in cells], dtype=object)
-        except ValueError as exc:  # more digits than int() converts
-            raise LatticeFormatError(f"malformed lattice entry: {exc}") from exc
-    elif lengths[:, -1].max() > _INT64_DIGITS or table[:, -1].max() > k**n:
-        raise LatticeFormatError(f"dump violates conservation: a multiplicity above {k}^{n}")
-    else:
-        mults = table[:, -1].astype(np.int64)
+        stop = min(start + _BLOCK_ROWS, rows)
+        offset, end = int(line_ends[start - 1]) + 1 if start else 0, int(line_ends[stop - 1]) + 1
+        # digit bytes XOR '0' are 0..9 and every other byte is above 9; the
+        # bytes in front read as separators and give a first cell's words room
+        buf = np.empty(_FRONT + end - offset, dtype=np.uint8)
+        buf[:_FRONT] = _NEWLINE ^ _ZERO
+        digit = np.bitwise_xor(data[offset:end], _ZERO, out=buf[_FRONT:])
+        opens = buf[_FRONT - 1 :] > 9  # opens[i]: byte i follows a separator
+        sep = opens[1:]
+        ends = np.flatnonzero(sep)
+        if len(ends) != np.count_nonzero(digit == _TAB ^ _ZERO) + stop - start:
+            stray = sep & (digit != _TAB ^ _ZERO) & (digit != _NEWLINE ^ _ZERO)
+            raise _cell_error(raw, offset + int(np.flatnonzero(stray)[0]))
+        if np.any(sep & opens[:-1]):
+            raise LatticeFormatError("malformed lattice entry: an empty cell or a blank line")
+        if start == 0 and (width != k * w or (w == 2) != (family == "poisson") or w < 2):
+            raise LatticeFormatError(f"key width {width} does not fit a {family} lattice with k={k}")
+        if len(ends) != (stop - start) * cells or np.any(digit[ends[width::cells]] != _NEWLINE ^ _ZERO):
+            raise LatticeFormatError(f"entries disagree on the key width {width}")
+        if np.any(opens[:-2] & (digit[:-1] == 0) & ~sep[1:]):
+            raise LatticeFormatError("malformed lattice entry: a leading zero")
+
+        # cell i ends before byte ends[i] and holds lengths[i] digits
+        lengths = np.empty_like(ends)
+        lengths[0] = ends[0]
+        np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+        lengths[1:] -= 1
+        longest = int(lengths.max())
+        values = _cell_values(buf, ends, lengths, longest).reshape(-1, cells)
+        ends, lengths = ends.reshape(-1, cells), lengths.reshape(-1, cells)
+        # a 19-digit key may leave int64, a longer one does
+        if longest >= _INT64_DIGITS and (
+            lengths[:, :-1].max() > _INT64_DIGITS or values[:, :-1].max() >= _WORD_SPAN
+        ):
+            raise LatticeFormatError("malformed lattice entry: a key digit beyond int64")
+        columns[:, start:stop] = values[:, :-1].T
+        if wide:
+            cuts = zip((ends[:, -2] + offset + 1).tolist(), (ends[:, -1] + offset).tolist())
+            try:
+                mults[start:stop] = np.fromiter((int(raw[a:b]) for a, b in cuts), object, stop - start)
+            except ValueError as exc:  # more digits than int() converts
+                raise LatticeFormatError(f"malformed lattice entry: {exc}") from exc
+        elif lengths[:, -1].max() > _INT64_DIGITS or values[:, -1].max() > k**n:
+            raise LatticeFormatError(f"dump violates conservation: a multiplicity above {k}^{n}")
+        else:
+            mults[start:stop] = values[:, -1]
     return columns, mults
 
 
@@ -382,9 +427,12 @@ def load(text: str) -> StatLattice:
     The grammar is dump's exactly: its header line, then one line per entry
     of k*w + 1 tab-separated cells, each `0` or ASCII digits without a
     leading zero, every line ending in a single `\\n`. The body is parsed as
-    bytes: separators by `flatnonzero`, values by a Horner pass over the
-    cell-length columns; the key values are then written as key columns,
-    on which the totals, empty-slot and order checks run.
+    bytes in blocks of `_BLOCK_ROWS` lines (`_parse_body`), each checked
+    and converted on its own. Once every block has parsed, the totals,
+    empty-slot, order and conservation checks run on the whole key columns
+    and multiplicities. A text with one defect gets that defect's message;
+    in a text with several grammar or range defects, the first defective
+    block decides.
     """
     if not text:
         raise LatticeFormatError("empty lattice dump")
@@ -417,7 +465,12 @@ def load(text: str) -> StatLattice:
             raise LatticeFormatError("an empty slot carries a nonzero aggregate")
     if not _increasing(columns):
         raise LatticeFormatError("keys are duplicated or out of order")
-    total = sum(mults.tolist())  # Python ints: the sum cannot wrap
+    if mults.dtype == object:
+        total = sum(mults.tolist())
+    else:
+        # every multiplicity is below 2**63, so neither sum of its 31-bit
+        # halves wraps below 2**31 entries
+        total = (int(np.sum(mults >> 31)) << 31) + int(np.sum(mults & (2**31 - 1)))
     # the bit-length test keeps k**n cheap when n is absurdly large
     if (k > 1 and n * math.log2(k) > total.bit_length() + 1) or total != k**n:
         raise LatticeFormatError(f"dump violates conservation: total {total} != {k}^{n}")

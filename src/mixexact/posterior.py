@@ -359,6 +359,9 @@ def log_evidence(lat: StatLattice, prior: MixturePrior) -> float:
 
 
 def bayes_factor(log_m_a: float, log_m_b: float) -> float:
+    for name, value in (("log_m_a", log_m_a), ("log_m_b", log_m_b)):
+        if not math.isfinite(value):
+            raise NumericalError(f"Bayes factor of a non-finite log evidence: {name} = {value!r}")
     diff = log_m_a - log_m_b
     try:
         return float(math.exp(diff))
@@ -567,7 +570,11 @@ def check_marginal_indices(
     """Refuse a bad marginal index with the message every density entry
     point shares, the engine's and the oracle's alike: family None asks
     for the weight p_j, a family for component j's mean parameter, which
-    for multinomial data is category `category` of v."""
+    for multinomial data is category `category` of v. An index is a Python
+    or NumPy integer, not a bool."""
+    for name, index in (("component", j), ("category", category)):
+        if index is not None and (isinstance(index, bool) or not isinstance(index, (int, np.integer))):
+            raise ValueError(f"{name} index {index!r} is not an integer")
     if not (0 <= j < k):
         raise ValueError(f"component index {j} out of range for k={k}")
     if family is None:

@@ -179,6 +179,26 @@ def test_dumps_off_the_benchmark_are_bitwise_stable(name):
     assert _sha256(lattice.dump(lat).encode()) == digest
 
 
+@pytest.mark.parametrize("rows", [1, 3, 4])
+@pytest.mark.parametrize("name", [*GOLDEN, *DUMPS])
+def test_dumps_load_alike_in_small_blocks(name, rows, monkeypatch):
+    """load in blocks of a few lines reads every golden dump back exactly."""
+    if name in GOLDEN:
+        data, prior, _, digest, *_ = GOLDEN[name]
+        k = prior.k
+    else:
+        data, k, _, digest = DUMPS[name]
+    lat = lattice.build(data, k)
+    text = lattice.dump(lat)
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "_BLOCK_ROWS", rows)
+        loaded = lattice.load(text)
+    assert np.array_equal(loaded.key_array, lat.key_array)
+    assert loaded.mult_array.dtype == lat.mult_array.dtype
+    assert loaded.mult_array.tolist() == lat.mult_array.tolist()
+    assert _sha256(lattice.dump(loaded).encode()) == digest
+
+
 def _posterior(name: str) -> posterior.WeightedPosterior:
     data, prior, *_ = GOLDEN[name]
     return posterior.normalize(lattice.build(data, prior.k), prior)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from math import comb, prod
 
 import numpy as np
@@ -484,6 +485,80 @@ class TestLoadValidation:
 
     def test_prior_only_lattice_round_trips(self):
         assert dump(load(PRIOR_ONLY)) == PRIOR_ONLY
+
+
+def _cell(text: str, line: int, cell: int) -> str:
+    return text.splitlines()[line].split("\t")[cell]
+
+
+def _swap_with_previous(text: str, line: int) -> str:
+    lines = text.splitlines()
+    lines[line - 1], lines[line] = lines[line], lines[line - 1]
+    return "\n".join(lines) + "\n"
+
+
+# kind: (the defect, put on text line `line` of a k=2, n=7 dump; load's message)
+BLOCK_EDGE_DEFECTS = {
+    "stray-byte": (lambda t, line: _corrupt(t, line, 1, "x"), "malformed lattice entry: 'x'"),
+    "empty-cell": (lambda t, line: _corrupt(t, line, 1, ""), "empty cell"),
+    "leading-zero": (lambda t, line: _corrupt(t, line, 1, "0" + _cell(t, line, 1)), "leading zero"),
+    "key-width": (
+        lambda t, line: _corrupt(t, line, None, t.splitlines()[line].split("\t", 1)[1]),
+        "entries disagree on the key width 4",
+    ),
+    "20-digit-key": (lambda t, line: _corrupt(t, line, 1, str(10**19)), "a key digit beyond int64"),
+    "multiplicity-above-k^n": (lambda t, line: _corrupt(t, line, 4, str(2**7 + 1)), "a multiplicity above 2\\^7"),
+    "order-swap": (_swap_with_previous, "duplicated or out of order"),
+}
+
+
+class TestBlockedLoad:
+    """`load` parses a few lines at a time here, so that block edges fall
+    between the lines of small dumps."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 4])
+    @pytest.mark.parametrize("where", ["last-block", "second-block-first-line"])
+    @pytest.mark.parametrize("kind", list(BLOCK_EDGE_DEFECTS))
+    def test_defect_at_a_block_edge_keeps_its_message(self, kind, where, rows, monkeypatch):
+        text = TestLoadValidation.TEXT
+        # text line rows + 1 is body line rows, the first of the second block
+        line = len(text.splitlines()) - 1 if where == "last-block" else rows + 1
+        corrupt, message = BLOCK_EDGE_DEFECTS[kind]
+        monkeypatch.setattr(lattice, "_BLOCK_ROWS", rows)
+        with pytest.raises(LatticeFormatError, match=message):
+            load(corrupt(text, line))
+
+    def test_cells_of_every_length_parse_exactly(self):
+        # at k = 1 the one entry (n, S) has multiplicity 1, so any n >= 1
+        # and any S below 2**63 make a valid dump
+        rng = random.Random(19)
+        for digits in range(1, 20):
+            for _ in range(8):
+                n, s = (min(rng.randrange(max(1, 10 ** (digits - 1)), 10**digits), 2**63 - 1) for _ in "ns")
+                lat = load(f"family=poisson k=1 n={n} logh=0x0.0p+0\n{n}\t{s}\t1\n")
+                assert lat.key_array.tolist() == [[n, s]]
+
+    @pytest.mark.parametrize("rows", [1, 3, 4])
+    def test_blank_first_line_is_a_blank_line(self, rows, monkeypatch):
+        # the key width is read from the first line, which has no cells here
+        monkeypatch.setattr(lattice, "_BLOCK_ROWS", rows)
+        with pytest.raises(LatticeFormatError, match="blank line"):
+            load(TestLoadValidation.LINES[0] + "\n\n" + TestLoadValidation.BODY)
+
+    @pytest.mark.parametrize("rows", [1, 3, 4])
+    def test_conservation_sum_carries_across_blocks(self, rows, monkeypatch):
+        # every multiplicity is at most k**n = 2**62, and their sum
+        # 2**64 + 2**62 is k**n modulo 2**64; 58 of them have their low 31
+        # bits all set, so the sum of the low halves carries
+        header, *lines = dump(build([0] * 62, 2)).splitlines()
+        low = 2**31 - 1
+        mults = [low] * 58 + [2**62] * 4 + [2**62 - 58 * low]
+        assert len(mults) == len(lines) and sum(mults) > 2**63 and sum(mults) % 2**64 == 2**62
+        assert sum(m & low for m in mults) >= 2**31
+        lines = [line.rsplit("\t", 1)[0] + f"\t{m}" for line, m in zip(lines, mults)]
+        monkeypatch.setattr(lattice, "_BLOCK_ROWS", rows)
+        with pytest.raises(LatticeFormatError, match="conservation"):
+            load("\n".join([header, *lines]) + "\n")
 
 
 class TestDumpLoad:

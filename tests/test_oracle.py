@@ -141,6 +141,12 @@ class TestDiscreteOracle:
             pytest.param(True, 2, False, 0, None, id="q-no-category"),
             pytest.param(True, 2, False, 0, -1, id="q-negative-category"),
             pytest.param(True, 2, False, 0, 3, id="q-category-v"),
+            pytest.param(False, 2, False, 0.5, None, id="lambda-half"),
+            pytest.param(False, 2, False, 1.0, None, id="lambda-float-one"),
+            pytest.param(False, 2, True, 0.5, None, id="p-half"),
+            pytest.param(False, 2, True, 1.0, None, id="p-float-one"),
+            pytest.param(True, 2, False, 0, 0.5, id="q-category-half"),
+            pytest.param(True, 2, False, 0, 1.0, id="q-category-float-one"),
         ],
     )
     def test_bad_indices_raise_the_engine_message(self, multinomial, k, weight, j, category):
@@ -164,6 +170,8 @@ class TestDiscreteOracle:
                 call()
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+        if isinstance(j, float) or isinstance(category, float):
+            assert messages[0].endswith("is not an integer")
 
     def test_summary_round_numbers(self):
         result = oracle_posterior(WORKED_DATA, asym_prior())

@@ -185,6 +185,12 @@ class TestEvidence:
         assert bayes_factor(math.log(2), 0.0) == pytest.approx(2.0, rel=1e-15)
         with pytest.raises(NumericalError, match=r"exp\(1000\.0\) overflows"):
             bayes_factor(1000.0, 0.0)
+        with pytest.raises(NumericalError, match="non-finite log evidence: log_m_a = nan"):
+            bayes_factor(math.nan, 0.0)
+        with pytest.raises(NumericalError, match="non-finite log evidence: log_m_a = inf"):
+            bayes_factor(math.inf, 0.0)
+        with pytest.raises(NumericalError, match="non-finite log evidence: log_m_b = -inf"):
+            bayes_factor(0.0, -math.inf)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
