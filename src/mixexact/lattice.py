@@ -45,7 +45,9 @@ Key = tuple[int, ...]
 _WORD_SPAN = 2**63  # codes of one int64 word stay below this
 # digits stay below _WORD_SPAN / k, so no sum over the k slots of a column wraps
 _INT64_DIGITS = 19  # decimal digits of the largest int64, 2**63 - 1
-_BLOCK_ROWS = 2**14  # dump writes and load parses this many rows at a time; their buffers stay small
+# rows that dump writes, load parses and the fold compares in sorted order at
+# a time, so their buffers stay small
+_BLOCK_ROWS = 2**14
 _ZERO, _TAB, _NEWLINE = ord("0"), ord("\t"), ord("\n")
 _FRONT = 24  # bytes before a parsed block: room for a cell's three words
 # _CELL_MASKS[size][d] keeps the top d bytes of a little-endian word of size bytes
@@ -146,6 +148,21 @@ def _increasing(columns: np.ndarray) -> bool:
     return not tied.any()
 
 
+def _fresh(succ: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Whether each successor in sorted order differs from the one before.
+
+    The (W, k*E) codes are gathered in sorted order a block of `_BLOCK_ROWS`
+    at a time, each block overlapping the last by one code, so no sorted
+    copy of the codes is ever whole.
+    """
+    fresh = np.zeros(len(order), dtype=bool)
+    fresh[0] = True
+    for lo in range(1, len(order), _BLOCK_ROWS):
+        for word in np.take(succ, order[lo - 1 : lo + _BLOCK_ROWS], axis=1):
+            fresh[lo : lo + _BLOCK_ROWS] |= word[1:] != word[:-1]
+    return fresh
+
+
 def _fold(
     lattice: StatLattice, observations: Sequence, budget: int = DEFAULT_ENTRY_BUDGET
 ) -> StatLattice:
@@ -172,14 +189,10 @@ def _fold(
     growth = [len(mults)]
     for (_, log_h), shift in zip(observed, shifts):
         succ = (codes[:, None, :] + shift[:, :, None]).reshape(len(codes), -1)
+        del codes
         # k sorted runs, which the stable sort under lexsort merges
         order = np.lexsort(succ[::-1])
-        succ = succ[:, order]
-        fresh = np.zeros(succ.shape[1], dtype=bool)
-        fresh[0] = True
-        for word in succ:
-            fresh[1:] |= word[1:] != word[:-1]
-        starts = np.flatnonzero(fresh)
+        starts = np.flatnonzero(_fresh(succ, order))
         n += 1
         growth.append(len(starts))
         if len(starts) > budget:
@@ -189,18 +202,29 @@ def _fold(
                 step=n,
                 growth=tuple(growth),
             )
-        codes = succ[:, starts]
-        # to Python ints at the step where k**n reaches 2**63, else no copy
-        mults = np.tile(mults.astype(_mult_dtype(k, n), copy=False), k)
-        mults = np.add.reduceat(mults[order], starts)
+        codes = np.take(succ, order[starts], axis=1)
+        del succ
+        # successor i came from entry i mod E; to Python ints at the step
+        # where k**n reaches 2**63, else no copy
+        mults = mults.astype(_mult_dtype(k, n), copy=False).take(order, mode="wrap")
+        del order
+        mults = np.add.reduceat(mults, starts)
         log_base = log_base + log_h
 
-    # decode once, straight into key columns: each word gives up its digits
-    # least significant first, one divmod per column
-    columns = np.empty((k * w, len(mults)), dtype=np.int64)
-    for word, place in zip(codes, places):
-        for c in np.flatnonzero(place)[::-1]:
-            np.divmod(word, radix[c], out=(word, columns[c]))
+    # decode once, in place, so no copy of the codes sits beside the key
+    # columns: the codes' buffer grows into the columns, word i in row i.
+    # From the last word back, each gives up its digits least significant
+    # first, one divmod per column, into rows that hold no word still to
+    # come (word i's columns start at row i or later); the quotient left
+    # is its first digit
+    codes.resize((k * w, len(mults)), refcheck=False)
+    columns = codes
+    for i in range(len(places) - 1, -1, -1):
+        first, *rest = np.flatnonzero(places[i]).tolist() or [i]  # k = 1 packs no column
+        for c in reversed(rest):
+            np.divmod(columns[i], radix[c], out=(columns[i], columns[c]))
+        if first != i:
+            columns[first] = columns[i]
     last = columns[kept:]
     last[:] = np.array(totals)[:, None]
     for j in range(k - 1):
@@ -315,22 +339,28 @@ def _cell_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray, longest
     significant lowest. Masking off the bytes in front of the cell and
     folding neighbouring lanes together (SWAR multiply-shift-mask steps)
     turns them into their value. Each word is just wide enough for the
-    longest cell. A cell of more than 19 digits gets no meaningful value:
-    the callers reject it by its length, or read it with `int`.
+    longest cell, and the words are gathered by fancy indexing, which reads
+    the unaligned view of `buf` in place. A cell of more than 19 digits gets
+    no meaningful value: the callers reject it by its length, or read it
+    with `int`.
     """
-    value = 0
     for i in range(0, min(longest, _INT64_DIGITS), 8):
         steps = (min(longest - i, 8, _INT64_DIGITS - i) - 1).bit_length()
         size = 1 << steps  # bytes of the word: words[e] ends i bytes before offset e
         words = np.ndarray((len(buf) - _FRONT,), f"<u{size}", buf, _FRONT - i - size, (1,))
-        part = np.take(words, ends)
+        part = words[ends]
         # mode="clip" takes each cell's digit count in this word, 0..size
-        part &= np.take(_CELL_MASKS[size], lengths - i if i else lengths, mode="clip")
+        part &= _CELL_MASKS[size].take(lengths - i if i else lengths, mode="clip")
         for shift, scale, lanes in _LANE_STEPS[:steps]:
             part *= (scale << shift) + 1
             part >>= shift
             part &= lanes & ~(-1 << 8 * size)
-        value = part if i == 0 else value + part.astype(np.uint64) * 10**i
+        if i == 0:
+            value = part  # uint64 whenever a later word follows
+        else:
+            part = part.astype(np.uint64, copy=False)
+            part *= 10**i
+            value += part
     return value
 
 
@@ -345,35 +375,39 @@ def _cell_error(raw: bytes, at: int) -> LatticeFormatError:
     return LatticeFormatError(f"malformed lattice entry: {cell!r}")
 
 
-def _parse_body(body: str, family: str, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _parse_body(text: str, base: int, family: str, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(k*w, E) key columns and the multiplicities of the entry lines of a
-    dump, held to dump's grammar.
+    dump, which start at character `base` of its text, held to dump's grammar.
 
     The lines are parsed in blocks of `_BLOCK_ROWS`, the rows dump writes at
     a time, and each block writes its values straight into the preallocated
-    columns and multiplicities, so the parse's temporaries are block-sized.
-    A block's checks run on its bytes, in one order: a stray byte, an empty
-    cell, the key width (the first line's, checked in the first block), the
-    line shape, a leading zero, then the value ranges. The first defective
-    block decides the message.
+    columns and multiplicities, one cell column at a time, so the parse's
+    temporaries are block-sized and most are column-sized. A block's checks
+    run on its bytes, in one order: a stray byte, an empty cell, the key
+    width (the first line's, checked in the first block), the line shape, a
+    leading zero, then the value ranges, key columns first. The first
+    defective block decides the message.
     """
     try:
-        raw = body.encode("ascii")
+        raw = text.encode("ascii")
     except UnicodeEncodeError as exc:
         bad = exc.object[exc.start]
         raise LatticeFormatError(f"malformed lattice entry: non-ASCII {bad!r}") from exc
-    data = np.frombuffer(raw, dtype=np.uint8)
+    data = np.frombuffer(raw, dtype=np.uint8, offset=base)
     if data[-1] != _NEWLINE:
         raise LatticeFormatError("malformed lattice entry: the last line has no newline")
     line_ends = np.flatnonzero(data == _NEWLINE)
-    rows, width = len(line_ends), raw.count(b"\t", 0, line_ends[0])
+    rows, width = len(line_ends), raw.count(b"\t", base, base + int(line_ends[0]))
+    # the offsets where the blocks start, then the body's end; the line
+    # ends go before the columns are allocated
+    cuts = [0, *(line_ends[_BLOCK_ROWS - 1 : -1 : _BLOCK_ROWS] + 1).tolist(), len(data)]
+    del line_ends
     cells, w = width + 1, width // k
     wide = _mult_dtype(k, n) is object
     columns = np.empty((width, rows), dtype=np.int64)
     mults = np.empty(rows, dtype=object if wide else np.int64)
-    for start in range(0, rows, _BLOCK_ROWS):
+    for start, offset, end in zip(range(0, rows, _BLOCK_ROWS), cuts, cuts[1:]):
         stop = min(start + _BLOCK_ROWS, rows)
-        offset, end = int(line_ends[start - 1]) + 1 if start else 0, int(line_ends[stop - 1]) + 1
         # digit bytes XOR '0' are 0..9 and every other byte is above 9; the
         # bytes in front read as separators and give a first cell's words room
         buf = np.empty(_FRONT + end - offset, dtype=np.uint8)
@@ -381,43 +415,49 @@ def _parse_body(body: str, family: str, k: int, n: int) -> tuple[np.ndarray, np.
         digit = np.bitwise_xor(data[offset:end], _ZERO, out=buf[_FRONT:])
         opens = buf[_FRONT - 1 :] > 9  # opens[i]: byte i follows a separator
         sep = opens[1:]
-        ends = np.flatnonzero(sep)
-        if len(ends) != np.count_nonzero(digit == _TAB ^ _ZERO) + stop - start:
+        # seps[0] = -1 stands for the separator in front of the block; cell i
+        # lies between the separators at seps[i] and seps[i + 1]
+        seps = np.flatnonzero(opens)
+        seps -= 1
+        if len(seps) - 1 != np.count_nonzero(digit == _TAB ^ _ZERO) + stop - start:
             stray = sep & (digit != _TAB ^ _ZERO) & (digit != _NEWLINE ^ _ZERO)
-            raise _cell_error(raw, offset + int(np.flatnonzero(stray)[0]))
+            raise _cell_error(raw, base + offset + int(np.flatnonzero(stray)[0]))
         if np.any(sep & opens[:-1]):
             raise LatticeFormatError("malformed lattice entry: an empty cell or a blank line")
         if start == 0 and (width != k * w or (w == 2) != (family == "poisson") or w < 2):
             raise LatticeFormatError(f"key width {width} does not fit a {family} lattice with k={k}")
-        if len(ends) != (stop - start) * cells or np.any(digit[ends[width::cells]] != _NEWLINE ^ _ZERO):
+        if len(seps) - 1 != (stop - start) * cells or np.any(digit[seps[cells::cells]] != _NEWLINE ^ _ZERO):
             raise LatticeFormatError(f"entries disagree on the key width {width}")
-        if np.any(opens[:-2] & (digit[:-1] == 0) & ~sep[1:]):
+        lead = digit[:-1] == 0
+        lead &= opens[:-2]
+        lead &= digit[1:] <= 9
+        if lead.any():
             raise LatticeFormatError("malformed lattice entry: a leading zero")
 
-        # cell i ends before byte ends[i] and holds lengths[i] digits
-        lengths = np.empty_like(ends)
-        lengths[0] = ends[0]
-        np.subtract(ends[1:], ends[:-1], out=lengths[1:])
-        lengths[1:] -= 1
-        longest = int(lengths.max())
-        values = _cell_values(buf, ends, lengths, longest).reshape(-1, cells)
-        ends, lengths = ends.reshape(-1, cells), lengths.reshape(-1, cells)
-        # a 19-digit key may leave int64, a longer one does
-        if longest >= _INT64_DIGITS and (
-            lengths[:, :-1].max() > _INT64_DIGITS or values[:, :-1].max() >= _WORD_SPAN
-        ):
-            raise LatticeFormatError("malformed lattice entry: a key digit beyond int64")
-        columns[:, start:stop] = values[:, :-1].T
+        # one cell column at a time: (rows,) temporaries, and each column's
+        # words are just wide enough for its own longest cell
+        opened, ends = seps[:-1].reshape(-1, cells), seps[1:].reshape(-1, cells)
+        for c in range(width if wide else cells):
+            lengths = ends[:, c] - opened[:, c]
+            lengths -= 1
+            longest = int(lengths.max())
+            values = _cell_values(buf, ends[:, c], lengths, longest) if longest <= _INT64_DIGITS else None
+            if c < width:
+                # a 19-digit key may leave int64, a longer one does
+                if values is None or (longest == _INT64_DIGITS and values.max() >= _WORD_SPAN):
+                    raise LatticeFormatError("malformed lattice entry: a key digit beyond int64")
+                columns[c, start:stop] = values
+            elif values is None or values.max() > k**n:
+                raise LatticeFormatError(f"dump violates conservation: a multiplicity above {k}^{n}")
+            else:
+                mults[start:stop] = values
         if wide:
-            cuts = zip((ends[:, -2] + offset + 1).tolist(), (ends[:, -1] + offset).tolist())
+            at = base + offset
+            spans = zip((ends[:, -2] + at + 1).tolist(), (ends[:, -1] + at).tolist())
             try:
-                mults[start:stop] = np.fromiter((int(raw[a:b]) for a, b in cuts), object, stop - start)
+                mults[start:stop] = np.fromiter((int(raw[a:b]) for a, b in spans), object, stop - start)
             except ValueError as exc:  # more digits than int() converts
                 raise LatticeFormatError(f"malformed lattice entry: {exc}") from exc
-        elif lengths[:, -1].max() > _INT64_DIGITS or values[:, -1].max() > k**n:
-            raise LatticeFormatError(f"dump violates conservation: a multiplicity above {k}^{n}")
-        else:
-            mults[start:stop] = values[:, -1]
     return columns, mults
 
 
@@ -436,7 +476,9 @@ def load(text: str) -> StatLattice:
     """
     if not text:
         raise LatticeFormatError("empty lattice dump")
-    head, _, body = text.partition("\n")
+    # the body is parsed where it lies in the text, never sliced off it
+    newline = text.find("\n")
+    head = text if newline < 0 else text[:newline]
     try:
         header = dict(item.split("=", 1) for item in head.split(" "))
         family, k, n = header["family"], int(header["k"]), int(header["n"])
@@ -449,17 +491,18 @@ def load(text: str) -> StatLattice:
         raise LatticeFormatError(f"invalid lattice header: {head!r}")
     if head + "\n" != _header(family, k, n, log_base):
         raise LatticeFormatError(f"malformed lattice header: {head!r}")
-    if not body:
+    if newline in (-1, len(text) - 1):
         raise LatticeFormatError("lattice dump has no entries")
-    columns, mults = _parse_body(body, family, k, n)
+    columns, mults = _parse_body(text, newline + 1, family, k, n)
 
     w = len(columns) // k
     if int(columns.max()) * k >= _WORD_SPAN or mults.min() < 1:
         raise LatticeFormatError("digit out of range or nonpositive multiplicity")
     # column c of every slot adds up to the shared total of column c
-    totals = [columns[c::w].sum(axis=0) for c in range(w)]
-    if np.any(totals[0] != n) or any(np.any(t != t[0]) for t in totals):
-        raise LatticeFormatError(f"entries disagree with n={n} or with each other's totals")
+    for c in range(w):
+        sums = columns[c::w].sum(axis=0)
+        if np.any(sums != (n if c == 0 else sums[0])):
+            raise LatticeFormatError(f"entries disagree with n={n} or with each other's totals")
     for j in range(0, k * w, w):
         if np.any((columns[j] == 0) & columns[j + 1 : j + w].any(axis=0)):
             raise LatticeFormatError("an empty slot carries a nonzero aggregate")

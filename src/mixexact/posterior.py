@@ -215,7 +215,10 @@ def _dirichlet_update(key_array: np.ndarray, prior: MixturePrior) -> np.ndarray:
     return _row_major(beta, _key_columns(key_array, prior.k)[:, 1:])
 
 
-_BLOCK_ELEMENTS = 2**20  # float elements a block-wise pass holds at once
+# float elements a block-wise pass holds at once; the row count of a density
+# block follows from it, and the bits of a BLAS product depend on that block
+# shape, so the golden grid digests pin this value
+_BLOCK_ELEMENTS = 2**20
 
 
 def _stacked_sum(columns: list, ordered: bool) -> np.ndarray:
@@ -466,13 +469,15 @@ class _Members:
         # overflow is an inf density, which mass_grid and the grid checks report
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             basis = self.basis(t)
-            # blocks of bounded element count keep memory flat in D, and an
-            # in-place exp spares a second block-sized allocation
+            # blocks of bounded element count keep memory flat in D: every
+            # block is formed, exponentiated and contracted in one buffer,
+            # and the contraction writes straight into out
             rows = max(1, _BLOCK_ELEMENTS // max(coef.shape[1], 1))
+            buf = np.empty((min(rows, t.size), coef.shape[1]))
             for lo in range(0, t.size, rows):
-                block = basis[lo : lo + rows] @ coef
+                block = np.matmul(basis[lo : lo + rows], coef, out=buf[: min(rows, t.size - lo)])
                 np.exp(block, out=block)
-                out[lo : lo + rows] = block @ w
+                np.matmul(block, w, out=out[lo : lo + rows])
         # support edges and points outside the support (log 0, log of a
         # negative) take the closed form, which knows their limits
         edge = ~np.all(np.isfinite(basis), axis=1)

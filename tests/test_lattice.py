@@ -8,13 +8,21 @@ from math import comb, prod
 import numpy as np
 import pytest
 
-from mixexact import lattice, oracle
+from mixexact import families, lattice, oracle
 from mixexact.errors import LatticeFormatError, ResourceLimitError, UnsupportedFamilyError
 from mixexact.families import DirichletMultinomial
 from mixexact.lattice import StatLattice, build, dump, extend, init, load
 from mixexact.posterior import MixturePrior
 
 WORKED_DATA = [0, 0, 0, 1, 2, 2, 4]
+# aggregates near 10^5 over 3 slots of 4 categories: codes of several words
+MULTIWORD_DATA = [
+    (70_000, 3_000, 90_000, 1_000),
+    (2_000, 80_000, 500, 40_000),
+    (65_000, 1, 0, 12_345),
+    (3, 99_999, 7, 50_000),
+    (31_000, 31_000, 31_000, 31_000),
+]
 
 
 def _dump_text(k: int, n: int, entries: dict) -> str:
@@ -172,13 +180,7 @@ class TestArrayLattice:
     def test_multiword_keys_match_oracle(self):
         # aggregates near 10^5 over 3 slots of 5 columns: the key space is
         # far beyond 2^63, so every code spans several int64 words
-        data = [
-            (70_000, 3_000, 90_000, 1_000),
-            (2_000, 80_000, 500, 40_000),
-            (65_000, 1, 0, 12_345),
-            (3, 99_999, 7, 50_000),
-            (31_000, 31_000, 31_000, 31_000),
-        ]
+        data = MULTIWORD_DATA
         lat = build(data, 3)
         assert prod(int(m) + 1 for m in lat.key_array.max(axis=0)) > 2**126
         prior = MixturePrior((1.0,) * 3, (DirichletMultinomial((1.0,) * 4),) * 3)
@@ -322,6 +324,51 @@ class TestMultiplicityDtype:
         rows = [row.rsplit("\t", 1)[0] + f"\t{m}" for row, m in zip(rows, mults)]
         with pytest.raises(LatticeFormatError, match="conservation"):
             load("\n".join([header, *rows]) + "\n")
+
+
+def _tile_then_gather(data, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference fold over unpacked key rows: each step stacks the k
+    successor runs slot by slot, sorts the rows, and gathers the
+    multiplicities, tiled k times, in the sorted order."""
+    family = families.infer_family(data[0])
+    stats = [np.array([1, *families.observe(family, x)[0]]) for x in data]
+    w = len(stats[0])
+    keys, mults = np.zeros((1, k * w), dtype=np.int64), np.ones(1, dtype=np.int64)
+    for n, stat in enumerate(stats, 1):
+        succ = np.concatenate([keys + np.pad(stat, (j * w, (k - 1 - j) * w)) for j in range(k)])
+        order = np.lexsort(succ.T[::-1])
+        succ = succ[order]
+        starts = np.flatnonzero(np.r_[True, np.any(succ[1:] != succ[:-1], axis=1)])
+        dtype = np.int64 if k == 1 or k**n < 2**63 else object
+        mults = np.add.reduceat(np.tile(mults.astype(dtype, copy=False), k)[order], starts)
+        keys = succ[starts]
+    return keys, mults
+
+
+class TestFoldGather:
+    """The fold gathers each successor's multiplicity with `take(mode="wrap")`
+    from the entry it came from; a reference that tiles the multiplicities k
+    times first gives the same keys, values and dtype, through the step
+    where k**n reaches 2**63 and on multi-word codes."""
+
+    CASES = {
+        "k2-n62": ([i % 3 for i in range(62)], 2),
+        "k2-n63": ([i % 3 for i in range(63)], 2),
+        "k2-n64": ([i % 3 for i in range(64)], 2),
+        "k1-n70": ([i % 5 for i in range(70)], 1),
+        "multinomial-multiword": (MULTIWORD_DATA, 3),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_tile_then_gather(self, name):
+        data, k = self.CASES[name]
+        keys, mults = _tile_then_gather(data, k)
+        for lat in (build(data, k), extend(build(data[:-1], k), data[-1])):
+            assert np.array_equal(lat.key_array, keys)
+            assert lat.mult_array.dtype == mults.dtype
+            assert lat.mult_array.tolist() == mults.tolist()
+        if name == "multinomial-multiword":
+            assert prod(int(m) + 1 for m in keys.max(axis=0)) > 2**126
 
 
 def _corrupt(text: str, line: int, cell: int | None, value: str) -> str:
