@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import families, posterior
 from .errors import NumericalError, OracleCapError
@@ -142,21 +142,16 @@ class OracleResult:
         return self.prior.k
 
     def component_posteriors(self, i: int) -> tuple:
-        return tuple(
-            c.updated(s) for c, s in zip(self.prior.components, self.group_stats[i])
-        )
+        return tuple(c.updated(s) for c, s in zip(self.prior.components, self.group_stats[i]))
 
     def expected_weights(self) -> np.ndarray:
-        alpha = np.asarray(self.prior.alpha)
-        counts = np.array([[s.count for s in row] for row in self.group_stats], dtype=float)
-        return self.weights @ ((counts + alpha) / (self.n + alpha.sum()))
+        total = self.n + sum(self.prior.alpha)
+        rows = [[(s.count + a) / total for s, a in zip(row, self.prior.alpha)] for row in self.group_stats]
+        return _weighted_sums(self.weights, rows)
 
     def expected_means(self) -> np.ndarray:
-        rows = []
-        for i in range(len(self.keys)):
-            rows.append([p.posterior_mean() for p in self.component_posteriors(i)])
-        means = np.asarray(rows, dtype=float)  # (E, k, m)
-        return np.einsum("e,ejm->jm", self.weights, means)
+        rows = [[p.posterior_mean() for p in self.component_posteriors(i)] for i in range(len(self.keys))]
+        return _weighted_sums(self.weights, rows)
 
     def mass_concentration(self, threshold: float = 0.99) -> int:
         if not (0 < threshold <= 1):
@@ -205,7 +200,6 @@ class OracleResult:
         return posterior.DensityGrid(f"p{j + 1}", grid, dens)
 
     def summary(self) -> PosteriorSummary:
-        means = self.expected_means()
         return PosteriorSummary(
             family=self.family,
             k=self.k,
@@ -213,9 +207,22 @@ class OracleResult:
             distinct=len(self.keys),
             mass99=self.mass_concentration(0.99),
             log_evidence=self.log_evidence,
-            expected_weights=tuple(float(w) for w in self.expected_weights()),
-            expected_means=tuple(tuple(float(x) for x in row) for row in means),
+            expected_weights=tuple(self.expected_weights().tolist()),
+            expected_means=tuple(map(tuple, self.expected_means().tolist())),
         )
+
+
+def _weighted_sums(weights: np.ndarray, rows: list) -> np.ndarray:
+    """Sums over e of weights[e] * rows[e], each correctly rounded: (E, ...) rows give (...)."""
+    products = np.moveaxis(np.asarray(rows, dtype=float), 0, -1) * weights  # (..., E)
+    sums = [math.fsum(column) for column in products.reshape(-1, len(weights)).tolist()]
+    return np.array(sums).reshape(products.shape[:-1])
+
+
+def _log_sum(log_terms: list) -> float:
+    """log of the sum of exp(log_terms), the sum correctly rounded."""
+    top = max(log_terms)
+    return top + math.log(math.fsum(math.exp(x - top) for x in log_terms))
 
 
 def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
@@ -229,13 +236,8 @@ def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
     group_stats = [grouped[key][1] for key in keys]
 
     with np.errstate(all="ignore"):
-        logw = np.array(
-            [
-                log_unnormalized_weight(stats_row, mult, prior)
-                for stats_row, mult in zip(group_stats, mults)
-            ]
-        )
-        log_m = float(logsumexp(logw) + prior.log_dirichlet_constant() + log_base)
+        logw = np.array([log_unnormalized_weight(row, mult, prior) for row, mult in zip(group_stats, mults)])
+        log_m = _log_sum(logw.tolist()) + prior.log_dirichlet_constant() + log_base
     if not (np.all(np.isfinite(logw)) and math.isfinite(log_m)):
         raise NumericalError("oracle log weights or log evidence overflow double precision")
     shifted = np.exp(logw - logw.max())
@@ -373,4 +375,4 @@ def quadrature_evidence(data: Sequence, prior: MixturePrior) -> float:
         for comp, s in zip(prior.components, stats_row):
             term += math.log(component_integral(comp, s)) - comp.log_partition()
         log_terms.append(term)
-    return float(logsumexp(np.array(log_terms)) + prior.log_dirichlet_constant() + log_base)
+    return _log_sum(log_terms) + prior.log_dirichlet_constant() + log_base

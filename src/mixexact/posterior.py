@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln, logsumexp
+from scipy.special import betaln, gammaln
 
 from .errors import NumericalError
 from .families import (
@@ -188,37 +188,26 @@ def _key_columns(key_array: np.ndarray, k: int) -> np.ndarray:
     return key_array.T.reshape(k, -1, len(key_array))
 
 
-def _row_major(const: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """const + columns as a row-major float array with the entry axis
-    first: (..., E) key columns and a (...) const give (E, ...). It is
-    filled one contiguous key column at a time. The weight products and
-    contractions over it sum in an order that depends on its layout, and
-    row-major is the order the golden digests pin."""
-    out = np.empty(columns.shape[-1:] + columns.shape[:-1])
-    for index in np.ndindex(columns.shape[:-1]):
-        np.add(const[index], columns[index], out=out[(slice(None), *index)])
-    return out
+def _dirichlet_total(wp: WeightedPosterior, j: int) -> np.ndarray:
+    """Each entry's sum(beta) + sum(S) for component j, the total of its
+    Dirichlet update: a float sum of beta + S per category would round apart
+    when beta is not dyadic, and an int64 sum of the digits could wrap."""
+    aggregates = _key_columns(wp.key_array, wp.k)[j, 1:]
+    return np.sum(wp.prior.components[j].concentration) + _row_sum([s.astype(float) for s in aggregates])
 
 
-def _gamma_update(key_array: np.ndarray, prior: MixturePrior, j=slice(None)):
-    """Each entry's Gamma update of component(s) j, read from the key
-    columns in place: shape a + S and rate b + n, (E, k) or (E,)."""
-    columns = _key_columns(key_array, prior.k)[j]
-    a0, b0 = np.array([(c.shape, c.rate) for c in prior.components], dtype=float).T
-    return _row_major(a0[j], columns[..., 1, :]), _row_major(b0[j], columns[..., 0, :])
+def _gamma_update(wp: WeightedPosterior, j: int):
+    """Each entry's Gamma update of component j, read from its key columns
+    in place: shape a + S and rate b + n, (E,) each."""
+    counts, sums = _key_columns(wp.key_array, wp.k)[j]
+    comp = wp.prior.components[j]
+    return sums + float(comp.shape), counts + float(comp.rate)
 
 
-def _dirichlet_update(key_array: np.ndarray, prior: MixturePrior) -> np.ndarray:
-    """Each entry's (E, k, v) Dirichlet concentrations beta + S, read from
-    the key columns in place (the categories on the last axis)."""
-    beta = np.array([c.concentration for c in prior.components], dtype=float)  # (k, v)
-    return _row_major(beta, _key_columns(key_array, prior.k)[:, 1:])
-
-
-# float elements a block-wise pass holds at once; the row count of a density
-# block follows from it, and the bits of a BLAS product depend on that block
-# shape, so the golden grid digests pin this value
+# float elements a block-wise pass holds at once, a bound on its memory; a density
+# block holds fewer, so its two buffers (1 MiB) stay in L2. No result depends on either.
 _BLOCK_ELEMENTS = 2**20
+_DENSITY_BLOCK_ELEMENTS = 2**17
 
 
 def _stacked_sum(columns: list, ordered: bool) -> np.ndarray:
@@ -337,28 +326,36 @@ def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
     return out
 
 
-def _weigh(lat: StatLattice, prior: MixturePrior) -> tuple[np.ndarray, float]:
-    """Unnormalized log weights and log evidence; refuses non-finite ones."""
+def _weigh(lat: StatLattice, prior: MixturePrior) -> tuple[np.ndarray, np.ndarray, float]:
+    """Unnormalized log weights, exp(logw - max) and the log evidence, which
+    is scipy's logsumexp (from 1.15) on that one exponentiation: with the m
+    entries at the maximum apart, log1p(rest / m) + log m + max. Refuses non-finite ones."""
     _check_compatible(lat, prior)
     with np.errstate(all="ignore"):
         logw = _log_weight_vector(lat, prior)
-        log_m = float(logsumexp(logw) + prior.log_dirichlet_constant() + lat.log_base)
+        top = logw.max()
+        shifted = np.exp(logw - top)
+        at_top = np.flatnonzero(logw == top)
+        shifted[at_top] = 0.0
+        rest = np.add.reduce(shifted)
+        shifted[at_top] = 1.0
+        m = len(at_top)
+        log_m = float(np.log1p(rest / m) + np.log(m) + top) + prior.log_dirichlet_constant() + lat.log_base
     if not (np.all(np.isfinite(logw)) and math.isfinite(log_m)):
         raise NumericalError("log weights or log evidence overflow double precision")
-    return logw, log_m
+    return logw, shifted, log_m
 
 
 def normalize(lat: StatLattice, prior: MixturePrior) -> WeightedPosterior:
     """Weight every lattice entry and normalize by max-subtraction."""
-    logw, log_m = _weigh(lat, prior)
-    shifted = np.exp(logw - logw.max())
-    weights = shifted / shifted.sum()
+    logw, weights, log_m = _weigh(lat, prior)
+    weights /= np.add.reduce(weights)
     return WeightedPosterior(prior, lat.n, lat.key_array, lat.mult_array, logw, weights, log_m)
 
 
 def log_evidence(lat: StatLattice, prior: MixturePrior) -> float:
     """log m(x): true log marginal likelihood including the base measure."""
-    return _weigh(lat, prior)[1]
+    return _weigh(lat, prior)[2]
 
 
 def bayes_factor(log_m_a: float, log_m_b: float) -> float:
@@ -372,23 +369,30 @@ def bayes_factor(log_m_a: float, log_m_b: float) -> float:
         raise NumericalError(f"Bayes factor exp({diff!r}) overflows double precision") from None
 
 
+def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
+    """Sum of weights * values by numpy's pairwise sum, which no BLAS setting reorders; overwrites the values."""
+    return float(np.add.reduce(np.multiply(values, weights, out=values)))
+
+
 def expected_weights(wp: WeightedPosterior) -> np.ndarray:
-    """E[p_j | x]: weight-mixture of Dirichlet posterior means."""
+    """E[p_j | x]: weight-mixture of Dirichlet posterior means, a count column at a time."""
     alpha = np.asarray(wp.prior.alpha)
-    means = _row_major(alpha, _key_columns(wp.key_array, wp.k)[:, 0])
-    means /= wp.n + alpha.sum()
-    return wp.weights @ means
+    total = wp.n + alpha.sum()
+    counts = _key_columns(wp.key_array, wp.k)[:, 0]
+    return np.array([_weighted_sum(wp.weights, (c + a) / total) for c, a in zip(counts, alpha)])
 
 
 def expected_component_means(wp: WeightedPosterior) -> np.ndarray:
-    """E of each component's mean parameters: (k,) Poisson, (k, v) multinomial."""
+    """E of each component's mean parameters, a key column at a time: (k,) Poisson, (k, v) multinomial."""
     if wp.family == "poisson":
-        shape, rate = _gamma_update(wp.key_array, wp.prior)
-        shape /= rate
-        return wp.weights @ shape
-    conc = _dirichlet_update(wp.key_array, wp.prior)
-    conc /= conc.sum(axis=2, keepdims=True)
-    return np.einsum("e,ejv->jv", wp.weights, conc)
+        updates = (_gamma_update(wp, j) for j in range(wp.k))
+        return np.array([_weighted_sum(wp.weights, np.divide(a, b, out=a)) for a, b in updates])
+    columns = _key_columns(wp.key_array, wp.k)
+    means = []
+    for j, comp in enumerate(wp.prior.components):
+        total = _dirichlet_total(wp, j)
+        means.append([_weighted_sum(wp.weights, (s + b) / total) for s, b in zip(columns[j, 1:], comp.concentration)])
+    return np.array(means)
 
 
 def mass_concentration(wp: WeightedPosterior, threshold: float = 0.99) -> int:
@@ -430,10 +434,9 @@ class _Members:
     member permutation, e.g. across label-symmetric components, give
     bitwise equal weights, grids and densities.
 
-    A member's log density is linear in a 3-column basis of the point that
-    each subclass defines, log f_d(t) = basis(t) @ coef[:, d], so a mixture
-    on a grid is one (points, 3) @ (3, D) product, exponentiated and
-    contracted with the weights.
+    A member's log density is c0_d * basis0(t) + c1_d * basis1(t) + c2_d, in
+    two functions of the point that each subclass defines; a mixture at t is
+    the weighted sum of those exponentiated over the members.
     """
 
     # (lower support edge, density finite at that edge)
@@ -454,35 +457,35 @@ class _Members:
         self.weights = np.add.reduceat(weights[order], starts)
         self.params = tuple(p[starts] for p in params)
 
-    def logpdf(self, t: np.ndarray, idx=slice(None)) -> np.ndarray:
-        """(points, members) log densities by the closed form."""
-        return self.closed_logpdf(t[:, None], *(p[idx] for p in self.params))
-
     def ppf(self, u, idx=slice(None)) -> np.ndarray:
         return self.closed_ppf(u, *(p[idx] for p in self.params))
 
     def mixture_pdf(self, t, idx=slice(None)) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        coef = self.coef[:, idx]
+        c0, c1, c2 = self.coef[:, idx]
         w = self.weights[idx]
         out = np.empty(t.size)
         # overflow is an inf density, which mass_grid and the grid checks report
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            basis = self.basis(t)
-            # blocks of bounded element count keep memory flat in D: every
-            # block is formed, exponentiated and contracted in one buffer,
-            # and the contraction writes straight into out
-            rows = max(1, _BLOCK_ELEMENTS // max(coef.shape[1], 1))
-            buf = np.empty((min(rows, t.size), coef.shape[1]))
+            x0, x1 = self.basis(t)
+            # blocks of points keep memory flat in D; each point's members
+            # are summed as one row, whatever the block
+            rows = max(1, _DENSITY_BLOCK_ELEMENTS // (2 * max(w.size, 1)))
+            buf, spare = np.empty((2, min(rows, t.size), w.size))
             for lo in range(0, t.size, rows):
-                block = np.matmul(basis[lo : lo + rows], coef, out=buf[: min(rows, t.size - lo)])
+                block, other = buf[: t.size - lo], spare[: t.size - lo]
+                np.multiply(x0[lo : lo + rows, None], c0, out=block)
+                block += np.multiply(x1[lo : lo + rows, None], c1, out=other)
+                block += c2
                 np.exp(block, out=block)
-                np.matmul(block, w, out=out[lo : lo + rows])
-        # support edges and points outside the support (log 0, log of a
-        # negative) take the closed form, which knows their limits
-        edge = ~np.all(np.isfinite(basis), axis=1)
+                block *= w
+                np.add.reduce(block, axis=1, out=out[lo : lo + rows])
+            # support edges and points outside the support (log 0, log of a
+            # negative) take the closed form, which knows their limits
+            edge = ~(np.isfinite(x0) & np.isfinite(x1))
         if edge.any():
-            out[edge] = np.exp(self.logpdf(t[edge], idx)) @ w
+            logpdf = self.closed_logpdf(t[edge, None], *(p[idx] for p in self.params))
+            out[edge] = np.add.reduce(np.exp(logpdf) * w, axis=1)
         return out
 
 
@@ -496,7 +499,7 @@ class _GammaMembers(_Members):
         self.edge = (0.0, bool(np.all(a >= 1.0)))
 
     def basis(self, t):
-        return np.stack([np.log(t), t, np.ones_like(t)], axis=1)
+        return np.log(t), t
 
 
 class _BetaMembers(_Members):
@@ -510,7 +513,7 @@ class _BetaMembers(_Members):
         self.coef = np.stack([a - 1.0, b - 1.0, -betaln(a, b)])
 
     def basis(self, t):
-        return np.stack([np.log(t), np.log1p(-t), np.ones_like(t)], axis=1)
+        return np.log(t), np.log1p(-t)
 
 
 _PROBE_UNIFORM = 4096
@@ -598,15 +601,9 @@ def check_marginal_indices(
 def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> tuple[_Members, str]:
     check_marginal_indices(wp.k, j, wp.family, category, wp.slot_width - 1)
     if wp.family == "poisson":
-        return _GammaMembers(*_gamma_update(wp.key_array, wp.prior, j), wp.weights), f"lambda{j + 1}"
-    beta = np.asarray(wp.prior.components[j].concentration, dtype=float)
-    aggregates = _key_columns(wp.key_array, wp.k)[j, 1:]
-    a = beta[category] + aggregates[category]
-    # the second shape is sum(beta) + sum(S): a sum of the concentrations
-    # would round differently when beta is not dyadic, and an int64 sum of
-    # the digits could wrap
-    total = np.sum(beta) + _row_sum([s.astype(float) for s in aggregates])
-    return _BetaMembers(a, total - a, wp.weights), f"q{j + 1},{category + 1}"
+        return _GammaMembers(*_gamma_update(wp, j), wp.weights), f"lambda{j + 1}"
+    a = wp.prior.components[j].concentration[category] + _key_columns(wp.key_array, wp.k)[j, 1 + category]
+    return _BetaMembers(a, _dirichlet_total(wp, j) - a, wp.weights), f"q{j + 1},{category + 1}"
 
 
 def _marginal(members: _Members, param: str, grid) -> DensityGrid:

@@ -2,15 +2,33 @@
 
 The dump and log-weight digests were taken from the engine before the
 packed-code fold and the digit-table weights replaced the per-step gather
-and the direct log-gamma calls; the summary and grid digests before the
-posterior read the int64 key columns in place instead of a float copy; the
-oracle digests before the scalar weight moved into the oracle and the
-conjugate classes gave their density methods up for free closed forms; the
-digests of `DUMPS` before `dump` wrote bytes instead of a `%`-format; the
+and the direct log-gamma calls; the oracle's log-weight, density and table
+digests before the scalar weight moved into the oracle and the conjugate
+classes gave their density methods up for free closed forms; the digests of
+`DUMPS` before `dump` wrote bytes instead of a `%`-format; the log-weight
 digests of the cases with eight or more terms to a sum (`poisson-k8-n5`,
 `multinomial-k2-v9`) before numpy's own row sort and row sum replaced a
 compare-exchange network and a hand copy of numpy's pairwise sum there. So
-these tests hold the code to bitwise equal output. The digests depend on
+these tests hold the code to bitwise equal output.
+
+These digests were re-pinned once, when the posterior and the oracle
+stopped calling BLAS, and every other digest held:
+- the 7 `GOLDEN` summaries: an expected weight or mean is numpy's pairwise
+  sum of one contiguous column of products w_e * m_e, where `weights @
+  means` and an `einsum` summed before (a multinomial m_e also divides
+  beta_u + S_u by the q marginal's total sum(beta) + sum(S) now, which
+  moves only non-dyadic concentrations);
+- the 4 `DEFAULT_GRIDS`, the 2 `Q_DENSITIES` and the 2 `EXPLICIT_GRIDS`: a
+  member's log density is c0 * basis0 + c1 * basis1 + c2 by elementwise
+  products, and each point's weighted members are summed as one row, where
+  a blocked BLAS matrix product formed them and a second one summed them;
+  a default grid moves with the densities its placement reads;
+- the 3 `ORACLE_CASES` summaries: the oracle's evidence and expected
+  weights and means are `math.fsum` sums.
+
+No digest depends on BLAS: not on its kernel, its thread count, the
+array layout or the block shape (`test_digests_ignore_the_blas_kernel` runs
+them in a child under another kernel and two threads). They do depend on
 float64 `log`, `exp` and the `scipy.special` functions returning the same
 bits, which holds for one numpy/scipy build on one CPU family.
 """
@@ -18,6 +36,12 @@ bits, which holds for one numpy/scipy build on one CPU family.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +58,7 @@ GOLDEN = {
         42,
         "b0900b19b640d7753b50c7b42a0d80fa033d517c06b86fd09c1c31760358f196",
         "d22c7bcd07367939989f73edc15b9265e948ce573517754933882dd10b9fda53",
-        "74d1382f0ee1f30bd00e940708fa82073df15775ab9cf3bc234e20b3133a6d23",
+        "97f2a0ea4cd1fec048d167a63881561f22b822520ddb00bba369e7476c33d587",
     ),
     # datasets.poisson_mixture_sample(16, 0.5, 1.0, 6.0, 1): the size of the
     # fit-poisson-k3 benchmark input
@@ -44,7 +68,7 @@ GOLDEN = {
         49_719,
         "a201063de6ef6aac42540529b53fcd07bc580a50bf57b975048ff8f7c7a8e8cd",
         "5263957dcef70177940c5a4bd03fd6609deef3c1cdbad19dbceb3425f032f0f0",
-        "d5c0b81dc88c7a2fde0f970a42183b164ba4c8bc7efa4d0c0d334f21dabb5860",
+        "1b70d5259423fbec024c2c15289e3d90af946d8837d8feca1edc8ad03a3caecb",
     ),
     "multinomial-k2": (
         [(2, 1, 0), (0, 1, 2), (1, 1, 1), (3, 0, 0), (0, 2, 1), (1, 0, 2)],
@@ -54,7 +78,7 @@ GOLDEN = {
         54,
         "107d28fa7bd6a8afe1229db1a65b24a49b3fb0ec4b8a9063a2724197b324738e",
         "6b9cce002337b70067bfcfd817827a7c8f12bc5ae4d1f432d40308eb9e6081fe",
-        "1f6c0fecf3db6caefc4169650cddd9860393a918e13ac79b36b695f5af721929",
+        "9e075d74b54fa6c561a29ae1f5dfafbd255ad2a3db1a25e0646391f254d356d0",
     ),
     # digits far above the entry count: multi-word codes, direct weight terms
     "multinomial-multiword": (
@@ -69,7 +93,7 @@ GOLDEN = {
         243,
         "9dadb4b6bab728e52f787634a8bec13198db90dfdf1f45c405ce9f8e85461fc4",
         "e3cc4556aafd8b1ea85c997caf5b845c1319e235103bdf39ae776868375ce080",
-        "76c6b2901c6fe5caa9f3b2c9c205eae6efd2db58cff33fa308b72bd58c6a88b6",
+        "b3cf2cc9a76b0546449850ab7f2f4e3bc0efe620988a177332db57e1a5fd925d",
     ),
     # concentrations that are not dyadic fractions: a Beta member's second
     # shape is sum(beta) + sum(S), which a per-category sum would round apart
@@ -82,7 +106,7 @@ GOLDEN = {
         54,
         "107d28fa7bd6a8afe1229db1a65b24a49b3fb0ec4b8a9063a2724197b324738e",
         "6731f2f244063b129be7a912df96819707569e000f63245621c333da1570f2c1",
-        "cc7b35277831412e5d3d1e551111d105d44c49d6dc01a1dc0a2cc74f9b12583a",
+        "bbefb99eb1bd81fc67bb7b7f1645429dc477e32cb98e4ac1a101974f286aee2b",
     ),
     # eight weight terms to an entry, the sorted sums numpy's own:
     # datasets.poisson_mixture_sample(5, 0.5, 1.0, 6.0, 11) under a prior
@@ -96,7 +120,7 @@ GOLDEN = {
         18_432,
         "700075cb0eec541746c8a5d425346bb106d6af8eeb729f803ceb52c4368f17a9",
         "31c0c74b4de21f5d5af393f12c893fd3aca3a3d2bd667b1097523485e2c045ae",
-        "f493c0ba695a9af133bb76e0a881547af4df28a00961e4c997b22d03758f5f63",
+        "5b1e2c1d7ac962cfd3f73452f6712b1c2c8cad8eee13bfe620d6f33ff032a5bd",
     ),
     # nine categories: numpy sums each entry's category terms pairwise
     "multinomial-k2-v9": (
@@ -120,16 +144,16 @@ GOLDEN = {
         256,
         "fdecf0d9744f86d1b9da1539c0562a1b61851bf5b94196e9ef3c63fde23bde5e",
         "e2dd1333019891374f993bff4ba5423ce28ba75038af1e2aea64d97b12f529c7",
-        "cf6ee07a5e46428744487603b2b4697ba7ac9da380409e959c33b167f4b708ff",
+        "4fb91ce7df18de17ce9cbcad8cf030bd8daad18fa7f235d4ab1187a2fe9daf3e",
     ),
 }
 
 # (name, param): sha256 of the default grid's bytes, then its density's
 DEFAULT_GRIDS = {
-    ("worked-example", "p1"): "cf85616671b58a75065e01556041a89cf34df6103d4e370aedb66b6cb1b4b25c",
-    ("worked-example", "lambda1"): "774a2ef0ccc5266be1695257473c4196c8c5309a397ecc7b8fdd62e0219df47f",
-    ("poisson-k3-n16", "p1"): "43d4bbf5fdfd38c13b8d24541b2d9b51941038d034bf9e1984751fda6501c351",
-    ("poisson-k3-n16", "lambda1"): "9da357600657692b3f56c01d4eb53c33dd4a5a8e8f2a4df3adeee85166ee8d8d",
+    ("worked-example", "p1"): "7d1a51f3b4571fc3c21e5b4ed677ec6b7d7ff1973c2567f6d81bb7c81203b7f8",
+    ("worked-example", "lambda1"): "1ac5b03440ca85b9c50ab84d2d562ddaa5d0943218d3ffe4f9e78b7205bcc889",
+    ("poisson-k3-n16", "p1"): "19293587595609ff7d42217353cd6c180eaa1ea423a542e56ad766e46330f8c0",
+    ("poisson-k3-n16", "lambda1"): "b4f96416fe937bb664848aa27eb270d51b6b1fd66e5b28da78f6d53012abb606",
 }
 
 # name: sha256 of every q<j>,<u> density on INTERIOR, j then u ascending. The
@@ -137,8 +161,8 @@ DEFAULT_GRIDS = {
 # integrate to 1 (README, Known limitations), and a digest would pin that.
 INTERIOR = np.linspace(0.05, 0.95, 19)
 Q_DENSITIES = {
-    "multinomial-k2": "6ff3a9f0c3ce9bb9ddb68dadf810c1edda7a006b8400cd404963c8745c150acc",
-    "multinomial-nondyadic": "fe1aa2a2dd821cd2a9eb086c3b40dc705713657ae2187143b2888834eaedf056",
+    "multinomial-k2": "41f5871f12c6a8e93679f5def3e9d734bbaddc52945442280ed82a24c09e9ad1",
+    "multinomial-nondyadic": "acfa1dd12d54880ecf8ef6670f2db93a3523c9e47ecc570ff02b68772966ec77",
 }
 
 
@@ -204,24 +228,20 @@ def _posterior(name: str) -> posterior.WeightedPosterior:
     return posterior.normalize(lattice.build(data, prior.k), prior)
 
 
-@pytest.mark.parametrize("name", list(GOLDEN))
-def test_summaries_are_bitwise_stable(name):
-    summary = posterior.summarize(_posterior(name)).to_text()
-    assert _sha256(summary.encode()) == GOLDEN[name][-1]
+def _summary_digest(name: str) -> str:
+    return _sha256(posterior.summarize(_posterior(name)).to_text().encode())
 
 
-@pytest.mark.parametrize("name, param", list(DEFAULT_GRIDS))
-def test_default_grids_are_bitwise_stable(name, param):
+def _default_grid_digest(name: str, param: str) -> str:
     wp = _posterior(name)
     if param == "p1":
         g = posterior.marginal_weight_density(wp, 0)
     else:
         g = posterior.marginal_component_density(wp, 0)
-    assert _sha256(g.grid.tobytes() + g.density.tobytes()) == DEFAULT_GRIDS[name, param]
+    return _sha256(g.grid.tobytes() + g.density.tobytes())
 
 
-@pytest.mark.parametrize("name", list(Q_DENSITIES))
-def test_q_densities_are_bitwise_stable(name):
+def _q_digest(name: str) -> str:
     wp = _posterior(name)
     v = wp.slot_width - 1
     densities = [
@@ -229,7 +249,22 @@ def test_q_densities_are_bitwise_stable(name):
         for j in range(wp.k)
         for u in range(v)
     ]
-    assert _sha256(b"".join(densities)) == Q_DENSITIES[name]
+    return _sha256(b"".join(densities))
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_summaries_are_bitwise_stable(name):
+    assert _summary_digest(name) == GOLDEN[name][-1]
+
+
+@pytest.mark.parametrize("name, param", list(DEFAULT_GRIDS))
+def test_default_grids_are_bitwise_stable(name, param):
+    assert _default_grid_digest(name, param) == DEFAULT_GRIDS[name, param]
+
+
+@pytest.mark.parametrize("name", list(Q_DENSITIES))
+def test_q_densities_are_bitwise_stable(name):
+    assert _q_digest(name) == Q_DENSITIES[name]
 
 
 # name: (explicit grid, category), then the sha256 of the component-1
@@ -238,21 +273,51 @@ EXPLICIT_GRIDS = {
     "poisson-k8-n5": (
         np.linspace(0.05, 10.0, 41),
         None,
-        "77d43449ccdd438fd328735a1adee33f03af1ca8e9e266ae171c7064994b156c",
+        "dd34a3070c8a6957514c9378e6801e81fa59adedb7dea99e93c0f73d09f8c330",
     ),
     "multinomial-k2-v9": (
         INTERIOR,
         0,
-        "e41fa254b1a7167f438ec199cf3ddff684ce07830a02a6547d8626643288eddb",
+        "c26d910a85c9bdfec9d94e82db104a880eba3c1b78ad1ac48a03ab1bb154d62a",
     ),
 }
 
 
+def _explicit_grid_digest(name: str) -> str:
+    grid, category, _ = EXPLICIT_GRIDS[name]
+    g = posterior.marginal_component_density(_posterior(name), 0, grid, category=category)
+    return _sha256(g.density.tobytes())
+
+
 @pytest.mark.parametrize("name", list(EXPLICIT_GRIDS))
 def test_explicit_grid_densities_are_bitwise_stable(name):
-    grid, category, digest = EXPLICIT_GRIDS[name]
-    g = posterior.marginal_component_density(_posterior(name), 0, grid, category=category)
-    assert _sha256(g.density.tobytes()) == digest
+    assert _explicit_grid_digest(name) == EXPLICIT_GRIDS[name][-1]
+
+
+def _posterior_digests() -> dict[str, str]:
+    """The digest of every summary and density grid pinned above, by name."""
+    return {
+        **{f"summary {name}": _summary_digest(name) for name in GOLDEN},
+        # ("poisson-k3-n16", "lambda1") is the grid of `mixexact marginal
+        # --synthetic "mixture:n=16,weight=0.5,rate1=1,rate2=6" --seed 1
+        # --family poisson --k 3 --param lambda1`
+        **{f"grid {name} {param}": _default_grid_digest(name, param) for name, param in DEFAULT_GRIDS},
+        **{f"q {name}": _q_digest(name) for name in Q_DENSITIES},
+        **{f"explicit {name}": _explicit_grid_digest(name) for name in EXPLICIT_GRIDS},
+    }
+
+
+def test_digests_ignore_the_blas_kernel():
+    # OPENBLAS_CORETYPE picks the kernel only in a DYNAMIC_ARCH OpenBLAS build,
+    # as numpy's wheels are; elsewhere the child runs the host's own kernel,
+    # and only the thread count differs from this process
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(lattice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Sandybridge", "OPENBLAS_NUM_THREADS": "2"}
+    code = "import json, test_golden; print(json.dumps(test_golden._posterior_digests()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == _posterior_digests()
 
 
 def test_worked_example_evidence():
@@ -277,21 +342,21 @@ ORACLE_CASES = {
 ORACLE_DIGESTS = {
     "worked-example": {
         "log_weights": "8ae573d2925140b7977eb0953d1c4562c401ea5ab6eec07366e5b24cc48f95cf",
-        "summary": "00660317fe0dc0ff68dfa948579222ecf7bed286e22a0b9179e0ed0bb0168c67",
+        "summary": "7893305035da5a8d56acb0e114eb66317ebd5b99de556e9575acd6c4cd994ce1",
         "component": "fa5fc8016dfa1b284b5db0df78d9d6f80229c8b29ae0a68e7364cd77777508a8",
         "weight": "ab39ce332e63e270c04dda4f9cdf256d1bad4b35624abadda9bab5c9853a8eb0",
         "table": "023bdde4508acd32180afc96f73e06f695d414e5a30abd039d7dc26fb025a6cd",
     },
     "multinomial-nondyadic": {
         "log_weights": "61e122b602839e5b611f5f985b43826d260f7e8e65365560994b964de79c926c",
-        "summary": "0a33d47b26362eb31aa09382b52c744dc268e73ee7acac112090432f4d811530",
+        "summary": "edf6053cb14d3f3f02ceabd7729cc096b4f0a2e8149cae052021323bba1f26a3",
         "component": "f1c3e17ee920ceabf5ff70b17b453b74d95d6dfd9e661f41f14b34b08cf356ae",
         "weight": "409a421533c24b389aa7e117d6f801e8f11bb0ea7cca70f776192cc763b04369",
         "table": "7b5c9888235ece69cdcb606c8607db753fe4063e9df88176da8e39306c527e18",
     },
     "normal-n4": {
         "log_weights": "6898cfe70c4c6b4b00f7465d1ce1acc5b465d98321aa3185ff4bc652bd3e4edb",
-        "summary": "5a9ebf6143261af8616f5d95f86a4c17d5958407b8ac67b69e0528e3dbebcfd1",
+        "summary": "358f536e785e122034f0fe6af3b9d4eba058d5064bd21564425ca2be19567161",
         "component": "d1f1ecb8d617947ef87b1405bebebc6455a2baeb16981bcb0a74c8a8a30a393b",
         "weight": "a04edab3783e2d6ba0699b515f4c87dc04e57037451fffae3a3b38eef8c95a2c",
         "table": "8cdb4bfdecfc7da0bdc9b0cd65bea3954cc0d80e5330765ea1448c4b65503b29",
@@ -324,3 +389,69 @@ def test_oracle_outputs_are_bitwise_stable(name):
 )
 def test_quadrature_evidence_is_bitwise_stable(data, prior, expected):
     assert repr(oracle.quadrature_evidence(data, prior)) == expected
+
+
+# the references below take the engine's own doubles and sum them exactly
+# (math.fsum), so they check the summation alone
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_summaries_are_the_exact_sums_of_their_products(name):
+    # every expected weight and mean is within 1e-13 of the correctly rounded
+    # sum of its products w_e * m_e
+    wp = _posterior(name)
+    text = posterior.summarize(wp).to_text()
+    shown = dict(line[2:].split("=") for line in text.splitlines() if line.startswith("E_"))
+    keys, w = wp.key_array, wp.slot_width
+    alpha = np.asarray(wp.prior.alpha)
+    means = {f"p{j + 1}": (keys[:, j * w] + alpha[j]) / (wp.n + alpha.sum()) for j in range(wp.k)}
+    for j, comp in enumerate(wp.prior.components):
+        if wp.family == "poisson":
+            means[f"lambda{j + 1}"] = (keys[:, j * w + 1] + comp.shape) / (keys[:, j * w] + comp.rate)
+        else:
+            aggregates = np.ascontiguousarray(keys[:, j * w + 1 : (j + 1) * w])
+            total = np.sum(comp.concentration) + aggregates.sum(axis=1, dtype=float)
+            for u, b in enumerate(comp.concentration):
+                means[f"q{j + 1},{u + 1}"] = (aggregates[:, u] + b) / total
+    assert sorted(means) == sorted(shown)
+    for label, m in means.items():
+        exact = math.fsum((wp.weights * m).tolist())
+        assert abs(float(shown[label]) - exact) <= 1e-13 * abs(exact), label
+
+
+# (name, param, points): a component-1 or p1 density and five points of its grid
+DENSITY_REFERENCES = [
+    *((name, param, np.linspace(1, posterior.DEFAULT_GRID_POINTS - 2, 5).astype(int)) for name, param in DEFAULT_GRIDS),
+    *((name, "q1,1", [0, 4, 9, 14, 18]) for name in Q_DENSITIES),
+]
+
+
+@pytest.mark.parametrize("name, param, points", DENSITY_REFERENCES)
+def test_densities_are_the_exact_sums_of_their_members(name, param, points):
+    wp = _posterior(name)
+    if param == "p1":
+        counts, alpha = wp.key_array[:, 0], np.asarray(wp.prior.alpha)
+        members = posterior._BetaMembers(counts + alpha[0], wp.n - counts + alpha.sum() - alpha[0], wp.weights)
+        g = posterior.marginal_weight_density(wp, 0)
+    elif param == "lambda1":
+        members, _ = posterior._component_members(wp, 0, None)
+        g = posterior.marginal_component_density(wp, 0)
+    else:
+        members, _ = posterior._component_members(wp, 0, 0)
+        g = posterior.marginal_component_density(wp, 0, INTERIOR, category=0)
+    t = g.grid[points]
+    x0, x1 = members.basis(t)
+    c0, c1, c2 = members.coef
+    terms = members.weights * np.exp(x0[:, None] * c0 + x1[:, None] * c1 + c2)
+    for density, row in zip(g.density[points], terms.tolist()):
+        exact = math.fsum(row)
+        assert abs(density - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("elements", [1, 2**12])
+def test_densities_ignore_the_block_size(elements, monkeypatch):
+    # a block of one point, and blocks of a few points: each point's members
+    # are summed as one row whatever the block holds
+    monkeypatch.setattr(posterior, "_DENSITY_BLOCK_ELEMENTS", elements)
+    assert _default_grid_digest("poisson-k3-n16", "lambda1") == DEFAULT_GRIDS["poisson-k3-n16", "lambda1"]
+    assert _q_digest("multinomial-k2") == Q_DENSITIES["multinomial-k2"]
