@@ -5,8 +5,12 @@ on the mean, multinomial count vectors with Dirichlet priors on the cell
 probabilities, and real observations with Normal-Inverse-Gamma priors on
 (mean, variance). Each prior knows how to absorb a group statistic, report
 its log normalizing constant and give its posterior mean. The marginal
-densities and quantiles of the mean-value parameters are free closed forms
-over `scipy.special`, and all Gamma-heavy arithmetic stays in log space.
+densities and quantiles of the mean-value parameters are free closed forms,
+and all Gamma-heavy arithmetic stays in log space.
+
+log Gamma, the one special function of the weights and the evidence, is an
+in-package port of Cephes `lgam` that returns `scipy.special.gammaln`'s bits,
+so only the density closed forms import `scipy.special`, on first use.
 """
 
 from __future__ import annotations
@@ -16,28 +20,109 @@ from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy.special import (
-    betaincinv,
-    betaln,
-    gammainccinv,
-    gammaincinv,
-    gammaln,
-    poch,
-    xlog1py,
-    xlogy,
-)
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# Cephes `lgam` (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), which `scipy.special.gammaln` runs for x > 0: x B(x)/C(x)
+# on [2, 3) below 13 and Stirling's series above. Every log is libm's, as in
+# the C code; numpy's SIMD log differs from it in the last bit.
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_NUMERATOR = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+_DENOMINATOR = (  # after a leading coefficient of 1
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
+_LOG_SQRT_2PI = 0.91893853320467274178
+_LGAM_OVERFLOW = 2.556348e305
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) of one double x >= 0, or of nan."""
+    if x < 13.0:
+        if x < 0.0:
+            raise ValueError(f"log Gamma is ported for nonnegative arguments only, got {x!r}")
+        # shift into [2, 3), keeping the product of the shifts in z
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        num, den = _NUMERATOR[0], x + _DENOMINATOR[0]
+        for b in _NUMERATOR[1:]:
+            num = num * x + b
+        for c in _DENOMINATOR[1:]:
+            den = den * x + c
+        return math.log(z) + x * num / den
+    if x > _LGAM_OVERFLOW:
+        return math.inf
+    if x != x:
+        return x
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        s = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    else:
+        s = _STIRLING[0]
+        for a in _STIRLING[1:]:
+            s = s * p + a
+    return q + s / x
+
+
+def gammaln(x):
+    """log Gamma(x) for x >= 0, bitwise `scipy.special.gammaln`'s.
+
+    A scalar gives a float. An array gives an array of its shape, with one
+    evaluation per distinct value.
+    """
+    if isinstance(x, (float, int)):
+        return _lgam(float(x))
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return _lgam(float(x))
+    distinct, inverse = np.unique(x.ravel(), return_inverse=True)
+    return np.fromiter(map(_lgam, distinct.tolist()), float, distinct.size)[inverse].reshape(x.shape)
 
 
 # Closed forms shared by the oracle and the density grids. They
 # broadcast over points and parameters alike; densities outside the support
 # have log 0 = -inf, and the support edge carries its limit (+inf, finite or
-# -inf by the shape).
+# -inf by the shape). Each imports what it needs of scipy.special on first
+# use, which keeps that import out of every process that draws no density.
 
 
 def gamma_logpdf(t, shape, rate):
     """log density of Gamma(shape, rate) at t."""
+    from scipy.special import xlogy
+
     t = np.asarray(t, dtype=float)
     y = rate * t
     out = xlogy(shape - 1.0, y) - y - gammaln(shape) + np.log(rate)
@@ -46,16 +131,22 @@ def gamma_logpdf(t, shape, rate):
 
 def gamma_ppf(u, shape, rate):
     """Point with lower-tail mass u under Gamma(shape, rate)."""
+    from scipy.special import gammaincinv
+
     return gammaincinv(shape, u) / rate
 
 
 def gamma_isf(q, shape, rate):
     """Point with upper-tail mass q under Gamma(shape, rate)."""
+    from scipy.special import gammainccinv
+
     return gammainccinv(shape, q) / rate
 
 
 def beta_logpdf(t, a, b):
     """log density of Beta(a, b) at t."""
+    from scipy.special import betaln, xlog1py, xlogy
+
     t = np.asarray(t, dtype=float)
     out = xlogy(a - 1.0, t) + xlog1py(b - 1.0, -t) - betaln(a, b)
     return np.where((t < 0) | (t > 1), -np.inf, out)[()]
@@ -63,11 +154,15 @@ def beta_logpdf(t, a, b):
 
 def beta_ppf(u, a, b):
     """Point with lower-tail mass u under Beta(a, b)."""
+    from scipy.special import betaincinv
+
     return betaincinv(a, b, u)
 
 
 def student_t_logpdf(t, df, loc, scale):
     """log density of Student-t(df, loc, scale) at t, for scalar df and scale."""
+    from scipy.special import poch
+
     z = (np.asarray(t, dtype=float) - loc) / scale
     return (
         math.log(poch(0.5 * df, 0.5))
@@ -230,8 +325,8 @@ def observe(family: str, obs: Observation, categories: int | None = None) -> tup
         if not isinstance(obs, (int, np.integer)) or isinstance(obs, bool) or obs < 0:
             raise ValueError(f"Poisson observation must be a nonnegative integer, got {obs!r}")
         x = int(obs)
-        # gammaln takes no Python int past 2**64; below 2**63 the float is the same double
-        return (x,), float(-gammaln(float(x + 1)))
+        # log Gamma runs on the double nearest x + 1
+        return (x,), -gammaln(float(x + 1))
     if family == "multinomial":
         if not isinstance(obs, tuple) or len(obs) < 2:
             raise ValueError(f"multinomial observation must be a tuple of >= 2 counts, got {obs!r}")
@@ -243,7 +338,7 @@ def observe(family: str, obs: Observation, categories: int | None = None) -> tup
         d = sum(counts)
         if d < 1:
             raise ValueError(f"multinomial observation must have a positive total, got {obs!r}")
-        return counts, float(gammaln(float(d + 1)) - sum(gammaln(float(c + 1)) for c in counts))
+        return counts, gammaln(float(d + 1)) - sum(gammaln(float(c + 1)) for c in counts)
     if family == "normal":
         if isinstance(obs, bool) or not isinstance(obs, (int, float, np.floating, np.integer)):
             raise ValueError(f"normal observation must be a finite real, got {obs!r}")

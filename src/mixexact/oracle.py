@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import families, posterior
 from .errors import NumericalError, OracleCapError
-from .families import GroupStat
+from .families import GroupStat, gammaln
 from .posterior import MixturePrior, PosteriorSummary
 
 DEFAULT_ORACLE_CAP = 2**24

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 from .errors import NumericalError
 from .families import (
@@ -23,6 +22,7 @@ from .families import (
     beta_ppf,
     gamma_logpdf,
     gamma_ppf,
+    gammaln,
 )
 from .lattice import Key, StatLattice
 
@@ -474,8 +474,13 @@ class _Members:
             buf, spare = np.empty((2, min(rows, t.size), w.size))
             for lo in range(0, t.size, rows):
                 block, other = buf[: t.size - lo], spare[: t.size - lo]
-                np.multiply(x0[lo : lo + rows, None], c0, out=block)
-                block += np.multiply(x1[lo : lo + rows, None], c1, out=other)
+                # a row copied and scaled in place by the column is the
+                # column broadcast's product, formed faster
+                np.copyto(block, c0)
+                block *= x0[lo : lo + rows, None]
+                np.copyto(other, c1)
+                other *= x1[lo : lo + rows, None]
+                block += other
                 block += c2
                 np.exp(block, out=block)
                 block *= w
@@ -508,6 +513,8 @@ class _BetaMembers(_Members):
     closed_logpdf, closed_ppf = staticmethod(beta_logpdf), staticmethod(beta_ppf)
 
     def __init__(self, a, b, weights):
+        from scipy.special import betaln
+
         super().__init__(weights, a, b)
         a, b = self.params
         self.coef = np.stack([a - 1.0, b - 1.0, -betaln(a, b)])

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import mixexact
-from mixexact import cli, lattice
+from mixexact import cli, lattice, posterior
 from mixexact.cli import ingest
 from mixexact.errors import (
     IngestError,
@@ -839,6 +839,30 @@ print(repr(oracle.quadrature_evidence(data, prior)))
 """
 
 
+SCIPY_SPECIAL_PROBE = """
+import sys
+import mixexact.cli
+from mixexact import lattice, oracle, posterior
+from mixexact.families import DirichletMultinomial, PoissonGamma
+cases = [
+    ([0, 1, 3, 3], (PoissonGamma(1.0, 1.0), PoissonGamma(1.0, 10.0))),
+    ([(2, 0, 1), (0, 3, 0), (1, 1, 1)], (DirichletMultinomial((0.5, 0.5, 0.5)),) * 2),
+]
+posteriors = []
+for data, components in cases:
+    prior = posterior.MixturePrior((1.0, 1.0), components)
+    lat = lattice.build(data, 2)
+    posterior.log_evidence(lat, prior)
+    posteriors.append(posterior.normalize(lat, prior))
+    posterior.summarize(posteriors[-1])
+    print(oracle.compare_report(posteriors[-1], oracle.oracle_posterior(data, prior))[0])
+    assert lattice.dump(lattice.load(lattice.dump(lat))) == lattice.dump(lat)
+print("scipy.special" in sys.modules)
+grid = posterior.marginal_component_density(posteriors[0], 0)
+print(grid.grid.size, "scipy.special" in sys.modules)
+"""
+
+
 class TestColdImport:
     def test_cli_import_leaves_out_stats_and_integrate(self):
         proc = subprocess.run(
@@ -848,6 +872,14 @@ class TestColdImport:
         assert loaded == "[]"
         # the quadrature check still imports its integrator on demand
         assert float(quad) == pytest.approx(float(closed), rel=1e-6)
+
+    def test_only_density_grids_load_scipy_special(self):
+        # evidence, summary, oracle and artifacts run on the in-package log
+        # Gamma; the grid's quantiles and closed forms import scipy.special
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_SPECIAL_PROBE], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines() == ["True", "True", "False", f"{posterior.DEFAULT_GRID_POINTS} True"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import gammaln
 
+from mixexact import families
 from mixexact.families import (
     DirichletMultinomial,
     GroupStat,
@@ -223,6 +225,57 @@ class TestClosedForms:
         assert_same(
             gamma_isf(1e-16, 0.5 * a, 0.5 * b), stats.gamma.isf(1e-16, 0.5 * a, scale=2.0 / b)
         )
+
+
+def assert_same_bits(ours, reference):
+    ours, reference = np.asarray(ours, dtype=float), np.asarray(reference, dtype=float)
+    assert ours.shape == reference.shape
+    mismatch = np.flatnonzero(ours.view(np.int64) != reference.view(np.int64))
+    assert mismatch.size == 0, (reference.ravel()[mismatch[:5]], ours.ravel()[mismatch[:5]])
+
+
+# Cephes' branch points (2, 3, 13, 1000, 1e8 and the overflow threshold)
+# with their neighbours, tiny arguments on both sides of 1/x overflowing,
+# zero and the non-finite values
+LGAM_EDGES = [
+    5e-324, 1e-310, 2.0**-1022, 1e-300, 2.0, 3.0, 13.0, math.nextafter(13.0, 0.0),
+    1000.0, math.nextafter(1000.0, 0.0), 1e8, math.nextafter(1e8, math.inf),
+    2.556348e305, 2.6e305, sys.float_info.max, math.inf, math.nan, 0.0,
+]
+
+
+class TestLogGamma:
+    """The in-package log Gamma returns scipy.special.gammaln's bits."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(17).integers(0, np.float64(math.inf).view(np.int64), 100_000)
+        x = bits.view(np.float64)
+        assert_same_bits(families.gammaln(x), gammaln(x))
+
+    def test_integers_and_fractions(self):
+        x = np.arange(10_000.0)[:, None] + [0.0, 0.5, 1.0 / 3.0, 1.0, 2.7]
+        assert_same_bits(families.gammaln(x), gammaln(x))
+
+    def test_edges_as_scalars_and_as_an_array(self):
+        for x in LGAM_EDGES:
+            ours = families.gammaln(x)
+            assert type(ours) is float
+            assert_same_bits(ours, gammaln(x))
+            assert_same_bits(families.gammaln(np.float64(x)), gammaln(x))
+        assert_same_bits(families.gammaln(np.array(LGAM_EDGES)), gammaln(LGAM_EDGES))
+
+    def test_shapes_are_kept(self):
+        assert type(families.gammaln(7)) is float
+        assert type(families.gammaln(np.array(2.5))) is float
+        assert families.gammaln(np.empty((0, 3))).shape == (0, 3)
+        x = np.array([[[0.5, 4.0, 0.5]], [[20.0, 4.0, 3000.0]]])
+        assert families.gammaln(x).shape == x.shape
+        assert_same_bits(families.gammaln(x), gammaln(x))
+
+    @pytest.mark.parametrize("x", [-0.5, -3.0, -math.inf, np.array([1.0, -2.0])])
+    def test_negative_arguments_refused(self, x):
+        with pytest.raises(ValueError):
+            families.gammaln(x)
 
 
 class TestObservations:
