@@ -97,6 +97,14 @@ def _lgam(x: float) -> float:
     return q + s / x
 
 
+def per_distinct(fn, values: np.ndarray) -> np.ndarray:
+    """fn of each element of a 1-D array as a float array, one call per
+    distinct value: `np.unique` sorts them, and fn runs on their Python
+    images (floats, or the ints of an integer or object array)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.fromiter(map(fn, distinct.tolist()), float, distinct.size)[inverse]
+
+
 def gammaln(x):
     """log Gamma(x) for x >= 0, bitwise `scipy.special.gammaln`'s.
 
@@ -108,8 +116,24 @@ def gammaln(x):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return _lgam(float(x))
-    distinct, inverse = np.unique(x.ravel(), return_inverse=True)
-    return np.fromiter(map(_lgam, distinct.tolist()), float, distinct.size)[inverse].reshape(x.shape)
+    return per_distinct(_lgam, x.ravel()).reshape(x.shape)
+
+
+def fsum(values) -> float:
+    """The correctly rounded sum of floats (`math.fsum`, after Shewchuk
+    1997), the rule for every scalar float sum, so no total depends on the
+    interpreter's `sum()` or on the order of the terms. Where `math.fsum`
+    raises, on finite terms whose partial sums leave the float range or on
+    infinities of both signs, the in-sequence sum gives what `sum()` gives:
+    an infinity, or nan."""
+    values = tuple(values)
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        total = 0.0
+        for value in values:
+            total += value
+        return total
 
 
 # Closed forms shared by the oracle and the density grids. They
@@ -240,10 +264,10 @@ class DirichletMultinomial:
         return DirichletMultinomial(tuple(b + s for b, s in zip(self.concentration, stat.total)))
 
     def log_partition(self) -> float:
-        return float(sum(gammaln(b) for b in self.concentration) - gammaln(sum(self.concentration)))
+        return fsum(map(gammaln, self.concentration)) - gammaln(fsum(self.concentration))
 
     def posterior_mean(self) -> tuple[float, ...]:
-        total = sum(self.concentration)
+        total = fsum(self.concentration)
         return tuple(b / total for b in self.concentration)
 
 
@@ -338,7 +362,7 @@ def observe(family: str, obs: Observation, categories: int | None = None) -> tup
         d = sum(counts)
         if d < 1:
             raise ValueError(f"multinomial observation must have a positive total, got {obs!r}")
-        return counts, gammaln(float(d + 1)) - sum(gammaln(float(c + 1)) for c in counts)
+        return counts, gammaln(float(d + 1)) - fsum(gammaln(float(c + 1)) for c in counts)
     if family == "normal":
         if isinstance(obs, bool) or not isinstance(obs, (int, float, np.floating, np.integer)):
             raise ValueError(f"normal observation must be a finite real, got {obs!r}")

@@ -116,6 +116,23 @@ def _mult_dtype(k: int, n: int):
     return np.int64 if k == 1 or (n < 64 and k**n < _WORD_SPAN) else object
 
 
+def log_multiplicities(mults: np.ndarray) -> np.ndarray:
+    """`math.log` of each multiplicity of a lattice's `mult_array`, one call
+    per distinct float image.
+
+    For an int within the float range `math.log(m)` is `log(float(m))`, so
+    equal images have equal logs. int64 multiplicities sort as they are,
+    with no float copy alive beside the sort's own; Python ints sort fast
+    as their float images, and only one beyond the float range sorts as an
+    exact int.
+    """
+    try:
+        images = mults if mults.dtype == np.int64 else mults.astype(np.float64)
+    except OverflowError:
+        images = mults
+    return families.per_distinct(math.log, images)
+
+
 def _word_places(radix: list[int]) -> np.ndarray:
     """Mixed-radix place values that pack key columns into int64 words.
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import families, posterior
 from .errors import NumericalError, OracleCapError
-from .families import GroupStat, gammaln
+from .families import GroupStat, fsum, gammaln
 from .posterior import MixturePrior, PosteriorSummary
 
 DEFAULT_ORACLE_CAP = 2**24
@@ -48,8 +48,8 @@ def log_unnormalized_weight(
     n = sum(s.count for s in stat)
     alpha = prior.alpha
     value = math.log(multiplicity)
-    value += sum(gammaln(s.count + a) for s, a in zip(stat, alpha))
-    value -= gammaln(n + sum(alpha))
+    value += fsum(gammaln(s.count + a) for s, a in zip(stat, alpha))
+    value -= gammaln(n + fsum(alpha))
     for comp, s in zip(prior.components, stat):
         value += comp.updated(s).log_partition() - comp.log_partition()
     return float(value)
@@ -58,7 +58,7 @@ def log_unnormalized_weight(
 def _stats_row(key: tuple, k: int, family: str) -> tuple[GroupStat, ...]:
     if family == "normal":
         return tuple(
-            GroupStat(len(g), (math.fsum(g), math.fsum(x * x for x in g)) if g else (0, 0)) for g in key
+            GroupStat(len(g), (fsum(g), fsum(x * x for x in g)) if g else (0, 0)) for g in key
         )
     w = len(key) // k
     return tuple(GroupStat(key[j * w], key[j * w + 1 : (j + 1) * w]) for j in range(k))
@@ -76,7 +76,7 @@ def _observed(data: Sequence, family: str, categories: int | None) -> tuple[list
     is multinomial, so no entry point enumerates invalid data.
     """
     observed = [families.observe(family, obs, categories) for obs in data]
-    return [r for r, _ in observed], sum(log_h for _, log_h in observed)
+    return [r for r, _ in observed], fsum(log_h for _, log_h in observed)
 
 
 def _allocations(
@@ -144,7 +144,7 @@ class OracleResult:
         return tuple(c.updated(s) for c, s in zip(self.prior.components, self.group_stats[i]))
 
     def expected_weights(self) -> np.ndarray:
-        total = self.n + sum(self.prior.alpha)
+        total = self.n + fsum(self.prior.alpha)
         rows = [[(s.count + a) / total for s, a in zip(row, self.prior.alpha)] for row in self.group_stats]
         return _weighted_sums(self.weights, rows)
 
@@ -176,7 +176,7 @@ class OracleResult:
             elif self.family == "multinomial":
                 # one Dirichlet coordinate is Beta(b_u, sum(b) - b_u)
                 b_u = post.concentration[category]
-                logpdf = families.beta_logpdf(grid, b_u, sum(post.concentration) - b_u)
+                logpdf = families.beta_logpdf(grid, b_u, fsum(post.concentration) - b_u)
                 param = f"q{j + 1},{category + 1}"
             else:
                 # mu is Student-t with df = shape
@@ -189,7 +189,7 @@ class OracleResult:
         posterior.check_marginal_indices(self.k, j)
         grid = np.asarray(grid, dtype=float)
         alpha = self.prior.alpha
-        rest = sum(alpha) - alpha[j]
+        rest = fsum(alpha) - alpha[j]
         dens = np.zeros(grid.size)
         for i in range(len(self.keys)):
             n_j = self.group_stats[i][j].count
@@ -214,14 +214,14 @@ class OracleResult:
 def _weighted_sums(weights: np.ndarray, rows: list) -> np.ndarray:
     """Sums over e of weights[e] * rows[e], each correctly rounded: (E, ...) rows give (...)."""
     products = np.moveaxis(np.asarray(rows, dtype=float), 0, -1) * weights  # (..., E)
-    sums = [math.fsum(column) for column in products.reshape(-1, len(weights)).tolist()]
+    sums = [fsum(column) for column in products.reshape(-1, len(weights)).tolist()]
     return np.array(sums).reshape(products.shape[:-1])
 
 
 def _log_sum(log_terms: list) -> float:
     """log of the sum of exp(log_terms), the sum correctly rounded."""
     top = max(log_terms)
-    return top + math.log(math.fsum(math.exp(x - top) for x in log_terms))
+    return top + math.log(fsum(math.exp(x - top) for x in log_terms))
 
 
 def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
@@ -368,9 +368,7 @@ def quadrature_evidence(data: Sequence, prior: MixturePrior) -> float:
     log_terms = []
     stats, log_base = _observed(data, family, _categories(prior))
     for _, _, stats_row in _allocations(stats, k, family, DEFAULT_ORACLE_CAP):
-        term = sum(
-            math.lgamma(s.count + a_j) for s, a_j in zip(stats_row, alpha)
-        ) - math.lgamma(n + sum(alpha))
+        term = fsum(math.lgamma(s.count + a_j) for s, a_j in zip(stats_row, alpha)) - math.lgamma(n + fsum(alpha))
         for comp, s in zip(prior.components, stats_row):
             term += math.log(component_integral(comp, s)) - comp.log_partition()
         log_terms.append(term)

@@ -20,11 +20,12 @@ from .families import (
     ComponentPrior,
     beta_logpdf,
     beta_ppf,
+    fsum,
     gamma_logpdf,
     gamma_ppf,
     gammaln,
 )
-from .lattice import Key, StatLattice
+from .lattice import Key, StatLattice, log_multiplicities
 
 DEFAULT_GRID_POINTS = 512
 DEFAULT_COVERAGE = 1e-8
@@ -65,7 +66,7 @@ class MixturePrior:
         return self.components[0].family
 
     def log_dirichlet_constant(self) -> float:
-        return float(gammaln(sum(self.alpha)) - sum(gammaln(a) for a in self.alpha))
+        return gammaln(fsum(self.alpha)) - fsum(map(gammaln, self.alpha))
 
 
 @dataclass(frozen=True)
@@ -188,12 +189,11 @@ def _key_columns(key_array: np.ndarray, k: int) -> np.ndarray:
     return key_array.T.reshape(k, -1, len(key_array))
 
 
-def _dirichlet_total(wp: WeightedPosterior, j: int) -> np.ndarray:
-    """Each entry's sum(beta) + sum(S) for component j, the total of its
-    Dirichlet update: a float sum of beta + S per category would round apart
-    when beta is not dyadic, and an int64 sum of the digits could wrap."""
-    aggregates = _key_columns(wp.key_array, wp.k)[j, 1:]
-    return np.sum(wp.prior.components[j].concentration) + _row_sum([s.astype(float) for s in aggregates])
+def _dirichlet_total(aggregates: np.ndarray, beta) -> np.ndarray:
+    """Each entry's sum over u of beta_u + S_u, the total of its Dirichlet
+    update, from one component's (v, E) aggregate columns: the one total
+    of the weight, E[q] and the q marginal."""
+    return _row_sum([s + b for s, b in zip(aggregates, beta)])
 
 
 def _gamma_update(wp: WeightedPosterior, j: int):
@@ -204,58 +204,33 @@ def _gamma_update(wp: WeightedPosterior, j: int):
     return sums + float(comp.shape), counts + float(comp.rate)
 
 
-# float elements a block-wise pass holds at once, a bound on its memory; a density
-# block holds fewer, so its two buffers (1 MiB) stay in L2. No result depends on either.
-_BLOCK_ELEMENTS = 2**20
+# float elements of a density block: its two buffers (1 MiB) stay in L2. No result depends on it.
 _DENSITY_BLOCK_ELEMENTS = 2**17
 
 
-def _stacked_sum(columns: list, ordered: bool) -> np.ndarray:
-    """numpy's own row sum of the columns, of each row sorted first when
-    ordered: the columns are stacked as (rows, k) blocks of at most
-    `_BLOCK_ELEMENTS`, so memory stays flat in E."""
-    total = np.empty(len(columns[0]))
-    rows = max(1, _BLOCK_ELEMENTS // len(columns))
-    for lo in range(0, len(total), rows):
-        block = np.stack([column[lo : lo + rows] for column in columns], axis=1)
-        if ordered:
-            block.sort(axis=1)
-        block.sum(axis=1, out=total[lo : lo + rows])
-    return total
-
-
 def _row_sum(columns: list) -> np.ndarray:
-    """Entrywise sum of float columns, bitwise equal to `sum(axis=1)` of
-    the matching (E, k) array.
-
-    Below 8 terms numpy adds a row's values in sequence onto +0.0; adding
-    whole columns in that order gives every entry those bits without a
-    row-major copy, and overwrites the columns. From 8 terms numpy sums
-    pairwise, and `_stacked_sum` hands it the rows.
+    """Entrywise sum of float columns, each entry's values added in
+    sequence from +0.0, whatever their count: whole columns are added in
+    that order, with no row-major copy, and the first is overwritten.
     """
-    if len(columns) >= 8:
-        return _stacked_sum(columns, ordered=False)
     total = columns[0]
     for column in columns[1:]:
         total += column
-    total += 0.0  # numpy's start: a row of -0.0 sums to +0.0
+    total += 0.0  # the start: a row of -0.0 sums to +0.0
     return total
 
 
 def _sorted_sum(columns: list) -> np.ndarray:
-    """Entrywise sum of float columns in ascending order, bitwise equal to
-    `np.sort(c, axis=1).sum(axis=1)` of the matching (E, k) array.
+    """Entrywise sum of float columns in ascending order, added in sequence
+    from +0.0 (`_row_sum`).
 
-    Below 8 terms an odd-even transposition network orders each entry's
-    values across the columns: k rounds of compare-exchanges on
-    neighbouring columns, by `np.minimum` and `np.maximum`. Equal values
-    have equal bits, except that the pair may come out as two zeros of one
-    sign; a zero's sign changes no nonzero sum, and a zero sum is +0.0
-    (`_row_sum`). The list and its columns are overwritten. From 8 terms
-    numpy sorts and sums the rows itself (`_stacked_sum`).
+    An odd-even transposition network orders each entry's values across
+    the columns: k rounds of compare-exchanges on neighbouring columns, by
+    `np.minimum` and `np.maximum`. Equal values have equal bits, except
+    that the pair may come out as two zeros of one sign; a zero's sign
+    changes no nonzero sum, and a zero sum is +0.0. The list and its
+    columns are overwritten.
     """
-    if len(columns) >= 8:
-        return _stacked_sum(columns, ordered=True)
     spare = np.empty_like(columns[0])
     for rnd in range(len(columns)):
         for i in range(rnd % 2, len(columns) - 1, 2):
@@ -263,23 +238,6 @@ def _sorted_sum(columns: list) -> np.ndarray:
             np.maximum(columns[i], columns[i + 1], out=columns[i + 1])
             columns[i], spare = spare, columns[i]
     return _row_sum(columns)
-
-
-def _log_multiplicities(mults: np.ndarray) -> np.ndarray:
-    """`math.log` of each multiplicity, one call per distinct float image.
-
-    For an int within the float range `math.log(m)` is `log(float(m))`, so
-    equal images have equal logs. int64 multiplicities sort as they are,
-    with no float copy alive beside the sort's own; Python ints sort fast
-    as their float images, and only one beyond the float range sorts as an
-    exact int.
-    """
-    try:
-        images = mults if mults.dtype == np.int64 else mults.astype(np.float64)
-    except OverflowError:
-        images = mults
-    distinct, inverse = np.unique(images, return_inverse=True)
-    return np.array([math.log(m) for m in distinct.tolist()])[inverse]
 
 
 def _on_digits(fn, digits: np.ndarray, const: float) -> np.ndarray:
@@ -297,32 +255,29 @@ def _on_digits(fn, digits: np.ndarray, const: float) -> np.ndarray:
 
 def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
     columns = _key_columns(lat.key_array, lat.k)
-    alpha = np.asarray(prior.alpha)
-    log_mult = _log_multiplicities(lat.mult_array)
+    alpha = prior.alpha
     contrib = []  # one contiguous column of terms per component
 
     if prior.family == "poisson":
-        a0 = np.array([c.shape for c in prior.components])
-        b0 = np.array([c.rate for c in prior.components])
-        prior_const = float(np.sum(gammaln(a0) - a0 * np.log(b0)))
         for j, (counts, sums) in enumerate(columns):
-            term = _on_digits(gammaln, counts, alpha[j]) + _on_digits(gammaln, sums, a0[j])
-            term -= (sums + a0[j]) * _on_digits(np.log, counts, b0[j])
+            a0, b0 = float(prior.components[j].shape), float(prior.components[j].rate)
+            term = _on_digits(gammaln, counts, alpha[j]) + _on_digits(gammaln, sums, a0)
+            term -= (sums + a0) * _on_digits(np.log, counts, b0)
             contrib.append(term)
     else:  # multinomial: a lattice has no other family
-        beta = np.array([c.concentration for c in prior.components])  # (k, v)
-        prior_const = float(np.sum(gammaln(beta)) - np.sum(gammaln(beta.sum(axis=1))))
         for j, (counts, *aggregates) in enumerate(columns):
+            beta = prior.components[j].concentration
             term = _on_digits(gammaln, counts, alpha[j])
-            term += _row_sum([_on_digits(gammaln, s, b) for s, b in zip(aggregates, beta[j])])
+            term += _row_sum([_on_digits(gammaln, s, b) for s, b in zip(aggregates, beta)])
             # a float sum over the categories is not a function of one digit
-            term -= gammaln(_row_sum([s + b for s, b in zip(aggregates, beta[j])]))
+            term -= gammaln(_dirichlet_total(aggregates, beta))
             contrib.append(term)
 
     # sorted addition makes the sum invariant under component relabeling,
     # so symmetric priors give exactly symmetric weights
     out = _sorted_sum(contrib)
-    out += log_mult - gammaln(lat.n + alpha.sum()) - prior_const
+    prior_const = fsum(c.log_partition() for c in prior.components)
+    out += log_multiplicities(lat.mult_array) - gammaln(lat.n + fsum(alpha)) - prior_const
     return out
 
 
@@ -376,10 +331,9 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
 
 def expected_weights(wp: WeightedPosterior) -> np.ndarray:
     """E[p_j | x]: weight-mixture of Dirichlet posterior means, a count column at a time."""
-    alpha = np.asarray(wp.prior.alpha)
-    total = wp.n + alpha.sum()
+    total = wp.n + fsum(wp.prior.alpha)
     counts = _key_columns(wp.key_array, wp.k)[:, 0]
-    return np.array([_weighted_sum(wp.weights, (c + a) / total) for c, a in zip(counts, alpha)])
+    return np.array([_weighted_sum(wp.weights, (c + a) / total) for c, a in zip(counts, wp.prior.alpha)])
 
 
 def expected_component_means(wp: WeightedPosterior) -> np.ndarray:
@@ -390,7 +344,7 @@ def expected_component_means(wp: WeightedPosterior) -> np.ndarray:
     columns = _key_columns(wp.key_array, wp.k)
     means = []
     for j, comp in enumerate(wp.prior.components):
-        total = _dirichlet_total(wp, j)
+        total = _dirichlet_total(columns[j, 1:], comp.concentration)
         means.append([_weighted_sum(wp.weights, (s + b) / total) for s, b in zip(columns[j, 1:], comp.concentration)])
     return np.array(means)
 
@@ -609,8 +563,9 @@ def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> t
     check_marginal_indices(wp.k, j, wp.family, category, wp.slot_width - 1)
     if wp.family == "poisson":
         return _GammaMembers(*_gamma_update(wp, j), wp.weights), f"lambda{j + 1}"
-    a = wp.prior.components[j].concentration[category] + _key_columns(wp.key_array, wp.k)[j, 1 + category]
-    return _BetaMembers(a, _dirichlet_total(wp, j) - a, wp.weights), f"q{j + 1},{category + 1}"
+    aggregates, beta = _key_columns(wp.key_array, wp.k)[j, 1:], wp.prior.components[j].concentration
+    a = beta[category] + aggregates[category]
+    return _BetaMembers(a, _dirichlet_total(aggregates, beta) - a, wp.weights), f"q{j + 1},{category + 1}"
 
 
 def _marginal(members: _Members, param: str, grid) -> DensityGrid:
@@ -640,6 +595,6 @@ def marginal_weight_density(wp: WeightedPosterior, j: int, grid=None) -> Density
     """Posterior marginal of the mixture weight p_j: a Beta mixture."""
     check_marginal_indices(wp.k, j)
     counts = _key_columns(wp.key_array, wp.k)[j, 0]
-    alpha = np.asarray(wp.prior.alpha)
-    members = _BetaMembers(counts + alpha[j], wp.n - counts + alpha.sum() - alpha[j], wp.weights)
+    alpha = wp.prior.alpha
+    members = _BetaMembers(counts + alpha[j], wp.n - counts + fsum(alpha) - alpha[j], wp.weights)
     return _marginal(members, f"p{j + 1}", grid)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -278,6 +279,23 @@ class TestLogGamma:
             families.gammaln(x)
 
 
+class TestFsum:
+    def test_correctly_rounded_whatever_the_order(self):
+        terms = [1e16, 1.0, -1e16, 2.0**-60, 3.0]
+        for order in itertools.permutations(terms):
+            assert families.fsum(order) == 4.0
+        assert families.fsum(iter(terms)) == 4.0
+        assert families.fsum([]) == 0.0
+
+    def test_where_math_fsum_raises_the_sum_runs_in_sequence(self):
+        # math.fsum raises OverflowError on the first two and ValueError on
+        # the last
+        assert families.fsum([1e308, 1e308]) == math.inf
+        assert families.fsum(x for x in (-1e308, -1e308, 1.0)) == -math.inf
+        assert families.fsum([math.inf, 1.0]) == math.inf
+        assert math.isnan(families.fsum([math.inf, -math.inf]))
+
+
 class TestObservations:
     def test_poisson_accepts_nonnegative_ints(self):
         observe("poisson", 0)
@@ -332,6 +350,12 @@ class TestObservations:
         assert observe("multinomial", (2, 0, 1))[0] == (2, 0, 1)
         # normal aggregates (x, x^2)
         assert observe("normal", 1.5)[0] == (1.5, 2.25)
+
+    def test_multinomial_log_base_ignores_the_category_order(self):
+        # log d! - sum log x_u! is one correctly rounded sum of the categories'
+        # terms, so no order of the counts rounds it apart
+        logs = {observe("multinomial", p)[1].hex() for p in itertools.permutations((3, 9, 8, 2))}
+        assert len(logs) == 1
 
     def test_log_base_measure(self):
         # Poisson h(x) = 1/x!

@@ -5,14 +5,11 @@ packed-code fold and the digit-table weights replaced the per-step gather
 and the direct log-gamma calls; the oracle's log-weight, density and table
 digests before the scalar weight moved into the oracle and the conjugate
 classes gave their density methods up for free closed forms; the digests of
-`DUMPS` before `dump` wrote bytes instead of a `%`-format; the log-weight
-digests of the cases with eight or more terms to a sum (`poisson-k8-n5`,
-`multinomial-k2-v9`) before numpy's own row sort and row sum replaced a
-compare-exchange network and a hand copy of numpy's pairwise sum there. So
-these tests hold the code to bitwise equal output.
+`DUMPS` before `dump` wrote bytes instead of a `%`-format. So these tests
+hold the code to bitwise equal output.
 
-These digests were re-pinned once, when the posterior and the oracle
-stopped calling BLAS, and every other digest held:
+These digests were re-pinned when the posterior and the oracle stopped
+calling BLAS, and every other digest held:
 - the 7 `GOLDEN` summaries: an expected weight or mean is numpy's pairwise
   sum of one contiguous column of products w_e * m_e, where `weights @
   means` and an `einsum` summed before (a multinomial m_e also divides
@@ -25,6 +22,24 @@ stopped calling BLAS, and every other digest held:
   a default grid moves with the densities its placement reads;
 - the 3 `ORACLE_CASES` summaries: the oracle's evidence and expected
   weights and means are `math.fsum` sums.
+
+These 13 were re-pinned when every float sum of the weight path came to
+follow one of two rules (per entry: added in sequence from +0.0, sorted
+first where the components' terms meet; scalar: `families.fsum`, the
+correctly rounded sum), and every other digest held:
+- the `GOLDEN` log weights of `poisson-k8-n5` and `multinomial-k2-v9`: their
+  8 component terms and 9 category terms are added in sequence, where
+  numpy's pairwise row sum added them before (and the prior constant is the
+  fsum of the components' log partitions);
+- the `GOLDEN` summaries of those two, which follow their weights, and of
+  `multinomial-nondyadic`, whose E[q] divides beta_u + S_u by the Dirichlet
+  total sum(beta_u + S_u), where sum(beta) + sum(S) divided it before;
+- `Q_DENSITIES["multinomial-nondyadic"]`: a q member's second Beta shape is
+  taken from that same total;
+- both `EXPLICIT_GRIDS`, which follow the weights of their cases;
+- the five `ORACLE_DIGESTS["multinomial-nondyadic"]`: a Dirichlet log
+  partition and sum(beta) are fsum sums, where `sum()` added in sequence,
+  and each output reads one of them or the weights.
 
 No digest depends on BLAS: not on its kernel, its thread count, the
 array layout or the block shape (`test_digests_ignore_the_blas_kernel` runs
@@ -46,7 +61,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixexact import lattice, oracle, posterior
+from mixexact import families, lattice, oracle, posterior
 from mixexact.families import DirichletMultinomial, NormalInverseGamma, PoissonGamma
 from mixexact.posterior import MixturePrior
 
@@ -106,9 +121,9 @@ GOLDEN = {
         54,
         "107d28fa7bd6a8afe1229db1a65b24a49b3fb0ec4b8a9063a2724197b324738e",
         "6731f2f244063b129be7a912df96819707569e000f63245621c333da1570f2c1",
-        "bbefb99eb1bd81fc67bb7b7f1645429dc477e32cb98e4ac1a101974f286aee2b",
+        "eabba66b6d3db1b0587043e6137d4031e4a41f596de087203b17646619151a5c",
     ),
-    # eight weight terms to an entry, the sorted sums numpy's own:
+    # eight weight terms to an entry, sorted and added in sequence:
     # datasets.poisson_mixture_sample(5, 0.5, 1.0, 6.0, 11) under a prior
     # that is not label-symmetric
     "poisson-k8-n5": (
@@ -119,10 +134,10 @@ GOLDEN = {
         ),
         18_432,
         "700075cb0eec541746c8a5d425346bb106d6af8eeb729f803ceb52c4368f17a9",
-        "31c0c74b4de21f5d5af393f12c893fd3aca3a3d2bd667b1097523485e2c045ae",
-        "5b1e2c1d7ac962cfd3f73452f6712b1c2c8cad8eee13bfe620d6f33ff032a5bd",
+        "14f1da57879aac474a9141ef9d1607a78ce3c91cc624a17cfe2a061bbf2d4ef2",
+        "d3a8135a3ac0b0bb6b81f7ddf7ff985eb8f49ffa9291b003166937e9bbd4597c",
     ),
-    # nine categories: numpy sums each entry's category terms pairwise
+    # nine categories: each entry's category terms are added in sequence
     "multinomial-k2-v9": (
         [
             (1, 3, 3, 1, 0, 2, 2, 3, 2),
@@ -143,8 +158,8 @@ GOLDEN = {
         ),
         256,
         "fdecf0d9744f86d1b9da1539c0562a1b61851bf5b94196e9ef3c63fde23bde5e",
-        "e2dd1333019891374f993bff4ba5423ce28ba75038af1e2aea64d97b12f529c7",
-        "4fb91ce7df18de17ce9cbcad8cf030bd8daad18fa7f235d4ab1187a2fe9daf3e",
+        "44780087665866bb452078622bcbd5a4028ccc375921ecebc482c9660bfe9e77",
+        "26188d9be694c096962c7e4c789f96a828e79319653bc2c71e9ae26e76aa50b0",
     ),
 }
 
@@ -162,7 +177,7 @@ DEFAULT_GRIDS = {
 INTERIOR = np.linspace(0.05, 0.95, 19)
 Q_DENSITIES = {
     "multinomial-k2": "41f5871f12c6a8e93679f5def3e9d734bbaddc52945442280ed82a24c09e9ad1",
-    "multinomial-nondyadic": "acfa1dd12d54880ecf8ef6670f2db93a3523c9e47ecc570ff02b68772966ec77",
+    "multinomial-nondyadic": "e76360e72c476a3b2eb1ce3c65d41363eb1b625f4ab80d5b04ec8b8103c6c774",
 }
 
 
@@ -273,12 +288,12 @@ EXPLICIT_GRIDS = {
     "poisson-k8-n5": (
         np.linspace(0.05, 10.0, 41),
         None,
-        "dd34a3070c8a6957514c9378e6801e81fa59adedb7dea99e93c0f73d09f8c330",
+        "4e33fde910f8ab874bcfd92a8cdda4732caa2daee2e049cbe8a9e35d36cb88d2",
     ),
     "multinomial-k2-v9": (
         INTERIOR,
         0,
-        "c26d910a85c9bdfec9d94e82db104a880eba3c1b78ad1ac48a03ab1bb154d62a",
+        "13ddee50d1715e69e7a8d734cb7902590bc8492192782a9fda645bbe1d59da61",
     ),
 }
 
@@ -348,11 +363,11 @@ ORACLE_DIGESTS = {
         "table": "023bdde4508acd32180afc96f73e06f695d414e5a30abd039d7dc26fb025a6cd",
     },
     "multinomial-nondyadic": {
-        "log_weights": "61e122b602839e5b611f5f985b43826d260f7e8e65365560994b964de79c926c",
-        "summary": "edf6053cb14d3f3f02ceabd7729cc096b4f0a2e8149cae052021323bba1f26a3",
-        "component": "f1c3e17ee920ceabf5ff70b17b453b74d95d6dfd9e661f41f14b34b08cf356ae",
-        "weight": "409a421533c24b389aa7e117d6f801e8f11bb0ea7cca70f776192cc763b04369",
-        "table": "7b5c9888235ece69cdcb606c8607db753fe4063e9df88176da8e39306c527e18",
+        "log_weights": "61e5637d1007679b827b23e73d764b4dbad78e31548eae8e018eded5d830c65d",
+        "summary": "a163c227102e7269b586151be4d18054bb6e998e8e469b1efaa2e85923f11195",
+        "component": "bfd336741213ea38b86ec10a33bf26f7d053ab4341b49dd5ee5ee58e9d25b4a0",
+        "weight": "4800414f62c6be7ae79c7af07eeeef94c4bdb17f2850d7e3b694044d0a860e0d",
+        "table": "18a63779a08cf8ea7e0dcbfd4fbb1e0d9bd112eba7f43a563af451440a5b3fd6",
     },
     "normal-n4": {
         "log_weights": "6898cfe70c4c6b4b00f7465d1ce1acc5b465d98321aa3185ff4bc652bd3e4edb",
@@ -364,8 +379,7 @@ ORACLE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(ORACLE_CASES))
-def test_oracle_outputs_are_bitwise_stable(name):
+def _oracle_digests(name: str) -> dict[str, str]:
     data, prior, grid, category = ORACLE_CASES[name]
     result = oracle.oracle_posterior(data, prior)
     outputs = {
@@ -376,7 +390,12 @@ def test_oracle_outputs_are_bitwise_stable(name):
         "weight": result.weight_density(0, INTERIOR).density.tobytes(),
         "table": oracle.weight_table_csv(data, prior).encode(),
     }
-    assert {key: _sha256(value) for key, value in outputs.items()} == ORACLE_DIGESTS[name]
+    return {key: _sha256(value) for key, value in outputs.items()}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_oracle_outputs_are_bitwise_stable(name):
+    assert _oracle_digests(name) == ORACLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize(
@@ -389,6 +408,92 @@ def test_oracle_outputs_are_bitwise_stable(name):
 )
 def test_quadrature_evidence_is_bitwise_stable(data, prior, expected):
     assert repr(oracle.quadrature_evidence(data, prior)) == expected
+
+
+# the rows, prior and evidence that CI pins on the installed `mixexact evidence`:
+# three non-dyadic concentrations to a sum, in the weights and in the constant
+CI_ROWS = [(3, 9, 8, 2), (0, 4, 1, 7), (5, 5, 0, 2), (1, 0, 9, 3)]
+CI_PRIOR = MixturePrior(
+    (0.1, 0.45, 1.7),
+    (
+        DirichletMultinomial((0.3, 0.7, 1.3, 2.5)),
+        DirichletMultinomial((1.7, 2.5, 3.1, 0.45)),
+        DirichletMultinomial((0.1, 0.3, 0.7, 1.3)),
+    ),
+)
+CI_EVIDENCE = "-32.63211129693317"
+
+
+def test_ci_multinomial_evidence():
+    assert repr(posterior.log_evidence(lattice.build(CI_ROWS, 3), CI_PRIOR)) == CI_EVIDENCE
+
+
+def _sum_312(iterable, /, start=0):
+    """CPython 3.12's built-in `sum`, on any interpreter.
+
+    Ints add exactly while the total and the term fit a C long. Once the
+    total is a float, each float term adds with a Neumaier compensation
+    that joins the total at the end, an int that fits a C long adds as a
+    double, and a term of any other type ends the compensated loop: it and
+    every term after it add plainly. Before 3.12 every term added plainly.
+    """
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            if type(item) in (int, bool) and all(-(2**63) <= v < 2**63 for v in (item, total + item)):
+                total += item
+                continue
+            total = total + item
+            break
+    if type(total) is float:
+        compensation = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                compensation += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif type(item) in (int, bool) and -(2**63) <= item < 2**63:
+                total += float(item)
+            else:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                compensation = 0.0
+                total = total + item
+                break
+        if compensation and math.isfinite(compensation):
+            total += compensation
+    for item in items:
+        total = total + item
+    return total
+
+
+def test_sum_312_compensates():
+    assert _sum_312([0.1] * 10) == 1.0
+    assert _sum_312([1e100, 1.0, -1e100]) == 1.0
+    assert _sum_312([2**63, 1.5]) == 2**63 + 1.5 and _sum_312([1, 2, 3]) == 6
+    # numpy floats are not exact floats: they add in sequence
+    assert _sum_312(np.full(10, 0.1)) == 0.9999999999999999
+
+
+def test_digests_ignore_python_3_12s_sum(monkeypatch):
+    # CPython 3.12 made the built-in sum of floats compensated; every float
+    # sum of the weight path is families.fsum or a numpy sum, so no digest
+    # moves when the modules' `sum` is 3.12's
+    for module in (families, posterior, oracle):
+        monkeypatch.setattr(module, "sum", _sum_312, raising=False)
+    for name, (data, prior, _, dump_digest, weight_digest, _) in GOLDEN.items():
+        lat = lattice.build(data, prior.k)
+        assert _sha256(lattice.dump(lat).encode()) == dump_digest, name
+        assert _sha256(posterior.normalize(lat, prior).log_weights.tobytes()) == weight_digest, name
+    assert _posterior_digests() == {
+        **{f"summary {name}": case[-1] for name, case in GOLDEN.items()},
+        **{f"grid {name} {param}": digest for (name, param), digest in DEFAULT_GRIDS.items()},
+        **{f"q {name}": digest for name, digest in Q_DENSITIES.items()},
+        **{f"explicit {name}": case[-1] for name, case in EXPLICIT_GRIDS.items()},
+    }
+    assert {name: _oracle_digests(name) for name in ORACLE_CASES} == ORACLE_DIGESTS
+    assert repr(posterior.log_evidence(lattice.build(CI_ROWS, 3), CI_PRIOR)) == CI_EVIDENCE
 
 
 # the references below take the engine's own doubles and sum them exactly
@@ -410,7 +515,7 @@ def test_summaries_are_the_exact_sums_of_their_products(name):
             means[f"lambda{j + 1}"] = (keys[:, j * w + 1] + comp.shape) / (keys[:, j * w] + comp.rate)
         else:
             aggregates = np.ascontiguousarray(keys[:, j * w + 1 : (j + 1) * w])
-            total = np.sum(comp.concentration) + aggregates.sum(axis=1, dtype=float)
+            total = sum(aggregates[:, u] + b for u, b in enumerate(comp.concentration))
             for u, b in enumerate(comp.concentration):
                 means[f"q{j + 1},{u + 1}"] = (aggregates[:, u] + b) / total
     assert sorted(means) == sorted(shown)

@@ -7,6 +7,7 @@ printed digits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -17,7 +18,7 @@ from scipy import stats as sps
 from mixexact import posterior
 from mixexact.errors import MixtureError, NumericalError
 from mixexact.families import DirichletMultinomial, GroupStat, PoissonGamma
-from mixexact.lattice import build, load
+from mixexact.lattice import build, load, log_multiplicities
 from mixexact.oracle import log_unnormalized_weight, oracle_posterior
 from mixexact.posterior import (
     DensityGrid,
@@ -71,6 +72,14 @@ class TestMixturePrior:
     def test_needs_a_component(self):
         with pytest.raises(ValueError):
             MixturePrior((), ())
+
+    def test_dirichlet_constant_ignores_the_component_order(self):
+        # log Gamma(sum alpha) - sum log Gamma(alpha_j), both sums correctly rounded
+        constants = {
+            MixturePrior(alpha, (PoissonGamma(1, 1),) * 3).log_dirichlet_constant().hex()
+            for alpha in itertools.permutations((0.1, 0.45, 1.7))
+        }
+        assert len(constants) == 1
 
 
 class TestTwoPointReference:
@@ -376,7 +385,7 @@ class TestLogMultiplicities:
     )
     def test_bitwise_equal_to_per_entry_log(self, mults):
         expected = np.array([math.log(m) for m in mults.tolist()])
-        assert posterior._log_multiplicities(mults).tobytes() == expected.tobytes()
+        assert log_multiplicities(mults).tobytes() == expected.tobytes()
 
     def test_normalize_beyond_the_float_range(self):
         # k**n = 2**1101: multiplicities such as C(1100, 550) exceed every float

@@ -224,15 +224,23 @@ SCALED = st.sampled_from([2.0**54, -(2.0**54), 2.0**53, 3.0, -3.0, 1.0, 0.5, 5e-
 
 @st.composite
 def contribution_rows(draw):
-    """(E, k) float arrays with k in 1..9, each entry drawn from a pool of a
+    """(E, k) float arrays with k in 1..12, each entry drawn from a pool of a
     few values, so rows tie; the pool holds +0.0 and -0.0 and values whose
     magnitudes differ, so the order of addition changes the bits."""
-    k = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 12))
     e = draw(st.integers(1, 64))
     values = st.one_of(SCALED, st.floats(-1e12, 1e12, allow_nan=False))
     pool = draw(st.lists(values, min_size=1, max_size=6)) + [0.0, -0.0]
     cells = draw(st.lists(st.sampled_from(pool), min_size=e * k, max_size=e * k))
     return np.array(cells).reshape(e, k)
+
+
+def _in_sequence(row) -> float:
+    """The row's values added one after another onto +0.0."""
+    total = 0.0
+    for value in row:
+        total += value
+    return total
 
 
 @PROPERTY
@@ -242,28 +250,31 @@ def contribution_rows(draw):
 # orders that a network one round short leaves unsorted, with another sum
 @example(c=np.array([[2.0**53, 2.0**53, 0.5, 3.0, -(2.0**54)]]))
 @example(c=np.array([[3.0, 2.0**54, -3.0, -3.0, 0.5, -3.0, -(2.0**54), -(2.0**54), -3.0]]))
-def test_sorted_sum_equals_the_row_sort_sum(c):
-    # the weight path's network and column sum, against numpy's own
-    # row sort and row sum; k >= 8 sums pairwise
+def test_sorted_sum_adds_each_sorted_row_in_sequence(c):
+    # the weight path's network and column sum, against each row sorted
+    # and added in sequence by plain Python, for every term count
     got = posterior._sorted_sum([column.copy() for column in c.T])
-    assert got.tobytes() == np.sort(c, axis=1).sum(axis=1).tobytes()
+    assert got.tobytes() == np.array([_in_sequence(sorted(row)) for row in c.tolist()]).tobytes()
 
 
-@pytest.mark.parametrize(
-    "k, rows",
-    [
-        *(pytest.param(k, 64, id=str(k)) for k in [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300]),
-        # from 8 terms the rows are summed a block at a time
-        *(pytest.param(k, posterior._BLOCK_ELEMENTS // k + 3, id=f"{k}-past-one-block") for k in [8, 9]),
-    ],
-)
-def test_row_sum_equals_numpy_row_sum(k, rows):
+@PROPERTY
+@given(c=contribution_rows(), seed=st.integers(0, 2**32 - 1))
+@example(c=np.array([[2.0**53, 2.0**53, 0.5, 3.0, -(2.0**54)]]), seed=0)
+@example(c=np.array([[-0.0, 0.0, 1.0, -1.0, 0.0, -0.0, 1e-300, -1e-300, 3.0]]), seed=1)
+def test_sorted_sum_ignores_the_column_order(c, seed):
+    # relabelled components give the same bits
+    order = np.random.default_rng(seed).permutation(c.shape[1])
+    permuted = posterior._sorted_sum([c[:, i].copy() for i in order])
+    assert permuted.tobytes() == posterior._sorted_sum([column.copy() for column in c.T]).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300])
+def test_row_sum_adds_in_sequence(k):
     rng = np.random.default_rng(k)
-    c = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(-12, 12, (rows, k))
-    assert posterior._row_sum(list(c.T.copy())).tobytes() == c.sum(axis=1).tobytes()
-    assert posterior._sorted_sum(list(c.T.copy())).tobytes() == np.sort(c, axis=1).sum(axis=1).tobytes()
-    # integer aggregates beyond 2**53 round as they convert, as in a
-    # category sum with dtype=float
-    s = rng.integers(2**54, 2**58, (rows, k))
-    floats = [column.astype(float) for column in s.T]
-    assert posterior._row_sum(floats).tobytes() == s.sum(axis=1, dtype=float).tobytes()
+    c = rng.standard_normal((64, k)) * 10.0 ** rng.integers(-12, 12, (64, k))
+    expected = np.array([_in_sequence(row) for row in c.tolist()])
+    assert posterior._row_sum(list(c.T.copy())).tobytes() == expected.tobytes()
+    # integer aggregates beyond 2**53 round as they convert to float, then add
+    s = rng.integers(2**54, 2**58, (64, k))
+    expected = np.array([_in_sequence(map(float, row)) for row in s.tolist()])
+    assert posterior._row_sum([column.astype(float) for column in s.T]).tobytes() == expected.tobytes()
