@@ -22,7 +22,7 @@ import numpy as np
 
 from . import datasets, lattice, oracle, posterior
 from .errors import IngestError, MixtureError, ResourceLimitError
-from .families import DirichletMultinomial, NormalInverseGamma, PoissonGamma, observe
+from .families import DirichletMultinomial, NormalInverseGamma, PoissonGamma, fsum, observe
 from .lattice import DEFAULT_ENTRY_BUDGET
 from .oracle import DEFAULT_ORACLE_CAP
 from .posterior import DEFAULT_GRID_POINTS, MixturePrior
@@ -138,8 +138,10 @@ def ingest(path: str, family: str) -> tuple[list, dict]:
 
 
 def _report(values: list) -> dict:
-    """Size, extremes and sum of the values (row totals for multinomial data)."""
-    return {"n": len(values), "min": min(values), "max": max(values), "sum": sum(values)}
+    """Size, extremes and sum of the values (row totals for multinomial data);
+    reals sum by `fsum`, so no interpreter's `sum()` changes the line."""
+    total = fsum(values) if isinstance(values[0], float) else sum(values)
+    return {"n": len(values), "min": min(values), "max": max(values), "sum": total}
 
 
 def _parse_floats(text: str) -> list[float]:

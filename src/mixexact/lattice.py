@@ -108,7 +108,12 @@ class StatLattice:
         return len(self.key_array)
 
     def total_count(self) -> int:
-        return sum(self.mult_array.tolist())
+        """Σμ, exact: `sum()` of an object array's Python ints; int64 ones are
+        below 2**63, so below 2**31 entries no sum of their 31-bit halves wraps."""
+        mults = self.mult_array
+        if mults.dtype == object:
+            return sum(mults.tolist())
+        return (int(np.sum(mults >> 31)) << 31) + int(np.sum(mults & (2**31 - 1)))
 
 
 def _mult_dtype(k: int, n: int):
@@ -525,13 +530,9 @@ def load(text: str) -> StatLattice:
             raise LatticeFormatError("an empty slot carries a nonzero aggregate")
     if not _increasing(columns):
         raise LatticeFormatError("keys are duplicated or out of order")
-    if mults.dtype == object:
-        total = sum(mults.tolist())
-    else:
-        # every multiplicity is below 2**63, so neither sum of its 31-bit
-        # halves wraps below 2**31 entries
-        total = (int(np.sum(mults >> 31)) << 31) + int(np.sum(mults & (2**31 - 1)))
+    lat = StatLattice._from_arrays(family, k, n, columns, mults, log_base)
+    total = lat.total_count()
     # the bit-length test keeps k**n cheap when n is absurdly large
     if (k > 1 and n * math.log2(k) > total.bit_length() + 1) or total != k**n:
         raise LatticeFormatError(f"dump violates conservation: total {total} != {k}^{n}")
-    return StatLattice._from_arrays(family, k, n, columns, mults, log_base)
+    return lat

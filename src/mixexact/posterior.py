@@ -254,6 +254,7 @@ def _on_digits(fn, digits: np.ndarray, const: float) -> np.ndarray:
 
 
 def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
+    log_mult = log_multiplicities(lat.mult_array)  # np.unique's sort ends before any column exists
     columns = _key_columns(lat.key_array, lat.k)
     alpha = prior.alpha
     contrib = []  # one contiguous column of terms per component
@@ -277,40 +278,36 @@ def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
     # so symmetric priors give exactly symmetric weights
     out = _sorted_sum(contrib)
     prior_const = fsum(c.log_partition() for c in prior.components)
-    out += log_multiplicities(lat.mult_array) - gammaln(lat.n + fsum(alpha)) - prior_const
+    out += log_mult - gammaln(lat.n + fsum(alpha)) - prior_const
     return out
 
 
-def _weigh(lat: StatLattice, prior: MixturePrior) -> tuple[np.ndarray, np.ndarray, float]:
-    """Unnormalized log weights, exp(logw - max) and the log evidence, which
-    is scipy's logsumexp (from 1.15) on that one exponentiation: with the m
-    entries at the maximum apart, log1p(rest / m) + log m + max. Refuses non-finite ones."""
+def _weigh(lat: StatLattice, prior: MixturePrior) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Unnormalized log weights, exp(logw - max), its one sum and the log
+    evidence max + log(sum), as the oracle's `_log_sum`. Refuses non-finite ones."""
     _check_compatible(lat, prior)
     with np.errstate(all="ignore"):
         logw = _log_weight_vector(lat, prior)
         top = logw.max()
-        shifted = np.exp(logw - top)
-        at_top = np.flatnonzero(logw == top)
-        shifted[at_top] = 0.0
-        rest = np.add.reduce(shifted)
-        shifted[at_top] = 1.0
-        m = len(at_top)
-        log_m = float(np.log1p(rest / m) + np.log(m) + top) + prior.log_dirichlet_constant() + lat.log_base
+        shifted = np.subtract(logw, top)
+        np.exp(shifted, out=shifted)
+        total = np.add.reduce(shifted)
+        log_m = float(top + math.log(total)) + prior.log_dirichlet_constant() + lat.log_base
     if not (np.all(np.isfinite(logw)) and math.isfinite(log_m)):
         raise NumericalError("log weights or log evidence overflow double precision")
-    return logw, shifted, log_m
+    return logw, shifted, total, log_m
 
 
 def normalize(lat: StatLattice, prior: MixturePrior) -> WeightedPosterior:
     """Weight every lattice entry and normalize by max-subtraction."""
-    logw, weights, log_m = _weigh(lat, prior)
-    weights /= np.add.reduce(weights)
+    logw, weights, total, log_m = _weigh(lat, prior)
+    weights /= total
     return WeightedPosterior(prior, lat.n, lat.key_array, lat.mult_array, logw, weights, log_m)
 
 
 def log_evidence(lat: StatLattice, prior: MixturePrior) -> float:
     """log m(x): true log marginal likelihood including the base measure."""
-    return _weigh(lat, prior)[2]
+    return _weigh(lat, prior)[3]
 
 
 def bayes_factor(log_m_a: float, log_m_b: float) -> float:

@@ -29,6 +29,7 @@ from mixexact.errors import (
     ResourceLimitError,
     UnsupportedFamilyError,
 )
+from test_golden import _sum_312
 
 WORKED = "0\n0\n0\n1\n2\n2\n4\n"
 
@@ -153,6 +154,19 @@ class TestSubcommands:
         assert code == 0
         value = float(out.strip().splitlines()[-1])
         assert value == pytest.approx(math.log(0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("builtin_sum", [sum, _sum_312], ids=["sum", "sum-312"])
+    def test_normal_ingest_sum_ignores_python_3_12s_sum(self, capsys, tmp_path, monkeypatch, builtin_sum):
+        # ten rows of 0.1: the in-sequence sum is 0.9999999999999999, the
+        # correctly rounded one and CPython 3.12's compensated `sum()` 1.0
+        path = tmp_path / "tenths.txt"
+        path.write_text("0.1\n" * 10)
+        monkeypatch.setattr(cli, "sum", builtin_sum, raising=False)
+        code, out, _ = run_cli(
+            capsys, "oracle", "--data", str(path), "--family", "normal", "--k", "2", "--nig", "0,1,3,2;0,1,3,2"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "ingest n=10 min=0.1 max=0.1 sum=1.0"
 
     def test_posterior_summary_artifact(self, capsys, worked_file, tmp_path):
         out_path = tmp_path / "summary.txt"

@@ -41,6 +41,13 @@ correctly rounded sum), and every other digest held:
   partition and sum(beta) are fsum sums, where `sum()` added in sequence,
   and each output reads one of them or the weights.
 
+This one was re-pinned when the log evidence became max + log of the one
+sum of exp(logw - max) that also divides the weights, as the oracle's, where
+scipy's `logsumexp` formula counted the entries at the maximum apart, and
+every other digest held:
+- the `GOLDEN` summary of `multinomial-k2`, whose log evidence moved from
+  -15.117891240816116 to -15.11789124081612 (its weights kept their bits).
+
 No digest depends on BLAS: not on its kernel, its thread count, the
 array layout or the block shape (`test_digests_ignore_the_blas_kernel` runs
 them in a child under another kernel and two threads). They do depend on
@@ -93,7 +100,7 @@ GOLDEN = {
         54,
         "107d28fa7bd6a8afe1229db1a65b24a49b3fb0ec4b8a9063a2724197b324738e",
         "6b9cce002337b70067bfcfd817827a7c8f12bc5ae4d1f432d40308eb9e6081fe",
-        "9e075d74b54fa6c561a29ae1f5dfafbd255ad2a3db1a25e0646391f254d356d0",
+        "cc2e4aeeea1e98055f55a412b0303c2d144571622dda4f64654cc6ea43d54c3a",
     ),
     # digits far above the entry count: multi-word codes, direct weight terms
     "multinomial-multiword": (
@@ -218,8 +225,17 @@ def test_dumps_off_the_benchmark_are_bitwise_stable(name):
     assert _sha256(lattice.dump(lat).encode()) == digest
 
 
-@pytest.mark.parametrize("rows", [1, 3, 4])
-@pytest.mark.parametrize("name", [*GOLDEN, *DUMPS])
+# blocks of 1, 3 and 4 lines on every dump of at most 2,202 lines, which
+# covers every regime; the two largest (49,719 and 18,432 lines) in 401
+# blocks each, the last one ragged
+_LARGE_DUMP_ROWS = {"poisson-k3-n16": 124, "poisson-k8-n5": 46}
+_BLOCK_CASES = [
+    *((name, rows) for name in [*GOLDEN, *DUMPS] if name not in _LARGE_DUMP_ROWS for rows in (1, 3, 4)),
+    *_LARGE_DUMP_ROWS.items(),
+]
+
+
+@pytest.mark.parametrize("name, rows", _BLOCK_CASES)
 def test_dumps_load_alike_in_small_blocks(name, rows, monkeypatch):
     """load in blocks of a few lines reads every golden dump back exactly."""
     if name in GOLDEN:
@@ -228,6 +244,9 @@ def test_dumps_load_alike_in_small_blocks(name, rows, monkeypatch):
     else:
         data, k, _, digest = DUMPS[name]
     lat = lattice.build(data, k)
+    if name in _LARGE_DUMP_ROWS:
+        entries = lat.distinct_count()
+        assert -(-entries // rows) >= 400 and entries % rows
     text = lattice.dump(lat)
     with monkeypatch.context() as patch:
         patch.setattr(lattice, "_BLOCK_ROWS", rows)

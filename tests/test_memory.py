@@ -1,4 +1,4 @@
-"""Memory ceilings of the fold, `load` and the density grids.
+"""Memory ceilings of the fold, `load`, `total_count`, `normalize` and the density grids.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is what it held at once. Each bound lies between the peak the layer reaches
@@ -59,6 +59,26 @@ def test_load_holds_a_block_beyond_its_output(fit_data):
     lat, peak = _traced_peak(lattice.load, text)
     assert lat.distinct_count() == 59_754
     assert peak / len(text) < 8.5
+
+
+def test_total_count_holds_one_int64_column(fit_data):
+    # 8.0 bytes per entry here: one 31-bit half of the multiplicities at a
+    # time; 24.2 while it made a Python int of every multiplicity
+    lat = lattice.build(fit_data, 3)
+    total, peak = _traced_peak(lat.total_count)
+    assert total == 3**16
+    assert peak / lat.distinct_count() < 12
+
+
+def test_normalize_sorts_the_multiplicities_before_the_columns(fit_data):
+    # 48.0 bytes per entry here: np.unique's sort of the multiplicities ends
+    # before the k contribution columns are formed; 65.3 while it overlapped
+    # them
+    lat = lattice.build(fit_data, 3)
+    prior = MixturePrior((1.0,) * 3, (PoissonGamma(1.0, 1.0),) * 3)
+    wp, peak = _traced_peak(posterior.normalize, lat, prior)
+    assert len(wp.weights) == 59_754
+    assert peak / len(wp.weights) < 56
 
 
 def test_many_member_density_holds_one_block():
