@@ -49,6 +49,7 @@ _INT64_DIGITS = 19  # decimal digits of the largest int64, 2**63 - 1
 # a time, so their buffers stay small
 _BLOCK_ROWS = 2**14
 _ZERO, _TAB, _NEWLINE = ord("0"), ord("\t"), ord("\n")
+_UNITS = 2**1074  # every finite double is a whole number of units 2**-1074
 _FRONT = 24  # bytes before a parsed block: room for a cell's three words
 # _CELL_MASKS[size][d] keeps the top d bytes of a little-endian word of size bytes
 _CELL_MASKS = {
@@ -74,16 +75,22 @@ class StatLattice:
     `_from_arrays`, which freezes them.
     """
 
-    __slots__ = ("family", "k", "n", "key_array", "mult_array", "log_base")
+    __slots__ = ("family", "k", "n", "key_array", "mult_array", "log_h_units")
 
     @classmethod
-    def _from_arrays(cls, family, k, n, columns, mults, log_base) -> "StatLattice":
+    def _from_arrays(cls, family, k, n, columns, mults, log_h_units) -> "StatLattice":
         lat = cls.__new__(cls)
         keys = columns.T
         keys.flags.writeable = mults.flags.writeable = False
-        for name, value in zip(cls.__slots__, (family, k, n, keys, mults, log_base)):
+        for name, value in zip(cls.__slots__, (family, k, n, keys, mults, log_h_units)):
             object.__setattr__(lat, name, value)
         return lat
+
+    @property
+    def log_base(self) -> float:
+        """log h of the data: `log_h_units`, the exact sum of the terms in units
+        of 2**-1074, rounded once by int true division, as `math.fsum` rounds."""
+        return self.log_h_units / _UNITS
 
     def __setattr__(self, name, value):
         raise AttributeError(f"StatLattice is immutable; cannot set {name!r}")
@@ -138,6 +145,12 @@ def log_multiplicities(mults: np.ndarray) -> np.ndarray:
     return families.per_distinct(math.log, images)
 
 
+def _units(x: float) -> int:
+    """A finite double as an exact whole number of units 2**-1074."""
+    num, den = x.as_integer_ratio()
+    return num * (_UNITS // den)
+
+
 def _word_places(radix: list[int]) -> np.ndarray:
     """Mixed-radix place values that pack key columns into int64 words.
 
@@ -188,11 +201,13 @@ def _fresh(succ: np.ndarray, order: np.ndarray) -> np.ndarray:
 def _fold(
     lattice: StatLattice, observations: Sequence, budget: int = DEFAULT_ENTRY_BUDGET
 ) -> StatLattice:
-    """Absorb the observations in order, merging colliding successors."""
+    """Absorb the observations in value order, merging colliding successors;
+    log h is an exact sum, so no output and no error depends on their order."""
     family, k, w = lattice.family, lattice.k, lattice.slot_width
-    # each observation is read once: R(x) for the shifts, log h(x) for log_base
-    observed = [families.observe(family, obs, lattice.categories) for obs in observations]
+    # each observation is read once: R(x) for the shifts, log h(x) for log_h_units
+    observed = sorted(families.observe(family, obs, lattice.categories) for obs in observations)
     stats = [(1, *r) for r, _ in observed]
+    log_h_units = lattice.log_h_units + sum(_units(log_h) for _, log_h in observed)
     # every entry shares the column totals, and no digit outgrows its
     # column's final total, so radix total + 1 never carries
     first = lattice.key_array[0].tolist()
@@ -207,9 +222,9 @@ def _fold(
     # word; the dropped last slot adds nothing
     shifts = np.zeros((len(stats), len(places), k), dtype=np.int64)
     shifts[:, :, :-1] = np.einsum("pjc,ic->ipj", places.reshape(len(places), k - 1, w), stats)
-    mults, n, log_base = lattice.mult_array, lattice.n, lattice.log_base
+    mults, n = lattice.mult_array, lattice.n
     growth = [len(mults)]
-    for (_, log_h), shift in zip(observed, shifts):
+    for shift in shifts:
         succ = (codes[:, None, :] + shift[:, :, None]).reshape(len(codes), -1)
         del codes
         # k sorted runs, which the stable sort under lexsort merges
@@ -219,7 +234,7 @@ def _fold(
         growth.append(len(starts))
         if len(starts) > budget:
             raise ResourceLimitError(
-                f"entry budget {budget} exceeded at {len(starts)} entries on observation {n}",
+                f"entry budget {budget} exceeded at {len(starts)} entries after {n} observations",
                 entry_count=len(starts),
                 step=n,
                 growth=tuple(growth),
@@ -231,7 +246,6 @@ def _fold(
         mults = mults.astype(_mult_dtype(k, n), copy=False).take(order, mode="wrap")
         del order
         mults = np.add.reduceat(mults, starts)
-        log_base = log_base + log_h
 
     # decode once, in place, so no copy of the codes sits beside the key
     # columns: the codes' buffer grows into the columns, word i in row i.
@@ -251,7 +265,7 @@ def _fold(
     last[:] = np.array(totals)[:, None]
     for j in range(k - 1):
         last -= columns[j * w : (j + 1) * w]
-    return StatLattice._from_arrays(family, k, n, columns, mults, log_base)
+    return StatLattice._from_arrays(family, k, n, columns, mults, log_h_units)
 
 
 def init(first_obs, k: int, family: str | None = None) -> StatLattice:
@@ -282,9 +296,9 @@ def build(
         # Bell-number-like, so enumeration goes through the oracle instead
         raise UnsupportedFamilyError("normal-family lattices are not supported; use the oracle")
     w = 1 + len(families.observe(family, data[0])[0])
-    # the n=0 lattice: one all-zero key; -0.0 + x is x bitwise for every x
+    # the n=0 lattice: one all-zero key, and log h = 0
     one = np.array([1], dtype=_mult_dtype(k, 0))
-    empty = StatLattice._from_arrays(family, k, 0, np.zeros((k * w, 1), np.int64), one, -0.0)
+    empty = StatLattice._from_arrays(family, k, 0, np.zeros((k * w, 1), np.int64), one, 0)
     return _fold(empty, data, budget)
 
 
@@ -530,7 +544,7 @@ def load(text: str) -> StatLattice:
             raise LatticeFormatError("an empty slot carries a nonzero aggregate")
     if not _increasing(columns):
         raise LatticeFormatError("keys are duplicated or out of order")
-    lat = StatLattice._from_arrays(family, k, n, columns, mults, log_base)
+    lat = StatLattice._from_arrays(family, k, n, columns, mults, _units(log_base))
     total = lat.total_count()
     # the bit-length test keeps k**n cheap when n is absurdly large
     if (k > 1 and n * math.log2(k) > total.bit_length() + 1) or total != k**n:

@@ -660,7 +660,7 @@ class TestExitCodes:
             "10",
         )
         assert code == 4
-        assert err == "error: entry budget 10 exceeded at 20 entries on observation 3\n"
+        assert err == "error: entry budget 10 exceeded at 20 entries after 3 observations\n"
 
     @pytest.mark.parametrize(
         "error, message",
@@ -718,7 +718,7 @@ class TestExitCodes:
         )
         assert code == 4
         assert "distinct=" not in stdout
-        assert err.startswith("error: entry budget 1 exceeded at 4 entries on observation 1")
+        assert err.startswith("error: entry budget 1 exceeded at 4 entries after 1 observations")
 
     def test_single_component_weight_marginal_is_2(self, capsys, worked_file):
         code, stdout, err = run_cli(

@@ -152,7 +152,7 @@ class TestExtend:
         assert err.value.entry_count == 20
         assert err.value.step == 3
         assert err.value.growth == (1, 4, 10, 20)
-        assert "on observation 3" in str(err.value)
+        assert "after 3 observations" in str(err.value)
 
     def test_budget_covers_the_first_observation(self):
         with pytest.raises(ResourceLimitError) as err:
@@ -160,6 +160,16 @@ class TestExtend:
         assert err.value.entry_count == 4
         assert err.value.step == 1
         assert err.value.growth == (1, 4)
+
+    def test_budget_ignores_the_row_order(self):
+        # the fold reads the rows in value order; in row order, the reversed
+        # rows would exceed the budget at the second step, with 16 entries
+        raised = []
+        for rows in (WORKED_DATA, WORKED_DATA[::-1], [2, 0, 4, 0, 1, 2, 0]):
+            with pytest.raises(ResourceLimitError) as err:
+                build(rows, 4, budget=10)
+            raised.append((err.value.entry_count, err.value.step, err.value.growth, str(err.value)))
+        assert raised == [raised[0]] * 3
 
     def test_wrong_family_observation_rejected(self):
         with pytest.raises(ValueError):
@@ -239,7 +249,7 @@ class TestColumnLayout:
     def test_dump_reads_either_key_order_alike(self, data, k):
         lat = build(data, k)
         rows = np.ascontiguousarray(lat.key_array)
-        by_row = StatLattice._from_arrays(lat.family, k, lat.n, rows.T, lat.mult_array, lat.log_base)
+        by_row = StatLattice._from_arrays(lat.family, k, lat.n, rows.T, lat.mult_array, lat.log_h_units)
         assert by_row.key_array.flags.c_contiguous
         assert dump(by_row) == dump(lat)
 
@@ -622,6 +632,16 @@ class TestDumpLoad:
         assert loaded.n == lat.n
         assert loaded.log_base == lat.log_base
         assert dict(loaded.entries) == dict(lat.entries)
+
+    def test_a_negative_zero_header_loads(self):
+        # log h summed in sequence gave -0.0 where every term is -0.0; the
+        # exact sum is +0.0, as math.fsum's, and such a dump still loads
+        lat = build([0, 1, 0], 2)
+        text = dump(lat)
+        assert text.startswith("family=poisson k=2 n=3 logh=0x0.0p+0\n")
+        loaded = load(text.replace("logh=0x0.0p+0", "logh=-0x0.0p+0", 1))
+        assert loaded.log_base.hex() == "0x0.0p+0"
+        assert dump(loaded) == text
 
     def test_multinomial_round_trip(self):
         lat = build([(1, 2), (0, 3), (2, 1)], 2)

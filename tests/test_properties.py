@@ -8,12 +8,14 @@ lattice entries where the fold is compared with itself.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mixexact import lattice, oracle, posterior
+from mixexact import families, lattice, oracle, posterior
 from mixexact.errors import LatticeFormatError
 from mixexact.families import DirichletMultinomial, PoissonGamma
 from mixexact.posterior import MixturePrior
@@ -89,6 +91,20 @@ def test_invariant_to_data_order(case, data):
     a, b = lattice.build(obs, prior.k), lattice.build(shuffled, prior.k)
     assert a.key_array.tolist() == b.key_array.tolist()
     assert a.mult_array.tolist() == b.mult_array.tolist()
+    # log h is one exact sum: the correctly rounded sum of the terms, as the
+    # oracle's, and the same bits, dump and evidence in any order
+    terms = [families.observe(a.family, x)[1] for x in shuffled]
+    assert a.log_base.hex() == b.log_base.hex() == math.fsum(terms).hex()
+    assert a.log_base.hex() == oracle._observed(obs, a.family, a.categories)[1].hex()
+    text = lattice.dump(a)
+    assert lattice.dump(b) == text
+    evidence = posterior.log_evidence(a, prior).hex()
+    assert posterior.log_evidence(lattice.load(lattice.dump(b)), prior).hex() == evidence
+    # so is extend, one observation at a time in the shuffled order
+    folded = lattice.init(shuffled[0], prior.k)
+    for x in shuffled[1:]:
+        folded = lattice.extend(folded, x)
+    assert lattice.dump(folded) == text
 
 
 @PROPERTY
