@@ -47,7 +47,6 @@ from .posterior import (
     marginal_component_density,
     marginal_weight_density,
     mass_concentration,
-    mass_grid,
     normalize,
     summarize,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "marginal_component_density",
     "marginal_weight_density",
     "mass_concentration",
-    "mass_grid",
     "normalize",
     "oracle_distinct_statistics",
     "oracle_posterior",

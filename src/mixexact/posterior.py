@@ -29,6 +29,7 @@ from .lattice import Key, StatLattice, log_multiplicities
 
 DEFAULT_GRID_POINTS = 512
 DEFAULT_COVERAGE = 1e-8
+DEFAULT_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -390,12 +391,12 @@ class _Members:
     the weighted sum of those exponentiated over the members.
     """
 
-    # (lower support edge, density finite at that edge)
-    edge: tuple[float | None, bool] = (None, False)
     coef: np.ndarray  # (3, D)
     # closed forms of the log density at t and the point of lower-tail mass
     # u, each taking the member parameters in order after t or u
     closed_logpdf = closed_ppf = None
+    # the family's coordinate, in which mass grids are laid out, and its inverse
+    coordinate = point = None
 
     def __init__(self, weights, *params):
         weights = np.asarray(weights, dtype=float)
@@ -447,12 +448,12 @@ class _Members:
 
 class _GammaMembers(_Members):
     closed_logpdf, closed_ppf = staticmethod(gamma_logpdf), staticmethod(gamma_ppf)
+    coordinate, point = staticmethod(np.log), staticmethod(np.exp)
 
     def __init__(self, shapes, rates, weights):
         super().__init__(weights, shapes, rates)
         a, b = self.params
         self.coef = np.stack([a - 1.0, -b, a * np.log(b) - gammaln(a)])
-        self.edge = (0.0, bool(np.all(a >= 1.0)))
 
     def basis(self, t):
         return np.log(t), t
@@ -464,11 +465,12 @@ class _BetaMembers(_Members):
     closed_logpdf, closed_ppf = staticmethod(beta_logpdf), staticmethod(beta_ppf)
 
     def __init__(self, a, b, weights):
-        from scipy.special import betaln
+        from scipy.special import betaln, expit, logit
 
         super().__init__(weights, a, b)
         a, b = self.params
         self.coef = np.stack([a - 1.0, b - 1.0, -betaln(a, b)])
+        self.coordinate, self.point = logit, expit
 
     def basis(self, t):
         return np.log(t), np.log1p(-t)
@@ -477,6 +479,7 @@ class _BetaMembers(_Members):
 _PROBE_UNIFORM = 4096
 _PROBE_LEVELS = 65
 _PROBE_MEMBER_CAP = 512
+_EVEN_SHARE = 0.125
 
 
 def mass_grid(members: _Members) -> np.ndarray:
@@ -485,44 +488,44 @@ def mass_grid(members: _Members) -> np.ndarray:
     Composite-trapezoid error over one cell is h^3 |f''| / 12, so
     equidistributing |f''|^(1/3) minimizes the total for a fixed point
     count. Curvature is probed on a fine auxiliary grid seeded with
-    per-member quantiles so that narrow members are never missed.
+    per-member quantiles so that narrow members are never missed. The probe
+    and _EVEN_SHARE of the cells are even in the members' coordinate.
     """
-    # the fattest member sets the upper end; the lower end is the support
-    # edge when every member is finite there, else the thinnest quantile
+    lo = float(np.min(members.ppf(DEFAULT_COVERAGE)))
     hi = float(np.max(members.ppf(1.0 - DEFAULT_COVERAGE)))
-    edge, finite = members.edge
-    lo = edge if (edge is not None and finite) else float(np.min(members.ppf(DEFAULT_COVERAGE)))
+    with np.errstate(divide="ignore"):
+        ends = members.coordinate(np.array([lo, hi]))
+    if not np.all(np.isfinite(ends)):
+        edges = " and ".join(repr(e) for e, c in zip((lo, hi), ends) if not np.isfinite(c))
+        raise NumericalError(f"density diverges at the support edge {edges}; pass an explicit grid (--grid)")
 
     # probe guidance can ignore negligible members; their curvature share
     # is bounded by their total weight
     order = np.argsort(-members.weights, kind="stable")
     idx = np.sort(order[:_PROBE_MEMBER_CAP])
     levels = np.linspace(DEFAULT_COVERAGE, 1.0 - DEFAULT_COVERAGE, _PROBE_LEVELS)
-    quantiles = members.ppf(levels[:, None], idx)
-    probe = np.unique(
-        np.concatenate(
-            [np.linspace(lo, hi, _PROBE_UNIFORM), np.clip(quantiles.ravel(), lo, hi)]
-        )
-    )
+    quantiles = np.clip(members.ppf(levels[:, None], idx), lo, hi)
+    s = np.unique(np.concatenate([np.linspace(*ends, _PROBE_UNIFORM), members.coordinate(quantiles.ravel())]))
+    probe = members.point(s)
+    probe[0], probe[-1] = lo, hi
+    # the map back rounds neighbouring coordinates onto one double
+    distinct = np.concatenate([[True], np.diff(probe) > 0])
+    s, probe = s[distinct], probe[distinct]
     if not (hi > lo and probe.size >= 3):
         raise NumericalError(f"mixture mass spans too few doubles: [{lo!r}, {hi!r}]")
     f = members.mixture_pdf(probe, idx)
 
     h1 = np.diff(probe)[:-1]
     h2 = np.diff(probe)[1:]
-    # a density that overflows at a divergent edge makes the cumulative inf or nan
     with np.errstate(all="ignore"):
         d2 = 2.0 * (h1 * f[2:] - (h1 + h2) * f[1:-1] + h2 * f[:-2]) / (h1 * h2 * (h1 + h2))
         w = np.abs(np.concatenate([d2[:1], d2, d2[-1:]])) ** (1.0 / 3.0)
-        # small floor keeps flat stretches covered and the cumulative invertible
-        w += w.max() * 1e-4 + 1e-300
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(probe))])
     if not np.isfinite(cum[-1]):
-        # name every end whose density is not finite, else the whole probe
-        edges = " and ".join(repr(e) for e, v in ((lo, f[0]), (hi, f[-1])) if not np.isfinite(v))
-        where = f"diverges at the support edge {edges}" if edges else f"overflows inside [{lo!r}, {hi!r}]"
-        raise NumericalError(f"density {where}; pass an explicit grid (--grid)")
-    cum /= cum[-1]
+        raise NumericalError(f"density overflows inside [{lo!r}, {hi!r}]; pass an explicit grid (--grid)")
+    even = (s - s[0]) / (s[-1] - s[0])
+    # a flat density has no curvature: all its cells are even
+    cum = (1.0 - _EVEN_SHARE) * (cum / cum[-1] if cum[-1] > 0 else even) + _EVEN_SHARE * even
     grid = np.interp(np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS), cum, probe)
     grid[0], grid[-1] = lo, hi
     if not np.all(np.diff(grid) > 0):
@@ -566,8 +569,11 @@ def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> t
 
 
 def _marginal(members: _Members, param: str, grid) -> DensityGrid:
-    """The members' mixture density on the given grid, or on their mass grid."""
-    if grid is None:
+    """The members' mixture density on the given grid, or on their mass grid.
+    A mass grid holds all but 2 * DEFAULT_COVERAGE of the exact mass, so its
+    trapezoid must be within DEFAULT_TOLERANCE of 1."""
+    default = grid is None
+    if default:
         grid = mass_grid(members)
     else:
         grid = np.asarray(grid, dtype=float)
@@ -575,7 +581,13 @@ def _marginal(members: _Members, param: str, grid) -> DensityGrid:
             raise ValueError(f"grid must be a non-empty 1-D vector, got shape {grid.shape}")
         if isinstance(members, _BetaMembers) and (np.any(grid <= 0.0) or np.any(grid >= 1.0)):
             raise ValueError("grid points must lie strictly inside (0, 1)")
-    return DensityGrid(param, grid, members.mixture_pdf(grid))
+    out = DensityGrid(param, grid, members.mixture_pdf(grid))
+    if default and not abs(out.trapezoid() - 1.0) <= DEFAULT_TOLERANCE:
+        raise NumericalError(
+            f"default {param} grid integrates to {out.trapezoid()!r}, not 1 within {DEFAULT_TOLERANCE!r}; "
+            "pass an explicit grid (--grid)"
+        )
+    return out
 
 
 def marginal_component_density(

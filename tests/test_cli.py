@@ -797,7 +797,7 @@ class TestExitCodes:
             text=True,
         )
         assert proc.returncode == 6
-        assert proc.stderr == "error: density overflows inside [0.0, 1e+300]; pass an explicit grid (--grid)\n"
+        assert proc.stderr == "error: density overflows inside [1.25e+299, 1e+300]; pass an explicit grid (--grid)\n"
         assert proc.stdout == "ingest n=7 min=0 max=4 sum=9\n"
 
     def test_divergent_weight_grid_is_6_with_one_error_line(self, tmp_path):
@@ -815,6 +815,59 @@ class TestExitCodes:
         assert proc.returncode == 6
         assert proc.stderr == "error: density diverges at the support edge 1.0; pass an explicit grid (--grid)\n"
         assert proc.stdout == "ingest n=3 min=0 max=3 sum=3\n"
+
+
+# np.random.default_rng(5).multinomial(6, [0.5, 0.3, 0.2], size=16): under the
+# CLI's default concentration of 1/2, a member whose category count is 0 has a
+# q density that diverges at q = 0
+HALF_PRIOR_ROWS = "".join(
+    f"{a},{b},{c}\n"
+    for a, b, c in [
+        (4, 1, 1), (3, 2, 1), (1, 3, 2), (3, 3, 0), (1, 0, 5), (3, 2, 1), (3, 0, 3), (5, 0, 1),
+        (3, 2, 1), (4, 2, 0), (3, 2, 1), (4, 2, 0), (4, 0, 2), (2, 1, 3), (4, 2, 0), (4, 2, 0),
+    ]
+)
+
+
+def far_clusters(base: int) -> str:
+    return "".join(f"{x}\n" for x in (2, 5, 1, 3, 0, 4, base, base + 3, base - 2))
+
+
+# name: (data, flags, whether exit 6 may answer). Each default grid here
+# wrote a CSV far from integrating to 1 with exit 0 before its grid was laid
+# out in the family's own coordinate (trapezoid 1.3e6, 1.0074, up to 2.2e5
+# for q, 1.6e15 and 5.6e15 for p1, 1.5e-6 near 1e9). A t^-0.7 edge and
+# members 1e9 away from 0 are beyond 512 trapezoid points, so those may be
+# refused, naming the trapezoid.
+DEFAULT_GRID_CASES = {
+    "gamma-half-lambda1": ("0\n0\n3\n", ["--family", "poisson", "--gamma", "0.5,1;0.5,1", "--param", "lambda1"], False),
+    "far-1e6-lambda1": (far_clusters(10**6), ["--family", "poisson", "--param", "lambda1"], False),
+    **{
+        f"half-prior-q1,{u}": (HALF_PRIOR_ROWS, ["--family", "multinomial", "--param", f"q1,{u}"], False)
+        for u in (1, 2, 3)
+    },
+    "alpha-0.3-p1-zeros": ("0\n0\n3\n", ["--family", "poisson", "--alpha", "0.3,2.7", "--param", "p1"], True),
+    "alpha-0.3-p1-counts": (WORKED, ["--family", "poisson", "--alpha", "0.3,2.7", "--param", "p1"], True),
+    "far-1e9-lambda1": (far_clusters(10**9), ["--family", "poisson", "--param", "lambda1"], True),
+}
+
+
+class TestDefaultGridPromise:
+    @pytest.mark.parametrize("name", list(DEFAULT_GRID_CASES))
+    def test_integrates_to_one_or_exits_6(self, capsys, tmp_path, name):
+        text, flags, may_refuse = DEFAULT_GRID_CASES[name]
+        data, out = tmp_path / "data.txt", tmp_path / "grid.csv"
+        data.write_text(text)
+        code, _, err = run_cli(capsys, "marginal", "--data", str(data), "--k", "2", *flags, "--out", str(out))
+        if may_refuse and code == 6:
+            refusal = r"error: default (p1|lambda1) grid integrates to \S+, not 1 within 0\.0001; pass an explicit grid"
+            assert re.fullmatch(refusal + r" \(--grid\)\n", err)
+            assert not out.exists()
+            return
+        assert code == 0, err
+        grid, density = np.array([[float(c) for c in line.split(",")] for line in out.read_text().splitlines()[1:]]).T
+        assert grid.size == posterior.DEFAULT_GRID_POINTS
+        assert abs(np.trapezoid(density, grid) - 1.0) <= 1e-4
 
 
 class TestDeterminism:

@@ -59,6 +59,21 @@ held (log weights do not read log h):
   added in sequence they gave `logh=-0x0.0p+0`, and their exact sum is
   +0.0 (`0x0.0p+0`). A dump with the old header still loads.
 
+These 4 were re-pinned when default grids came to run from the smallest
+1e-8 quantile to the largest upper one, with the curvature probe and an
+eighth of the cells even in the members' own coordinate (log t for a rate,
+logit t for a probability), where the probe and the cells' floor were even
+in t; every other digest held:
+- `DEFAULT_GRIDS["worked-example", "lambda1"]` and `["poisson-k3-n16",
+  "lambda1"]`: every member is finite at 0, so the grid started at the
+  support edge 0.0; it now starts at the smallest 1e-8 quantile (2.5e-09 and
+  5.0e-09), and its points move with the log-t probe;
+- `DEFAULT_GRIDS["worked-example", "p1"]` and `["poisson-k3-n16", "p1"]`:
+  their ends held, and their points move with the logit probe.
+The default `q1,1` grid of `multinomial-k2` was pinned then: the ½
+concentrations of its first component give members that diverge at q = 0,
+and that grid integrated to 45,631 before, against 1 within 7e-6 now.
+
 No digest depends on BLAS: not on its kernel, its thread count, the
 array layout or the block shape (`test_digests_ignore_the_blas_kernel` runs
 them in a child under another kernel and two threads). They do depend on
@@ -183,15 +198,15 @@ GOLDEN = {
 
 # (name, param): sha256 of the default grid's bytes, then its density's
 DEFAULT_GRIDS = {
-    ("worked-example", "p1"): "7d1a51f3b4571fc3c21e5b4ed677ec6b7d7ff1973c2567f6d81bb7c81203b7f8",
-    ("worked-example", "lambda1"): "1ac5b03440ca85b9c50ab84d2d562ddaa5d0943218d3ffe4f9e78b7205bcc889",
-    ("poisson-k3-n16", "p1"): "19293587595609ff7d42217353cd6c180eaa1ea423a542e56ad766e46330f8c0",
-    ("poisson-k3-n16", "lambda1"): "b4f96416fe937bb664848aa27eb270d51b6b1fd66e5b28da78f6d53012abb606",
+    ("worked-example", "p1"): "0c4c6352620418274d7982c5a8021f6cb39ad6b7ce2b6eff104cfff340e328f7",
+    ("worked-example", "lambda1"): "25fd0142dab670b836e45def5639cc317fdc1ac6f276688bec4a8b33a3d798dd",
+    ("poisson-k3-n16", "p1"): "efcf88716f4cc3e0808c622900e593d885188079753fd47febcfe3dc971a1039",
+    ("poisson-k3-n16", "lambda1"): "d485d6fccbbab7b7002e8710a04de610ba1090185c06c3b586a5cb8e5cc5142a",
+    # Beta members of shape 1/2 that diverge at q = 0
+    ("multinomial-k2", "q1,1"): "b68657381fe60bfe572234dd963649a6c760c44d01b7b9ae06c7ae72004cb3f8",
 }
 
-# name: sha256 of every q<j>,<u> density on INTERIOR, j then u ascending. The
-# default q grids are left out: under concentrations below 1 they do not
-# integrate to 1 (README, Known limitations), and a digest would pin that.
+# name: sha256 of every q<j>,<u> density on INTERIOR, j then u ascending
 INTERIOR = np.linspace(0.05, 0.95, 19)
 Q_DENSITIES = {
     "multinomial-k2": "41f5871f12c6a8e93679f5def3e9d734bbaddc52945442280ed82a24c09e9ad1",
@@ -281,8 +296,8 @@ def _default_grid_digest(name: str, param: str) -> str:
     wp = _posterior(name)
     if param == "p1":
         g = posterior.marginal_weight_density(wp, 0)
-    else:
-        g = posterior.marginal_component_density(wp, 0)
+    else:  # lambda1, or q1,1
+        g = posterior.marginal_component_density(wp, 0, category=0 if param == "q1,1" else None)
     return _sha256(g.grid.tobytes() + g.density.tobytes())
 
 
@@ -554,9 +569,14 @@ def test_summaries_are_the_exact_sums_of_their_products(name):
         assert abs(float(shown[label]) - exact) <= 1e-13 * abs(exact), label
 
 
-# (name, param, points): a component-1 or p1 density and five points of its grid
+# (name, param, points): a component-1 or p1 density and five points of its
+# grid, the default one for p1 and lambda1, INTERIOR for q1,1
 DENSITY_REFERENCES = [
-    *((name, param, np.linspace(1, posterior.DEFAULT_GRID_POINTS - 2, 5).astype(int)) for name, param in DEFAULT_GRIDS),
+    *(
+        (name, param, np.linspace(1, posterior.DEFAULT_GRID_POINTS - 2, 5).astype(int))
+        for name, param in DEFAULT_GRIDS
+        if param != "q1,1"
+    ),
     *((name, "q1,1", [0, 4, 9, 14, 18]) for name in Q_DENSITIES),
 ]
 

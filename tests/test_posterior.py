@@ -496,7 +496,7 @@ class TestNonFiniteResults:
         # between the finite ends of the probe
         prior = MixturePrior((1.0, 1.0), (PoissonGamma(1e300, 1.0), PoissonGamma(1.0, 1.0)))
         wp = normalize(build(WORKED_DATA, 2), prior)
-        with pytest.raises(NumericalError, match=r"^density overflows inside \[0\.0, 1e\+300\]; pass an explicit grid"):
+        with pytest.raises(NumericalError, match=r"^density overflows inside \[1\.25e\+299, 1e\+300\]; pass an explicit grid"):
             marginal_component_density(wp, 0)
 
 
@@ -609,6 +609,14 @@ class TestDensityGrids:
         wp = normalize(lat, sym_prior())
         g = marginal_weight_density(wp, 0, grid=[0.1, 0.4, 0.8])
         assert g.density == pytest.approx([1.0, 1.0, 1.0], abs=1e-13)
+
+    def test_flat_density_has_an_even_default_grid(self):
+        # Beta(1, 1) has no curvature to equidistribute: every cell is even in logit p
+        g = marginal_weight_density(normalize(load(PRIOR_ONLY), sym_prior()), 0)
+        assert g.grid.size == 512
+        steps = np.diff(np.log(g.grid / (1.0 - g.grid)))
+        assert steps == pytest.approx(np.full(511, 2 * math.log(1e8 - 1) / 511), rel=1e-3)
+        assert abs(g.trapezoid() - 1.0) < 1e-4
 
     def test_symmetric_weight_marginal_is_symmetric(self):
         wp = normalize(build([0, 1, 3], 2), sym_prior())

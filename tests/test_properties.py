@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mixexact import families, lattice, oracle, posterior
-from mixexact.errors import LatticeFormatError
+from mixexact.errors import LatticeFormatError, NumericalError
 from mixexact.families import DirichletMultinomial, PoissonGamma
 from mixexact.posterior import MixturePrior
 
@@ -294,3 +294,45 @@ def test_row_sum_adds_in_sequence(k):
     s = rng.integers(2**54, 2**58, (64, k))
     expected = np.array([_in_sequence(map(float, row)) for row in s.tolist()])
     assert posterior._row_sum([column.astype(float) for column in s.T]).tobytes() == expected.tobytes()
+
+
+# shapes, rates, alpha and beta are drawn from one of these sets; from 1 up,
+# no member diverges at a support edge and no default grid may be refused
+GRID_LEVELS = {"from-half": (0.5, 1.0, 3.0), "from-one": (1.0, 3.0)}
+
+
+def default_grids(family: str, levels: tuple, count: int, seed: int):
+    """A p_j and a lambda_j or q_j,u default grid of each of `count` seeded
+    random cases, each as a call that draws it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k, n = int(rng.integers(2, 4)), int(rng.integers(3, 9))
+        alpha = tuple(rng.choice(levels, k).tolist())
+        if family == "poisson":
+            data = rng.poisson(rng.choice([0.5, 3.0, 20.0], n)).tolist()
+            comps = tuple(PoissonGamma(*rng.choice(levels, 2).tolist()) for _ in range(k))
+            category = None
+        else:
+            data = [tuple(row) for row in rng.multinomial(int(rng.integers(1, 6)), rng.dirichlet([1.0] * 3), n).tolist()]
+            comps = tuple(DirichletMultinomial(tuple(rng.choice(levels, 3).tolist())) for _ in range(k))
+            category = int(rng.integers(3))
+        wp = posterior.normalize(lattice.build(data, k), MixturePrior(alpha, comps))
+        j = int(rng.integers(k))
+        yield lambda: posterior.marginal_weight_density(wp, j)
+        yield lambda: posterior.marginal_component_density(wp, j, category=category)
+
+
+@pytest.mark.parametrize("levels", list(GRID_LEVELS))
+@pytest.mark.parametrize("family", ["poisson", "multinomial"])
+def test_default_grids_integrate_to_one_or_are_refused(family, levels):
+    refused = 0
+    for draw in default_grids(family, GRID_LEVELS[levels], 100, seed=23):
+        try:
+            g = draw()
+        except NumericalError:
+            refused += 1
+            continue
+        assert g.grid.size == posterior.DEFAULT_GRID_POINTS
+        assert abs(g.trapezoid() - 1.0) <= posterior.DEFAULT_TOLERANCE
+    print(f"{family} {levels}: {refused} of 200 default grids refused")
+    assert refused == 0 or levels == "from-half"
