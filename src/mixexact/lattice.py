@@ -50,16 +50,7 @@ _INT64_DIGITS = 19  # decimal digits of the largest int64, 2**63 - 1
 _BLOCK_ROWS = 2**14
 _ZERO, _TAB, _NEWLINE = ord("0"), ord("\t"), ord("\n")
 _UNITS = 2**1074  # every finite double is a whole number of units 2**-1074
-_FRONT = 24  # bytes before a parsed block: room for a cell's three words
-# _CELL_MASKS[size][d] keeps the top d bytes of a little-endian word of size bytes
-_CELL_MASKS = {
-    size: np.array([2 ** (8 * size) - 2 ** (8 * (size - d)) for d in range(size + 1)], f"<u{size}")
-    for size in (1, 2, 4, 8)
-}
-# SWAR steps (shift, scale, lanes): each folds neighbouring lanes into one,
-# scale times the lower (more significant) plus the upper, from eight
-# one-digit bytes to one 8-digit value
-_LANE_STEPS = ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10_000, 0xFFFFFFFF))
+_FRONT = 18  # bytes before a parsed block: the 18 places in front of a 19-digit cell's last digit
 
 
 class StatLattice:
@@ -370,33 +361,19 @@ def _cell_values(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray, longest
     `longest`, that end before the offsets `ends` of a parsed block.
 
     `buf` holds the block's bytes XOR '0', so its digits are 0..9, after
-    `_FRONT` bytes of room. Read as a little-endian word, the bytes that end
-    where a cell ends hold its last digits in the top bytes, the most
-    significant lowest. Masking off the bytes in front of the cell and
-    folding neighbouring lanes together (SWAR multiply-shift-mask steps)
-    turns them into their value. Each word is just wide enough for the
-    longest cell, and the words are gathered by fancy indexing, which reads
-    the unaligned view of `buf` in place. A cell of more than 19 digits gets
-    no meaningful value: the callers reject it by its length, or read it
-    with `int`.
+    `_FRONT` bytes of room. Each pass reads one decimal place, as `dump`
+    writes one per divmod plane: it steps every cell's index one byte back
+    from its last digit, and a place in front of a cell adds zero. A cell of
+    more than 19 digits gets no meaningful value: the callers reject it by
+    its length, or read it with `int`.
     """
-    for i in range(0, min(longest, _INT64_DIGITS), 8):
-        steps = (min(longest - i, 8, _INT64_DIGITS - i) - 1).bit_length()
-        size = 1 << steps  # bytes of the word: words[e] ends i bytes before offset e
-        words = np.ndarray((len(buf) - _FRONT,), f"<u{size}", buf, _FRONT - i - size, (1,))
-        part = words[ends]
-        # mode="clip" takes each cell's digit count in this word, 0..size
-        part &= _CELL_MASKS[size].take(lengths - i if i else lengths, mode="clip")
-        for shift, scale, lanes in _LANE_STEPS[:steps]:
-            part *= (scale << shift) + 1
-            part >>= shift
-            part &= lanes & ~(-1 << 8 * size)
-        if i == 0:
-            value = part  # uint64 whenever a later word follows
-        else:
-            part = part.astype(np.uint64, copy=False)
-            part *= 10**i
-            value += part
+    at = ends + (_FRONT - 1)
+    value = buf.take(at).astype(np.uint64)
+    for place in range(1, min(longest, _INT64_DIGITS)):
+        at -= 1  # in place, so no place allocates an index array
+        digit = buf.take(at)
+        digit *= lengths > place  # masked as bytes, before the widening copy
+        value += digit.astype(np.uint64) * np.uint64(10**place)
     return value
 
 
@@ -445,7 +422,7 @@ def _parse_body(text: str, base: int, family: str, k: int, n: int) -> tuple[np.n
     for start, offset, end in zip(range(0, rows, _BLOCK_ROWS), cuts, cuts[1:]):
         stop = min(start + _BLOCK_ROWS, rows)
         # digit bytes XOR '0' are 0..9 and every other byte is above 9; the
-        # bytes in front read as separators and give a first cell's words room
+        # bytes in front read as separators and give a first cell's places room
         buf = np.empty(_FRONT + end - offset, dtype=np.uint8)
         buf[:_FRONT] = _NEWLINE ^ _ZERO
         digit = np.bitwise_xor(data[offset:end], _ZERO, out=buf[_FRONT:])
@@ -470,8 +447,8 @@ def _parse_body(text: str, base: int, family: str, k: int, n: int) -> tuple[np.n
         if lead.any():
             raise LatticeFormatError("malformed lattice entry: a leading zero")
 
-        # one cell column at a time: (rows,) temporaries, and each column's
-        # words are just wide enough for its own longest cell
+        # one cell column at a time: (rows,) temporaries, and each column
+        # takes as many place passes as its own longest cell has digits
         opened, ends = seps[:-1].reshape(-1, cells), seps[1:].reshape(-1, cells)
         for c in range(width if wide else cells):
             lengths = ends[:, c] - opened[:, c]
@@ -504,11 +481,12 @@ def load(text: str) -> StatLattice:
     of k*w + 1 tab-separated cells, each `0` or ASCII digits without a
     leading zero, every line ending in a single `\\n`. The body is parsed as
     bytes in blocks of `_BLOCK_ROWS` lines (`_parse_body`), each checked
-    and converted on its own. Once every block has parsed, the totals,
-    empty-slot, order and conservation checks run on the whole key columns
-    and multiplicities. A text with one defect gets that defect's message;
-    in a text with several grammar or range defects, the first defective
-    block decides.
+    and converted on its own, one decimal place per pass as `dump` writes
+    one per divmod plane (`_cell_values`). Once every block has parsed, the
+    totals, empty-slot, order and conservation checks run on the whole key
+    columns and multiplicities. A text with one defect gets that defect's
+    message; in a text with several grammar or range defects, the first
+    defective block decides.
     """
     if not text:
         raise LatticeFormatError("empty lattice dump")

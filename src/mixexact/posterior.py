@@ -24,6 +24,7 @@ from .families import (
     gamma_logpdf,
     gamma_ppf,
     gammaln,
+    per_distinct,
 )
 from .lattice import Key, StatLattice, log_multiplicities
 
@@ -242,16 +243,17 @@ def _sorted_sum(columns: list) -> np.ndarray:
 
 
 def _on_digits(fn, digits: np.ndarray, const: float) -> np.ndarray:
-    """fn(digits + const) for one int64 key column.
+    """fn(digits + const) for one int64 key column, fn a scalar function
+    (`gammaln`, or libm's `math.log`: numpy's own log varies by CPU).
 
     A table over 0..max(digits) is gathered when it is shorter than the
-    column, else fn runs on the column. Both evaluate fn at the same
-    doubles, so the result is bitwise the same either way.
+    column, else fn runs on the column's distinct values. Both evaluate fn
+    at the same doubles, so the result is bitwise the same either way.
     """
     top = int(digits.max())
     if top >= len(digits):
-        return fn(digits.astype(float) + const)
-    return fn(np.arange(top + 1, dtype=float) + const)[digits]
+        return per_distinct(fn, digits.astype(float) + const)
+    return per_distinct(fn, np.arange(top + 1, dtype=float) + const)[digits]
 
 
 def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
@@ -264,7 +266,7 @@ def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
         for j, (counts, sums) in enumerate(columns):
             a0, b0 = float(prior.components[j].shape), float(prior.components[j].rate)
             term = _on_digits(gammaln, counts, alpha[j]) + _on_digits(gammaln, sums, a0)
-            term -= (sums + a0) * _on_digits(np.log, counts, b0)
+            term -= (sums + a0) * _on_digits(math.log, counts, b0)
             contrib.append(term)
     else:  # multinomial: a lattice has no other family
         for j, (counts, *aggregates) in enumerate(columns):
@@ -453,7 +455,7 @@ class _GammaMembers(_Members):
     def __init__(self, shapes, rates, weights):
         super().__init__(weights, shapes, rates)
         a, b = self.params
-        self.coef = np.stack([a - 1.0, -b, a * np.log(b) - gammaln(a)])
+        self.coef = np.stack([a - 1.0, -b, a * per_distinct(math.log, b) - gammaln(a)])
 
     def basis(self, t):
         return np.log(t), t

@@ -595,6 +595,21 @@ class TestBlockedLoad:
                 lat = load(f"family=poisson k=1 n={n} logh=0x0.0p+0\n{n}\t{s}\t1\n")
                 assert lat.key_array.tolist() == [[n, s]]
 
+    @pytest.mark.parametrize("rows", [1, 3, lattice._BLOCK_ROWS])
+    def test_multiplicities_of_every_length_round_trip(self, rows, monkeypatch):
+        # build([0] * n, 2) has the multiplicities C(n, i), i = n_1 in key
+        # order: cells of every length 1..18 by n = 62, where k**n = 2**62
+        # keeps them int64
+        monkeypatch.setattr(lattice, "_BLOCK_ROWS", rows)
+        lengths = set()
+        for n in range(1, 63):
+            back = load(dump(build([0] * n, 2)))
+            expected = [comb(n, i) for i in range(n + 1)]
+            assert back.mult_array.dtype == np.int64
+            assert back.mult_array.tolist() == expected
+            lengths.update(len(str(m)) for m in expected)
+        assert lengths == set(range(1, 19))
+
     @pytest.mark.parametrize("rows", [1, 3, 4])
     def test_blank_first_line_is_a_blank_line(self, rows, monkeypatch):
         # the key width is read from the first line, which has no cells here

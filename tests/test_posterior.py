@@ -10,13 +10,18 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import mixexact
 from mixexact import posterior
 from mixexact.errors import MixtureError, NumericalError
 from mixexact.families import DirichletMultinomial, GroupStat, PoissonGamma
@@ -457,6 +462,46 @@ class TestLogMultiplicities:
         post = normalize(lat, MixturePrior((1.0, 1.0), (PoissonGamma(1, 1),) * 2))
         assert np.isfinite(post.log_evidence)
         assert abs(post.weights.sum() - 1.0) < 1e-12
+
+
+# log(12 + 4.26) and log(14 + 2.26) are among this case's weight terms, and
+# numpy's AVX-512 log rounds 16.26 apart from libm's
+RATE_CASE = """
+import random
+from mixexact import MixturePrior, PoissonGamma, build, normalize
+rng = random.Random(3)
+data = [rng.choice([0, 1, 2, 3, 5, 8, 9, 12]) for _ in range(24)]
+prior = MixturePrior((1.0, 1.0), (PoissonGamma(1, 4.26), PoissonGamma(2, 2.26)))
+log_weights = normalize(build(data, 2), prior).log_weights
+"""
+
+
+class TestCpuDispatch:
+    def test_log_weights_do_not_depend_on_numpy_dispatch(self):
+        # numpy warns at import of a target it did not build or this CPU
+        # lacks, and refuses to disable a baseline one
+        from numpy._core import _multiarray_umath as umath
+
+        found = [
+            target for target in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(target) and target not in umath.__cpu_baseline__
+        ]
+        if not found:
+            pytest.skip("numpy dispatches no target on this CPU")
+        scope: dict = {}
+        exec(RATE_CASE, scope)
+        src = str(Path(mixexact.__file__).resolve().parents[1])
+        env = {
+            **os.environ,
+            "NPY_DISABLE_CPU_FEATURES": " ".join(found),
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", RATE_CASE + "print(log_weights.tobytes().hex())"],
+            env=env, capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.strip() == scope["log_weights"].tobytes().hex()
 
 
 class TestNonFiniteResults:
