@@ -20,10 +20,13 @@ from .families import (
     ComponentPrior,
     beta_logpdf,
     beta_ppf,
+    betaln,
+    expit,
     fsum,
     gamma_logpdf,
     gamma_ppf,
     gammaln,
+    logit,
     per_distinct,
 )
 from .lattice import Key, StatLattice, log_multiplicities
@@ -403,6 +406,13 @@ class _Members:
     def __init__(self, weights, *params):
         weights = np.asarray(weights, dtype=float)
         params = [np.asarray(p, dtype=float) for p in params]
+        for p in params:
+            bad = p[~((p > 0.0) & np.isfinite(p))]
+            if bad.size:
+                raise NumericalError(
+                    f"a member parameter is {float(bad[0])!r}, not a positive double: the prior swamps the data "
+                    "in double precision"
+                )
         order = np.lexsort((weights, *reversed(params)))
         params = [p[order] for p in params]
         start = np.ones(order.size, dtype=bool)
@@ -411,8 +421,14 @@ class _Members:
         self.weights = np.add.reduceat(weights[order], starts)
         self.params = tuple(p[starts] for p in params)
 
-    def ppf(self, u, idx=slice(None)) -> np.ndarray:
-        return self.closed_ppf(u, *(p[idx] for p in self.params))
+    def ppf(self, u) -> np.ndarray:
+        return self.closed_ppf(u, *self.params)
+
+    def laplace(self, idx=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Each member's mode in its coordinate, log(a / b) for both
+        families, and its spread there, the inverse root curvature."""
+        a, b = (p[idx] for p in self.params)
+        return np.log(a) - np.log(b), self.spread(a, b)
 
     def mixture_pdf(self, t, idx=slice(None)) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -460,28 +476,57 @@ class _GammaMembers(_Members):
     def basis(self, t):
         return np.log(t), t
 
+    @staticmethod
+    def spread(a, b):
+        return 1.0 / np.sqrt(a)
+
 
 class _BetaMembers(_Members):
     """Members on (0, 1); their grids stay strictly inside it."""
 
     closed_logpdf, closed_ppf = staticmethod(beta_logpdf), staticmethod(beta_ppf)
+    coordinate, point = staticmethod(logit), staticmethod(expit)
 
     def __init__(self, a, b, weights):
-        from scipy.special import betaln, expit, logit
-
         super().__init__(weights, a, b)
         a, b = self.params
         self.coef = np.stack([a - 1.0, b - 1.0, -betaln(a, b)])
-        self.coordinate, self.point = logit, expit
 
     def basis(self, t):
         return np.log(t), np.log1p(-t)
 
+    @staticmethod
+    def spread(a, b):
+        return np.sqrt(1.0 / a + 1.0 / b)
+
 
 _PROBE_UNIFORM = 4096
-_PROBE_LEVELS = 65
+_PROBE_SEEDS = 65  # per member, evenly over +-_PROBE_SPREADS spreads
+_PROBE_SPREADS = 6.0
 _PROBE_MEMBER_CAP = 512
 _EVEN_SHARE = 0.125
+
+
+def _ends(members: _Members) -> tuple[float, float, np.ndarray]:
+    """The smallest 1e-8 and the largest 1 - 1e-8 member quantile, and their
+    coordinates; NumericalError where either is no finite point inside the
+    support."""
+    lower, upper = members.ppf(np.array([[DEFAULT_COVERAGE], [1.0 - DEFAULT_COVERAGE]]))
+    lo, hi = float(np.min(lower)), float(np.max(upper))
+    span = f"[{lo!r}, {hi!r}]; pass an explicit grid (--grid)"
+    if math.isnan(lo) or math.isnan(hi):
+        raise NumericalError(f"a member quantile did not converge: {span}")
+    if math.isinf(hi):
+        raise NumericalError(f"member mass reaches past the largest double: {span}")
+    with np.errstate(divide="ignore"):
+        ends = members.coordinate(np.array([lo, hi]))
+    if not np.all(np.isfinite(ends)):
+        edges = sorted({e for e, c in zip((lo, hi), ends) if not np.isfinite(c)})
+        named = " and ".join(map(repr, edges))
+        if np.isinf(members.mixture_pdf(np.array(edges))).any():
+            raise NumericalError(f"density diverges at the support edge {named}; pass an explicit grid (--grid)")
+        raise NumericalError(f"member mass rounds onto the support edge {named}; pass an explicit grid (--grid)")
+    return lo, hi, ends
 
 
 def mass_grid(members: _Members) -> np.ndarray:
@@ -489,25 +534,20 @@ def mass_grid(members: _Members) -> np.ndarray:
 
     Composite-trapezoid error over one cell is h^3 |f''| / 12, so
     equidistributing |f''|^(1/3) minimizes the total for a fixed point
-    count. Curvature is probed on a fine auxiliary grid seeded with
-    per-member quantiles so that narrow members are never missed. The probe
-    and _EVEN_SHARE of the cells are even in the members' coordinate.
+    count. Curvature is probed on a fine auxiliary grid seeded with each
+    heavy member's Laplace points, so that narrow members are never missed.
+    The probe and _EVEN_SHARE of the cells are even in the members'
+    coordinate.
     """
-    lo = float(np.min(members.ppf(DEFAULT_COVERAGE)))
-    hi = float(np.max(members.ppf(1.0 - DEFAULT_COVERAGE)))
-    with np.errstate(divide="ignore"):
-        ends = members.coordinate(np.array([lo, hi]))
-    if not np.all(np.isfinite(ends)):
-        edges = " and ".join(repr(e) for e, c in zip((lo, hi), ends) if not np.isfinite(c))
-        raise NumericalError(f"density diverges at the support edge {edges}; pass an explicit grid (--grid)")
-
+    lo, hi, ends = _ends(members)
     # probe guidance can ignore negligible members; their curvature share
     # is bounded by their total weight
     order = np.argsort(-members.weights, kind="stable")
     idx = np.sort(order[:_PROBE_MEMBER_CAP])
-    levels = np.linspace(DEFAULT_COVERAGE, 1.0 - DEFAULT_COVERAGE, _PROBE_LEVELS)
-    quantiles = np.clip(members.ppf(levels[:, None], idx), lo, hi)
-    s = np.unique(np.concatenate([np.linspace(*ends, _PROBE_UNIFORM), members.coordinate(quantiles.ravel())]))
+    centre, spread = members.laplace(idx)
+    offsets = np.linspace(-_PROBE_SPREADS, _PROBE_SPREADS, _PROBE_SEEDS)[:, None]
+    seeds = np.clip(centre + offsets * spread, *ends)
+    s = np.unique(np.concatenate([np.linspace(*ends, _PROBE_UNIFORM), seeds.ravel()]))
     probe = members.point(s)
     probe[0], probe[-1] = lo, hi
     # the map back rounds neighbouring coordinates onto one double

@@ -817,6 +817,56 @@ class TestExitCodes:
         assert proc.stdout == "ingest n=3 min=0 max=3 sum=3\n"
 
 
+    @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
+    def test_overflowing_grid_end_is_6_with_one_error_line(self, tmp_path, warnings):
+        # Gamma(1e300, 1e-300) members put their mass near 1e600, past the
+        # largest double; numpy's overflow warning once printed first, and
+        # under CI's warning filter it was a traceback with exit 1
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n0\n3\n")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "mixexact.cli", "marginal", "--data", str(path),
+                "--family", "poisson", "--k", "2", "--gamma", "1e300,1e-300;1,1", "--param", "lambda1",
+            ],
+            env={**os.environ, "PYTHONWARNINGS": warnings},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 6
+        assert proc.stderr == (
+            "error: member mass reaches past the largest double: [3.3333333333333335e+299, inf]; "
+            "pass an explicit grid (--grid)\n"
+        )
+        assert proc.stdout == "ingest n=3 min=0 max=3 sum=3\n"
+
+    @pytest.mark.parametrize(
+        "rows, flags",
+        [
+            ("0\n0\n3\n", ["--family", "poisson", "--alpha", "1e300,1", "--param", "p1"]),
+            ("1,2,0\n3,0,1\n", ["--family", "multinomial", "--beta", "1e300,1,1;1,1,1", "--param", "q1,1"]),
+        ],
+        ids=["p1", "q1,1"],
+    )
+    def test_swamped_member_is_6_without_nan(self, tmp_path, rows, flags):
+        # a concentration of 1e300 absorbs the rest of its sum, so a member's
+        # second Beta shape rounds to 0; its quantiles came out nan, and the
+        # error named nan a support edge
+        path = tmp_path / "data.txt"
+        path.write_text(rows)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixexact.cli", "marginal", "--data", str(path), "--k", "2", *flags],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 6
+        assert proc.stderr == (
+            "error: a member parameter is 0.0, not a positive double: the prior swamps the data "
+            "in double precision\n"
+        )
+        assert "nan" not in proc.stdout + proc.stderr
+
+
 # np.random.default_rng(5).multinomial(6, [0.5, 0.3, 0.2], size=16): under the
 # CLI's default concentration of 1/2, a member whose category count is 0 has a
 # q density that diverges at q = 0
@@ -836,9 +886,10 @@ def far_clusters(base: int) -> str:
 # name: (data, flags, whether exit 6 may answer). Each default grid here
 # wrote a CSV far from integrating to 1 with exit 0 before its grid was laid
 # out in the family's own coordinate (trapezoid 1.3e6, 1.0074, up to 2.2e5
-# for q, 1.6e15 and 5.6e15 for p1, 1.5e-6 near 1e9). A t^-0.7 edge and
-# members 1e9 away from 0 are beyond 512 trapezoid points, so those may be
-# refused, naming the trapezoid.
+# for q, 1.6e15 and 5.6e15 for p1, 1.5e-6 near 1e9). A t^-0.7 edge is
+# beyond 512 trapezoid points, so those may be refused, naming the
+# trapezoid. Members 1e9 away from 0 are answered: each member's Laplace
+# points seed the probe.
 DEFAULT_GRID_CASES = {
     "gamma-half-lambda1": ("0\n0\n3\n", ["--family", "poisson", "--gamma", "0.5,1;0.5,1", "--param", "lambda1"], False),
     "far-1e6-lambda1": (far_clusters(10**6), ["--family", "poisson", "--param", "lambda1"], False),
@@ -848,7 +899,7 @@ DEFAULT_GRID_CASES = {
     },
     "alpha-0.3-p1-zeros": ("0\n0\n3\n", ["--family", "poisson", "--alpha", "0.3,2.7", "--param", "p1"], True),
     "alpha-0.3-p1-counts": (WORKED, ["--family", "poisson", "--alpha", "0.3,2.7", "--param", "p1"], True),
-    "far-1e9-lambda1": (far_clusters(10**9), ["--family", "poisson", "--param", "lambda1"], True),
+    "far-1e9-lambda1": (far_clusters(10**9), ["--family", "poisson", "--param", "lambda1"], False),
 }
 
 
@@ -906,7 +957,7 @@ print(repr(oracle.quadrature_evidence(data, prior)))
 """
 
 
-SCIPY_SPECIAL_PROBE = """
+NO_SCIPY_PROBE = """
 import sys
 import mixexact.cli
 from mixexact import lattice, oracle, posterior
@@ -924,9 +975,16 @@ for data, components in cases:
     posterior.summarize(posteriors[-1])
     print(oracle.compare_report(posteriors[-1], oracle.oracle_posterior(data, prior))[0])
     assert lattice.dump(lattice.load(lattice.dump(lat))) == lattice.dump(lat)
-print("scipy.special" in sys.modules)
-grid = posterior.marginal_component_density(posteriors[0], 0)
-print(grid.grid.size, "scipy.special" in sys.modules)
+rates, counts = posteriors
+sizes = []
+for grid in (None, [0.25, 0.5, 0.75]):
+    sizes += [
+        posterior.marginal_component_density(rates, 0, grid).grid.size,
+        posterior.marginal_weight_density(rates, 0, grid).grid.size,
+        posterior.marginal_component_density(counts, 0, grid, category=0).grid.size,
+    ]
+print(sizes)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
@@ -940,13 +998,12 @@ class TestColdImport:
         # the quadrature check still imports its integrator on demand
         assert float(quad) == pytest.approx(float(closed), rel=1e-6)
 
-    def test_only_density_grids_load_scipy_special(self):
-        # evidence, summary, oracle and artifacts run on the in-package log
-        # Gamma; the grid's quantiles and closed forms import scipy.special
-        proc = subprocess.run(
-            [sys.executable, "-c", SCIPY_SPECIAL_PROBE], capture_output=True, text=True, check=True
-        )
-        assert proc.stdout.splitlines() == ["True", "True", "False", f"{posterior.DEFAULT_GRID_POINTS} True"]
+    def test_no_grid_loads_scipy(self):
+        # evidence, summary, oracle, artifacts and every density grid, default
+        # or explicit, run on numpy and the in-package log Gamma
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], capture_output=True, text=True, check=True)
+        points = posterior.DEFAULT_GRID_POINTS
+        assert proc.stdout.splitlines() == ["True", "True", str([points] * 3 + [3] * 3), "[]"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

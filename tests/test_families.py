@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.special import gammaln
 
 from mixexact import families
@@ -226,6 +226,71 @@ class TestClosedForms:
         assert_same(
             gamma_isf(1e-16, 0.5 * a, 0.5 * b), stats.gamma.isf(1e-16, 0.5 * a, scale=2.0 / b)
         )
+
+
+# the grid ends' levels and three between, one row each
+SWEEP_LEVELS = np.array([1e-8, 0.05, 0.5, 0.95, 1.0 - 1e-8])[:, None]
+
+
+def sweep_shapes(seed: int, count: int = 60) -> np.ndarray:
+    """Seeded shapes, log-uniform on [0.05, 1e6]."""
+    return np.exp(np.random.default_rng(seed).uniform(math.log(0.05), math.log(1e6), count))
+
+
+class TestQuantileSweep:
+    """The in-package quantiles against scipy.special's inverses, to 1e-12
+    relative, over seeded shapes from 0.05 to 1e6 at the sweep levels."""
+
+    def test_gamma(self):
+        a = sweep_shapes(31)
+        rel = np.abs(gamma_ppf(SWEEP_LEVELS, a, 1.0) / special.gammaincinv(a, SWEEP_LEVELS) - 1.0)
+        # scipy's lower-tail series loses digits beyond 4.5 spreads for
+        # shapes past 1e5: at a = 1e6, u = 1e-8 its P is 1.3e-6 off in the
+        # level against 50-digit mpmath, which holds ours to 1e-16 in t
+        scipy_series = (a > 1e5) & (SWEEP_LEVELS < 0.5)
+        assert rel[~scipy_series].max() <= 1e-12
+        assert rel[scipy_series].max() <= 1e-9
+
+    def test_beta(self):
+        a, b = sweep_shapes(32), sweep_shapes(33)
+        rel = np.abs(beta_ppf(SWEEP_LEVELS, a, b) / special.betaincinv(a, b, SWEEP_LEVELS) - 1.0)
+        assert rel.max() <= 1e-12
+
+    def test_shapes_past_any_series_near_the_centre(self):
+        # shape 1e9: Temme's expansion for Gamma, a Gamma convolution for
+        # Beta; scipy's own asymptotic forms hold within 4.5 spreads
+        central = SWEEP_LEVELS[1:-1].ravel()
+        for ours, ref in [
+            (gamma_ppf(central, 1e9, 1.0), special.gammaincinv(1e9, central)),
+            (beta_ppf(central, 1e9, 1e9), special.betaincinv(1e9, 1e9, central)),
+            (beta_ppf(central, 1e9, 0.5), special.betaincinv(1e9, 0.5, central)),
+        ]:
+            np.testing.assert_allclose(ours, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [1e28, 1e32, 1e300])
+    def test_shapes_past_any_series_are_their_laplace_points(self, shape):
+        # once the spread is this small the skew is below an ulp, and the
+        # point is the mode plus z spreads
+        z = np.array([-5.612, -1.645, 0.0, 1.645, 5.612])
+        spread = 1.0 / math.sqrt(shape)
+        x = gamma_ppf(SWEEP_LEVELS.ravel(), shape, 1.0) / shape - 1.0
+        np.testing.assert_allclose(x, z * spread, rtol=1e-3, atol=2.0**-52)
+        t = beta_ppf(SWEEP_LEVELS.ravel(), shape, shape) - 0.5
+        np.testing.assert_allclose(t, z * spread / (2.0 * math.sqrt(2.0)), rtol=1e-3, atol=2.0**-53)
+
+
+class TestBetaln:
+    @pytest.mark.parametrize("a", [13.0, 1e3, 1e6, 1e12, 1e300])
+    @pytest.mark.parametrize("b", [1, 2, 3, 5])
+    def test_integer_second_shape(self, a, b):
+        # B(a, b) = (b - 1)! / (a (a + 1) ... (a + b - 1)) for whole b
+        exact = math.lgamma(b) - math.fsum(math.log(a + i) for i in range(b))
+        assert families.betaln(a, b) == pytest.approx(exact, rel=1e-15, abs=1e-15)
+        assert families.betaln(b, a) == families.betaln(a, b)
+
+    def test_small_shapes_match_scipy(self):
+        a, b = (np.exp(np.random.default_rng(seed).uniform(math.log(0.05), math.log(13.0), 200)) for seed in (34, 35))
+        np.testing.assert_allclose(families.betaln(a, b), special.betaln(a, b), rtol=1e-13, atol=1e-14)
 
 
 def assert_same_bits(ours, reference):

@@ -74,11 +74,30 @@ The default `q1,1` grid of `multinomial-k2` was pinned then: the ½
 concentrations of its first component give members that diverge at q = 0,
 and that grid integrated to 45,631 before, against 1 within 7e-6 now.
 
+These 13 were re-pinned when the density closed forms and the grid
+quantiles stopped calling `scipy.special` (log B, the Student-t constant
+and the Gamma and Beta quantiles are in-package, on the in-package log
+Gamma), and every other digest held:
+- the 5 `DEFAULT_GRIDS`: their ends are the in-package 1e-8 and 1 - 1e-8
+  quantiles (within a few ulps of scipy's), their probes are seeded with
+  65 Laplace points of each member in its coordinate, where 65 exact
+  quantiles seeded them, and the p and q densities carry the new log B;
+- both `Q_DENSITIES` and `EXPLICIT_GRIDS["multinomial-k2-v9"]`: a q
+  member's constant is -log B(a, b), now log Gamma(small) plus one
+  Stirling difference for log Gamma(big) - log Gamma(big + small) once the
+  larger shape reaches 13, and a log Gamma sum below, where scipy's
+  Cephes `lbeta` formed small shapes from Gamma products (no value moved
+  by more than 1e-14 relative);
+- the `ORACLE_DIGESTS` "weight" of all three cases and "component" of
+  `multinomial-nondyadic`, which read the same log B, and "component" of
+  `normal-n4`, whose Student-t constant is log Gamma((df + 1) / 2) - log
+  Gamma(df / 2), where it was the log of scipy's `poch`.
+
 No digest depends on BLAS: not on its kernel, its thread count, the
 array layout or the block shape (`test_digests_ignore_the_blas_kernel` runs
 them in a child under another kernel and two threads). They do depend on
-float64 `log`, `exp` and the `scipy.special` functions returning the same
-bits, which holds for one numpy/scipy build on one CPU family.
+float64 `log` and `exp` returning the same bits, which holds for one numpy
+build on one CPU family.
 """
 
 from __future__ import annotations
@@ -198,19 +217,19 @@ GOLDEN = {
 
 # (name, param): sha256 of the default grid's bytes, then its density's
 DEFAULT_GRIDS = {
-    ("worked-example", "p1"): "0c4c6352620418274d7982c5a8021f6cb39ad6b7ce2b6eff104cfff340e328f7",
-    ("worked-example", "lambda1"): "25fd0142dab670b836e45def5639cc317fdc1ac6f276688bec4a8b33a3d798dd",
-    ("poisson-k3-n16", "p1"): "efcf88716f4cc3e0808c622900e593d885188079753fd47febcfe3dc971a1039",
-    ("poisson-k3-n16", "lambda1"): "d485d6fccbbab7b7002e8710a04de610ba1090185c06c3b586a5cb8e5cc5142a",
+    ("worked-example", "p1"): "283414b28164b7bd2c7da782d8f14d115f4df78185edfe433c1cde1798d24dc5",
+    ("worked-example", "lambda1"): "b15463d01c346358d828f6375e84d90975ba1da771dbccad3020dae015fea07f",
+    ("poisson-k3-n16", "p1"): "9c0c0521620c81ce03dd7e5a83fcb820b8a62ca781bc8021ca69229680e5fb47",
+    ("poisson-k3-n16", "lambda1"): "da252302afc03d17f81e291d11c3e1ec9e334a65718bc980d851ad7a700d71d9",
     # Beta members of shape 1/2 that diverge at q = 0
-    ("multinomial-k2", "q1,1"): "b68657381fe60bfe572234dd963649a6c760c44d01b7b9ae06c7ae72004cb3f8",
+    ("multinomial-k2", "q1,1"): "1ee993d545a5978af89518700deb37f85cfa65822475595b530e8fd3577c58f1",
 }
 
 # name: sha256 of every q<j>,<u> density on INTERIOR, j then u ascending
 INTERIOR = np.linspace(0.05, 0.95, 19)
 Q_DENSITIES = {
-    "multinomial-k2": "41f5871f12c6a8e93679f5def3e9d734bbaddc52945442280ed82a24c09e9ad1",
-    "multinomial-nondyadic": "e76360e72c476a3b2eb1ce3c65d41363eb1b625f4ab80d5b04ec8b8103c6c774",
+    "multinomial-k2": "6cc8d65b7c369e4fbb90b85df97dbbbfe28e0d893e8733dbb6560117933e49cc",
+    "multinomial-nondyadic": "f22543b466b19f3527e34f2ad292886223ccbb175de385c873d8f56d6da8fe96",
 }
 
 
@@ -338,7 +357,7 @@ EXPLICIT_GRIDS = {
     "multinomial-k2-v9": (
         INTERIOR,
         0,
-        "13ddee50d1715e69e7a8d734cb7902590bc8492192782a9fda645bbe1d59da61",
+        "9a6f585f9e31296b2bafbf1534606ac8eb6964ec4279c705424ba5ae1f9b8522",
     ),
 }
 
@@ -404,21 +423,21 @@ ORACLE_DIGESTS = {
         "log_weights": "8ae573d2925140b7977eb0953d1c4562c401ea5ab6eec07366e5b24cc48f95cf",
         "summary": "7893305035da5a8d56acb0e114eb66317ebd5b99de556e9575acd6c4cd994ce1",
         "component": "fa5fc8016dfa1b284b5db0df78d9d6f80229c8b29ae0a68e7364cd77777508a8",
-        "weight": "ab39ce332e63e270c04dda4f9cdf256d1bad4b35624abadda9bab5c9853a8eb0",
+        "weight": "d6ec1d7232ce3741cf573cd3f269b45afce0cc064e3cef20a0b756ee32bc77c5",
         "table": "023bdde4508acd32180afc96f73e06f695d414e5a30abd039d7dc26fb025a6cd",
     },
     "multinomial-nondyadic": {
         "log_weights": "61e5637d1007679b827b23e73d764b4dbad78e31548eae8e018eded5d830c65d",
         "summary": "a163c227102e7269b586151be4d18054bb6e998e8e469b1efaa2e85923f11195",
-        "component": "bfd336741213ea38b86ec10a33bf26f7d053ab4341b49dd5ee5ee58e9d25b4a0",
-        "weight": "4800414f62c6be7ae79c7af07eeeef94c4bdb17f2850d7e3b694044d0a860e0d",
+        "component": "a892d9c1e52855024e2a5c19f7ef7f95bf1ec11dc212b53f63cc2a99e1514604",
+        "weight": "9c19db6328b4d473c3d37f9977e4a89251d4b5eace6f4d28db03bb3598deb2ee",
         "table": "18a63779a08cf8ea7e0dcbfd4fbb1e0d9bd112eba7f43a563af451440a5b3fd6",
     },
     "normal-n4": {
         "log_weights": "6898cfe70c4c6b4b00f7465d1ce1acc5b465d98321aa3185ff4bc652bd3e4edb",
         "summary": "358f536e785e122034f0fe6af3b9d4eba058d5064bd21564425ca2be19567161",
-        "component": "d1f1ecb8d617947ef87b1405bebebc6455a2baeb16981bcb0a74c8a8a30a393b",
-        "weight": "a04edab3783e2d6ba0699b515f4c87dc04e57037451fffae3a3b38eef8c95a2c",
+        "component": "49366ebe0a1f4193d493388bc57bb431a74477a0583ed4e2ffbb4c19030d504e",
+        "weight": "f97822dadaac19789d80da8633a83af3177b87536c3b2fe5580f1a25e184d9e4",
         "table": "8cdb4bfdecfc7da0bdc9b0cd65bea3954cc0d80e5330765ea1448c4b65503b29",
     },
 }

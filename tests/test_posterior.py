@@ -13,6 +13,7 @@ import operator
 import os
 import subprocess
 import sys
+import time
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -504,6 +505,12 @@ class TestCpuDispatch:
         assert proc.stdout.strip() == scope["log_weights"].tobytes().hex()
 
 
+# seconds a default grid may take on shapes no series reaches; each case
+# here takes under 0.1 s on a 2-vCPU host, and a series or continued
+# fraction run out to its term cap would take far longer
+LARGE_SHAPE_SECONDS = 5.0
+
+
 class TestNonFiniteResults:
     def test_overflowing_prior_raises_typed_error_without_warnings(self):
         huge = MixturePrior((1e308, 1e308), (PoissonGamma(1.0, 1.0),) * 2)
@@ -518,10 +525,13 @@ class TestNonFiniteResults:
 
     @pytest.mark.parametrize("shape", [1e28, 1e32])
     def test_degenerate_mass_grid_raises_typed_error(self, shape):
-        # a member this narrow has no 512 distinct doubles inside its mass
+        # a member this narrow has no 512 distinct doubles inside its mass;
+        # its quantiles are found promptly, with no series to run out
         members = posterior._BetaMembers([shape], [shape], [1.0])
+        start = time.perf_counter()
         with pytest.raises(NumericalError):
             posterior.mass_grid(members)
+        assert time.perf_counter() - start < LARGE_SHAPE_SECONDS
 
     def test_divergent_mass_grid_names_each_divergent_edge(self):
         # Beta(0.01, 1) has its 1e-8 quantile at 0.0 and Beta(1, 0.01) its
@@ -536,6 +546,14 @@ class TestNonFiniteResults:
             with pytest.raises(NumericalError, match=f"diverges at the support {named}; pass an explicit grid"):
                 posterior.mass_grid(members)
 
+    @pytest.mark.parametrize("b", [1.0, 3.0])
+    def test_mass_on_a_finite_edge_is_not_called_divergent(self, b):
+        # Beta(1e300, b) holds its mass within 1e-299 of 1, where its density
+        # is finite: both quantiles round onto the edge
+        members = posterior._BetaMembers([1e300], [b], [1.0])
+        with pytest.raises(NumericalError, match=r"^member mass rounds onto the support edge 1\.0; pass an explicit grid"):
+            posterior.mass_grid(members)
+
     def test_interior_overflow_is_named_without_a_warning(self):
         # a Gamma(1e300, 1) prior puts members whose density overflows exp
         # between the finite ends of the probe
@@ -543,6 +561,17 @@ class TestNonFiniteResults:
         wp = normalize(build(WORKED_DATA, 2), prior)
         with pytest.raises(NumericalError, match=r"^density overflows inside \[1\.25e\+299, 1e\+300\]; pass an explicit grid"):
             marginal_component_density(wp, 0)
+
+
+class TestLargeShapes:
+    def test_far_clusters_are_answered_promptly(self):
+        # Gamma members of shape near 3e9: Temme's expansion, not a series
+        data = [2, 5, 1, 3, 0, 4, 10**9, 10**9 + 3, 10**9 - 2]
+        wp = normalize(build(data, 2), MixturePrior((1.0, 1.0), (PoissonGamma(1.0, 1.0),) * 2))
+        start = time.perf_counter()
+        g = marginal_component_density(wp, 0)
+        assert time.perf_counter() - start < LARGE_SHAPE_SECONDS
+        assert abs(g.trapezoid() - 1.0) <= posterior.DEFAULT_TOLERANCE
 
 
 class TestIntegerPriorParameters:

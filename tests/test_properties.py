@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from mixexact import families, lattice, oracle, posterior
@@ -336,3 +336,45 @@ def test_default_grids_integrate_to_one_or_are_refused(family, levels):
         assert abs(g.trapezoid() - 1.0) <= posterior.DEFAULT_TOLERANCE
     print(f"{family} {levels}: {refused} of 200 default grids refused")
     assert refused == 0 or levels == "from-half"
+
+
+# log shapes of the quantile round trips: 0.05 to 1e6
+LOG_SHAPE = st.floats(math.log(0.05), math.log(1e6))
+# the coordinate point, in spreads from the member's Laplace centre
+SPREADS = st.floats(-8.0, 8.0)
+
+
+@PROPERTY
+@given(log_a=LOG_SHAPE, z=SPREADS)
+def test_gamma_quantile_inverts_its_tail_in_log_t(log_a, z):
+    # the tail mass at w = log(t / a), then the point of that mass, taken
+    # from the smaller tail, lands back on w
+    a = np.array([math.exp(log_a)])
+    w = z / math.sqrt(a[0])
+    lower, upper, _ = (v[0] for v in families._gamma_log_tails(a, families._gamma_log_scale(a), np.array([w])))
+    assume(min(lower, upper) > -700.0)
+    if lower <= upper:
+        t = families.gamma_ppf(math.exp(lower), a[0], 1.0)
+    else:
+        t = families.gamma_isf(math.exp(upper), a[0], 1.0)
+    assert abs(math.log(t / a[0]) - w) <= 1e-10 * max(1.0, abs(w))
+
+
+@PROPERTY
+@given(log_a=LOG_SHAPE, log_b=LOG_SHAPE, z=SPREADS)
+def test_beta_quantile_inverts_its_tail_in_logit_t(log_a, log_b, z):
+    # as above at y = logit t; an upper tail of Beta(a, b) is the lower
+    # one of Beta(b, a) at -y. The point solved for is t or 1 - t, and
+    # its rounding and logit's may move y by two spacings of its doubles,
+    # a spacing s being s / (t (1 - t)) in y
+    a, b = np.array([math.exp(log_a)]), np.array([math.exp(log_b)])
+    y = log_a - log_b + z * math.sqrt(1.0 / a[0] + 1.0 / b[0])
+    lower, upper, _ = (v[0] for v in families._beta_log_tails(a, b, families.betaln(a, b), np.array([y])))
+    assume(min(lower, upper) > -700.0)
+    if lower <= upper:
+        t = families.beta_ppf(math.exp(lower), a[0], b[0])
+        back = families.logit(t)
+    else:
+        t = families.beta_ppf(math.exp(upper), b[0], a[0])
+        back = -families.logit(t)
+    assert abs(back - y) <= 1e-10 * max(1.0, abs(y)) + 2.0 * np.spacing(t) / (t * (1.0 - t))
