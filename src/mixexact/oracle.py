@@ -218,10 +218,12 @@ def _weighted_sums(weights: np.ndarray, rows: list) -> np.ndarray:
     return np.array(sums).reshape(products.shape[:-1])
 
 
-def _log_sum(log_terms: list) -> float:
-    """log of the sum of exp(log_terms), the sum correctly rounded."""
+def _exp_sum(log_terms: list) -> tuple[float, list, float]:
+    """The largest term, exp(x - largest) of each term x, and the correctly
+    rounded sum of those exponentials."""
     top = max(log_terms)
-    return top + math.log(fsum(math.exp(x - top) for x in log_terms))
+    shifted = [math.exp(x - top) for x in log_terms]
+    return top, shifted, fsum(shifted)
 
 
 def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
@@ -234,21 +236,23 @@ def oracle_posterior(data: Sequence, prior: MixturePrior, cap: int = DEFAULT_ORA
     mults = [grouped[key][0] for key in keys]
     group_stats = [grouped[key][1] for key in keys]
 
-    with np.errstate(all="ignore"):
-        logw = np.array([log_unnormalized_weight(row, mult, prior) for row, mult in zip(group_stats, mults)])
-        log_m = _log_sum(logw.tolist()) + prior.log_dirichlet_constant() + log_base
-    if not (np.all(np.isfinite(logw)) and math.isfinite(log_m)):
-        raise NumericalError("oracle log weights or log evidence overflow double precision")
-    shifted = np.exp(logw - logw.max())
-    weights = shifted / shifted.sum()
+    logw = [log_unnormalized_weight(row, mult, prior) for row, mult in zip(group_stats, mults)]
+    overflow = NumericalError("oracle log weights or log evidence overflow double precision")
+    if not all(map(math.isfinite, logw)):
+        raise overflow
+    # one exponential per term and one sum give both the evidence and the weights
+    top, shifted, total = _exp_sum(logw)
+    log_m = top + math.log(total) + prior.log_dirichlet_constant() + log_base
+    if not math.isfinite(log_m):
+        raise overflow
     return OracleResult(
         prior=prior,
         n=n,
         keys=tuple(keys),
         multiplicities=tuple(mults),
         group_stats=tuple(group_stats),
-        log_weights=logw,
-        weights=weights,
+        log_weights=np.array(logw),
+        weights=np.array(shifted) / total,
         log_evidence=log_m,
     )
 
@@ -372,4 +376,5 @@ def quadrature_evidence(data: Sequence, prior: MixturePrior) -> float:
         for comp, s in zip(prior.components, stats_row):
             term += math.log(component_integral(comp, s)) - comp.log_partition()
         log_terms.append(term)
-    return _log_sum(log_terms) + prior.log_dirichlet_constant() + log_base
+    top, _, total = _exp_sum(log_terms)
+    return top + math.log(total) + prior.log_dirichlet_constant() + log_base

@@ -197,7 +197,8 @@ def _key_columns(key_array: np.ndarray, k: int) -> np.ndarray:
 def _dirichlet_total(aggregates: np.ndarray, beta) -> np.ndarray:
     """Each entry's sum over u of beta_u + S_u, the total of its Dirichlet
     update, from one component's (v, E) aggregate columns: the one total
-    of the weight, E[q] and the q marginal."""
+    of the weight and E[q]. A q member's takes the slot's integer total
+    instead (`_component_members`)."""
     return _row_sum([s + b for s, b in zip(aggregates, beta)])
 
 
@@ -288,19 +289,89 @@ def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
     return out
 
 
+# values that `_exact_sums` reads at a time. No result depends on it.
+_SUM_BLOCK = 2**14
+
+
+def _exponent_bins(exps: np.ndarray, codes, low: int, width: int) -> np.ndarray:
+    """The (group, exponent) bin code * width + e - low of each frexp
+    exponent e; a zero's exponent, 0, is clipped into its group's bins."""
+    bins = np.clip(exps - low, 0, width - 1)
+    return bins if codes is None else codes * width + bins
+
+
+def _exact_sums(values, codes=None, groups: int = 1) -> np.ndarray:
+    """The correctly rounded sum of each group's values, `math.fsum` of
+    them, whatever the order of the entries. The values are finite and
+    nonnegative; `codes` gives each one's group in 0..groups - 1, and None
+    puts them all in one group.
+
+    np.frexp writes a value as an integer mantissa m < 2**53 times
+    2**(e - 53), and m splits into halves below 2**26 and 2**27. np.bincount
+    sums each half per (group, e) bin of a block, exactly while the block
+    holds fewer than 2**26 values, and the blocks' bins add up in int64.
+    Below 2**26 values in all, a bin's two sums times their powers of two
+    are exact doubles, and `math.fsum` of a group's rounds their exact total
+    once, as `StatLattice.log_base` rounds its exact int. Where the table of
+    every group and exponent in range is larger than the values, only the
+    bins they occupy are kept (np.unique, and np.searchsorted per block); a
+    block is never smaller than the table, so the temporaries stay
+    block-sized.
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(groups)
+    top = values.max(initial=0.0)
+    if top == 0.0:
+        return out
+    low = int(np.frexp(values.min(where=values > 0.0, initial=top))[1])
+    width = int(np.frexp(top)[1]) - low + 1
+    size = groups * width
+    occupied = None
+    if size > values.size:
+        occupied = np.unique(_exponent_bins(np.frexp(values)[1], codes, low, width))
+        size = occupied.size
+    block = max(_SUM_BLOCK, size)
+    halves = np.zeros((2, size), dtype=np.int64)
+    for lo in range(0, values.size, block):
+        part = slice(lo, lo + block)
+        mant, exps = np.frexp(values[part])
+        np.ldexp(mant, 53, out=mant)
+        high = np.floor(mant * 2.0**-27)
+        mant -= high * 2.0**27
+        bins = _exponent_bins(exps, None if codes is None else codes[part], low, width)
+        if occupied is not None:
+            bins = np.searchsorted(occupied, bins)
+        halves[0] += np.bincount(bins, high, size).astype(np.int64)
+        halves[1] += np.bincount(bins, mant, size).astype(np.int64)
+    bins = np.arange(size) if occupied is None else occupied
+    used = np.flatnonzero(halves[0] | halves[1])
+    group, shift = np.divmod(bins[used], width)
+    # a bin's halves as two exact doubles: below 2**53, and multiples of 2**-1074
+    unit = shift + (low - 53)
+    pieces = np.ldexp(halves[:, used].T.astype(float), np.stack([unit + 27, unit], axis=1)).ravel()
+    starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+    for g, first, end in zip(group[starts].tolist(), starts, [*starts[1:], group.size]):
+        out[g] = math.fsum(pieces[2 * first : 2 * end].tolist())
+    return out
+
+
 def _weigh(lat: StatLattice, prior: MixturePrior) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Unnormalized log weights, exp(logw - max), its one sum and the log
-    evidence max + log(sum), as the oracle's `_log_sum`. Refuses non-finite ones."""
+    """Unnormalized log weights, exp(logw - max), its one correctly rounded
+    sum and the log evidence max + log(sum), as the oracle's. Refuses
+    non-finite ones."""
     _check_compatible(lat, prior)
+    overflow = NumericalError("log weights or log evidence overflow double precision")
     with np.errstate(all="ignore"):
         logw = _log_weight_vector(lat, prior)
+        if not np.all(np.isfinite(logw)):  # the exact sum takes finite values only
+            raise overflow
         top = logw.max()
         shifted = np.subtract(logw, top)
         np.exp(shifted, out=shifted)
-        total = np.add.reduce(shifted)
+        total = _exact_sums(shifted)[0]
         log_m = float(top + math.log(total)) + prior.log_dirichlet_constant() + lat.log_base
-    if not (np.all(np.isfinite(logw)) and math.isfinite(log_m)):
-        raise NumericalError("log weights or log evidence overflow double precision")
+    if not math.isfinite(log_m):
+        raise overflow
     return logw, shifted, total, log_m
 
 
@@ -382,44 +453,72 @@ def summarize(wp: WeightedPosterior) -> PosteriorSummary:
 # density grids
 
 
+def _distinct_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (x, y) pairs of two int64 digit columns in ascending
+    order, x first, and each entry's index among them.
+
+    A pair's code is x * (max y + 1) + y. Where a table of every code is no
+    longer than the column, it marks the codes present, with no sort;
+    elsewhere np.unique sorts the codes, or the pairs as rows where a code
+    would pass 2**63.
+    """
+    span = int(y.max()) + 1
+    size = (int(x.max()) + 1) * span
+    if size > 2**63:
+        pairs, index = np.unique(np.stack([x, y], axis=1), axis=0, return_inverse=True)
+        return pairs[:, 0], pairs[:, 1], index.reshape(-1)
+    codes = x * span
+    codes += y
+    if size <= codes.size:
+        present = np.bincount(codes, minlength=size) > 0
+        index = (np.cumsum(present) - 1)[codes]
+        codes = np.flatnonzero(present)
+    else:
+        codes, index = np.unique(codes, return_inverse=True)
+    return *np.divmod(codes, span), index
+
+
 class _Members:
     """Distinct members of one marginal, each carrying its summed weight.
 
-    One key slot fixes each member, so entries with equal parameters are
-    merged before any density is evaluated. Groups are summed in a canonical
-    order (lexsort on parameters, then weight): posteriors equal up to
-    member permutation, e.g. across label-symmetric components, give
-    bitwise equal weights, grids and densities.
+    A member's parameters are (a, b) = (a0 + x, b0 + y), with x and y digits
+    of one key slot (`of_entries`), so entries with equal digits are merged
+    by their integer pair before any density is evaluated. A member's weight
+    is the correctly rounded sum of its entries' weights, which no entry
+    order changes: posteriors equal up to entry permutation, e.g. across
+    label-symmetric components, give bitwise equal weights, grids and
+    densities.
 
     A member's log density is c0_d * basis0(t) + c1_d * basis1(t) + c2_d, in
     two functions of the point that each subclass defines; a mixture at t is
     the weighted sum of those exponentiated over the members.
     """
 
-    coef: np.ndarray  # (3, D)
     # closed forms of the log density at t and the point of lower-tail mass
     # u, each taking the member parameters in order after t or u
     closed_logpdf = closed_ppf = None
     # the family's coordinate, in which mass grids are laid out, and its inverse
     coordinate = point = None
 
-    def __init__(self, weights, *params):
-        weights = np.asarray(weights, dtype=float)
-        params = [np.asarray(p, dtype=float) for p in params]
-        for p in params:
+    def __init__(self, a, b, weights):
+        self.params = tuple(np.asarray(p, dtype=float) for p in (a, b))
+        self.weights = np.asarray(weights, dtype=float)
+        for p in self.params:
             bad = p[~((p > 0.0) & np.isfinite(p))]
             if bad.size:
                 raise NumericalError(
                     f"a member parameter is {float(bad[0])!r}, not a positive double: the prior swamps the data "
                     "in double precision"
                 )
-        order = np.lexsort((weights, *reversed(params)))
-        params = [p[order] for p in params]
-        start = np.ones(order.size, dtype=bool)
-        start[1:] = np.any([p[1:] != p[:-1] for p in params], axis=0)
-        starts = np.flatnonzero(start)
-        self.weights = np.add.reduceat(weights[order], starts)
-        self.params = tuple(p[starts] for p in params)
+        self.coef = self.coefficients(*self.params)  # (3, D)
+
+    @classmethod
+    def of_entries(cls, x: np.ndarray, y: np.ndarray, weights: np.ndarray, a0: float, b0: float) -> "_Members":
+        """One member (a0 + x, b0 + y) per distinct pair of the entries'
+        int64 digits x and y, in ascending order, weighing the exact sum of
+        its entries' weights."""
+        x, y, index = _distinct_pairs(x, y)
+        return cls(x + a0, y + b0, _exact_sums(weights, index, x.size))
 
     def ppf(self, u) -> np.ndarray:
         return self.closed_ppf(u, *self.params)
@@ -468,10 +567,9 @@ class _GammaMembers(_Members):
     closed_logpdf, closed_ppf = staticmethod(gamma_logpdf), staticmethod(gamma_ppf)
     coordinate, point = staticmethod(np.log), staticmethod(np.exp)
 
-    def __init__(self, shapes, rates, weights):
-        super().__init__(weights, shapes, rates)
-        a, b = self.params
-        self.coef = np.stack([a - 1.0, -b, a * per_distinct(math.log, b) - gammaln(a)])
+    @staticmethod
+    def coefficients(a, b):
+        return np.stack([a - 1.0, -b, a * per_distinct(math.log, b) - gammaln(a)])
 
     def basis(self, t):
         return np.log(t), t
@@ -487,10 +585,9 @@ class _BetaMembers(_Members):
     closed_logpdf, closed_ppf = staticmethod(beta_logpdf), staticmethod(beta_ppf)
     coordinate, point = staticmethod(logit), staticmethod(expit)
 
-    def __init__(self, a, b, weights):
-        super().__init__(weights, a, b)
-        a, b = self.params
-        self.coef = np.stack([a - 1.0, b - 1.0, -betaln(a, b)])
+    @staticmethod
+    def coefficients(a, b):
+        return np.stack([a - 1.0, b - 1.0, -betaln(a, b)])
 
     def basis(self, t):
         return np.log(t), np.log1p(-t)
@@ -602,12 +699,27 @@ def check_marginal_indices(
 
 
 def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> tuple[_Members, str]:
+    """Component j's members: Gamma(a0 + S_j, b0 + n_j) for a rate, and for
+    q_{j,u} Beta(beta_u + S_u, (sum beta - beta_u) + (T - S_u)), T the
+    slot's integer total sum_u S_u."""
     check_marginal_indices(wp.k, j, wp.family, category, wp.slot_width - 1)
+    columns, comp = _key_columns(wp.key_array, wp.k)[j], wp.prior.components[j]
+    counts, aggregates = columns[0], columns[1:]
     if wp.family == "poisson":
-        return _GammaMembers(*_gamma_update(wp, j), wp.weights), f"lambda{j + 1}"
-    aggregates, beta = _key_columns(wp.key_array, wp.k)[j, 1:], wp.prior.components[j].concentration
-    a = beta[category] + aggregates[category]
-    return _BetaMembers(a, _dirichlet_total(aggregates, beta) - a, wp.weights), f"q{j + 1},{category + 1}"
+        members = _GammaMembers.of_entries(aggregates[0], counts, wp.weights, float(comp.shape), float(comp.rate))
+        return members, f"lambda{j + 1}"
+    beta, s = comp.concentration, aggregates[category]
+    rest = aggregates.sum(axis=0)
+    rest -= s
+    members = _BetaMembers.of_entries(s, rest, wp.weights, beta[category], fsum(beta) - beta[category])
+    return members, f"q{j + 1},{category + 1}"
+
+
+def _weight_members(wp: WeightedPosterior, j: int) -> _BetaMembers:
+    """p_j's members Beta(n_j + alpha_j, (sum alpha - alpha_j) + (n - n_j))."""
+    check_marginal_indices(wp.k, j)
+    counts, alpha = _key_columns(wp.key_array, wp.k)[j, 0], wp.prior.alpha
+    return _BetaMembers.of_entries(counts, wp.n - counts, wp.weights, alpha[j], fsum(alpha) - alpha[j])
 
 
 def _marginal(members: _Members, param: str, grid) -> DensityGrid:
@@ -644,8 +756,4 @@ def marginal_component_density(
 
 def marginal_weight_density(wp: WeightedPosterior, j: int, grid=None) -> DensityGrid:
     """Posterior marginal of the mixture weight p_j: a Beta mixture."""
-    check_marginal_indices(wp.k, j)
-    counts = _key_columns(wp.key_array, wp.k)[j, 0]
-    alpha = wp.prior.alpha
-    members = _BetaMembers(counts + alpha[j], wp.n - counts + fsum(alpha) - alpha[j], wp.weights)
-    return _marginal(members, f"p{j + 1}", grid)
+    return _marginal(_weight_members(wp, j), f"p{j + 1}", grid)

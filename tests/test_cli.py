@@ -1071,7 +1071,7 @@ class TestReadmeLibrary:
             exec(compile(code, str(README), "exec"), namespace)
         # `print(...)  # text`: the text is a line of the output, in order
         shown = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(") and "# " in line]
-        assert shown == ["-12.490069462412716", "MATCH entries=42 max_rel=3.716e-15"]
+        assert shown == ["-12.490069462412716", "MATCH entries=42 max_rel=3.935e-15"]
         printed = stdout.getvalue().splitlines()
         assert [line for line in printed if line in shown] == shown
         # `lattice = build(...)  # 42 distinct statistics, Σμ = 128`

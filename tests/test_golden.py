@@ -93,6 +93,30 @@ Gamma), and every other digest held:
   `normal-n4`, whose Student-t constant is log Gamma((df + 1) / 2) - log
   Gamma(df / 2), where it was the log of scipy's `poch`.
 
+These 15 were re-pinned when the evidence total and every grid member's
+weight became correctly rounded sums (`posterior._exact_sums`), grid
+members came to be grouped by an integer key, and the oracle came to take
+one `math.exp` of each shifted log weight and one `math.fsum` of them for
+both its evidence and its weights; every log-weight and dump digest held:
+- the `GOLDEN` summaries of `worked-example` and `multinomial-k2`: their
+  weights are divided by the correctly rounded total, where numpy's
+  pairwise sum divided them, so E_p1 of `worked-example` moved from
+  0.6485753850390694 to 0.6485753850390695, and the log evidence of
+  `multinomial-k2` from -15.11789124081612 to -15.117891240816116;
+- the 5 `DEFAULT_GRIDS`, both `Q_DENSITIES` and both `EXPLICIT_GRIDS`: a
+  member weighs the correctly rounded sum of its entries' weights, where
+  a float sum in a canonical order weighed it (within 4.2e-16 relative;
+  the members and their parameters held), and a default grid moves with
+  the densities its placement reads; a q member's second shape is also
+  (sum beta - beta_u) + (T - S_u), T the slot's integer total, where the
+  per-entry Dirichlet total less beta_u + S_u gave it, which moves only
+  the non-dyadic concentrations of `multinomial-nondyadic`;
+- the `ORACLE_DIGESTS` "summary", "component" and "weight" of
+  `worked-example` and "component" of `normal-n4`: their weights are
+  libm's exp of each shifted log weight over the `math.fsum` of those,
+  where numpy's exp over numpy's pairwise sum gave them (within 2.3e-16
+  relative).
+
 No digest depends on BLAS: not on its kernel, its thread count, the
 array layout or the block shape (`test_digests_ignore_the_blas_kernel` runs
 them in a child under another kernel and two threads). They do depend on
@@ -125,7 +149,7 @@ GOLDEN = {
         42,
         "b0900b19b640d7753b50c7b42a0d80fa033d517c06b86fd09c1c31760358f196",
         "d22c7bcd07367939989f73edc15b9265e948ce573517754933882dd10b9fda53",
-        "97f2a0ea4cd1fec048d167a63881561f22b822520ddb00bba369e7476c33d587",
+        "a3121dbd01b4f47d85367bd143910f164fca4a82ac0b4ca129d9e93c53367e6f",
     ),
     # datasets.poisson_mixture_sample(16, 0.5, 1.0, 6.0, 1): the size of the
     # fit-poisson-k3 benchmark input
@@ -145,7 +169,7 @@ GOLDEN = {
         54,
         "107d28fa7bd6a8afe1229db1a65b24a49b3fb0ec4b8a9063a2724197b324738e",
         "6b9cce002337b70067bfcfd817827a7c8f12bc5ae4d1f432d40308eb9e6081fe",
-        "cc2e4aeeea1e98055f55a412b0303c2d144571622dda4f64654cc6ea43d54c3a",
+        "6373e59ba36b5ab4c18bfde4ab293b4ae8daa1114d663271389a4fb0d2e7f424",
     ),
     # digits far above the entry count: multi-word codes, direct weight terms
     "multinomial-multiword": (
@@ -217,19 +241,19 @@ GOLDEN = {
 
 # (name, param): sha256 of the default grid's bytes, then its density's
 DEFAULT_GRIDS = {
-    ("worked-example", "p1"): "283414b28164b7bd2c7da782d8f14d115f4df78185edfe433c1cde1798d24dc5",
-    ("worked-example", "lambda1"): "b15463d01c346358d828f6375e84d90975ba1da771dbccad3020dae015fea07f",
-    ("poisson-k3-n16", "p1"): "9c0c0521620c81ce03dd7e5a83fcb820b8a62ca781bc8021ca69229680e5fb47",
-    ("poisson-k3-n16", "lambda1"): "da252302afc03d17f81e291d11c3e1ec9e334a65718bc980d851ad7a700d71d9",
+    ("worked-example", "p1"): "5fc35eb023d30b9b8c052eeecc4de5ed6310d03132538c6c25562b3da61a9460",
+    ("worked-example", "lambda1"): "922f65b67ffecb530e4055fc03a6d889d529ddc5c7bd7f74d4e4d75acfe16383",
+    ("poisson-k3-n16", "p1"): "f6b0e1b080fc0121544a68c0b508116cbabf633aa422999212f1aafe66075aa7",
+    ("poisson-k3-n16", "lambda1"): "19d33203b534c9a65874fb8790ed2db376cdc864180f08c6c604679d7582d798",
     # Beta members of shape 1/2 that diverge at q = 0
-    ("multinomial-k2", "q1,1"): "1ee993d545a5978af89518700deb37f85cfa65822475595b530e8fd3577c58f1",
+    ("multinomial-k2", "q1,1"): "a18489e226b9f2c131dfeb9ecdf58eef70b229591fe538959390c861d131eaef",
 }
 
 # name: sha256 of every q<j>,<u> density on INTERIOR, j then u ascending
 INTERIOR = np.linspace(0.05, 0.95, 19)
 Q_DENSITIES = {
-    "multinomial-k2": "6cc8d65b7c369e4fbb90b85df97dbbbfe28e0d893e8733dbb6560117933e49cc",
-    "multinomial-nondyadic": "f22543b466b19f3527e34f2ad292886223ccbb175de385c873d8f56d6da8fe96",
+    "multinomial-k2": "775c40a8e7cc694072ffabe893bb4836cc32d39515c9b01b61b1b11f7428fbbf",
+    "multinomial-nondyadic": "63c6bfbf1246ef20099f6f0b0d752f7cb6a9b09f4731cc8a6829635a8dec8f9a",
 }
 
 
@@ -352,12 +376,12 @@ EXPLICIT_GRIDS = {
     "poisson-k8-n5": (
         np.linspace(0.05, 10.0, 41),
         None,
-        "4e33fde910f8ab874bcfd92a8cdda4732caa2daee2e049cbe8a9e35d36cb88d2",
+        "ae701b772852eab9522aca073044a6b542fca5f5db7ce2a384ee26d804d71a80",
     ),
     "multinomial-k2-v9": (
         INTERIOR,
         0,
-        "9a6f585f9e31296b2bafbf1534606ac8eb6964ec4279c705424ba5ae1f9b8522",
+        "9e395149155abd9f6c63371f4ae53ec8577bd8481ef5f89efa45b5dc1bec11ce",
     ),
 }
 
@@ -421,9 +445,9 @@ ORACLE_CASES = {
 ORACLE_DIGESTS = {
     "worked-example": {
         "log_weights": "8ae573d2925140b7977eb0953d1c4562c401ea5ab6eec07366e5b24cc48f95cf",
-        "summary": "7893305035da5a8d56acb0e114eb66317ebd5b99de556e9575acd6c4cd994ce1",
-        "component": "fa5fc8016dfa1b284b5db0df78d9d6f80229c8b29ae0a68e7364cd77777508a8",
-        "weight": "d6ec1d7232ce3741cf573cd3f269b45afce0cc064e3cef20a0b756ee32bc77c5",
+        "summary": "4be0b3fa9dd7c5e831dce3f866d63404ee7039473fce00443250eef9bfbfcb8f",
+        "component": "88a682aa6b0ab6997439f7ded4a4ae9dbdae9c71baed09c638021ebfcbddeb76",
+        "weight": "09164b1f15767b6e515a7d4f4688fc3ba0592e61268212ec5f6c2494ae520e78",
         "table": "023bdde4508acd32180afc96f73e06f695d414e5a30abd039d7dc26fb025a6cd",
     },
     "multinomial-nondyadic": {
@@ -436,7 +460,7 @@ ORACLE_DIGESTS = {
     "normal-n4": {
         "log_weights": "6898cfe70c4c6b4b00f7465d1ce1acc5b465d98321aa3185ff4bc652bd3e4edb",
         "summary": "358f536e785e122034f0fe6af3b9d4eba058d5064bd21564425ca2be19567161",
-        "component": "49366ebe0a1f4193d493388bc57bb431a74477a0583ed4e2ffbb4c19030d504e",
+        "component": "4f8e4c54deb57e6d4a67801a365c46ba28c506d50dd84c58157140b134d3597a",
         "weight": "f97822dadaac19789d80da8633a83af3177b87536c3b2fe5580f1a25e184d9e4",
         "table": "8cdb4bfdecfc7da0bdc9b0cd65bea3954cc0d80e5330765ea1448c4b65503b29",
     },
@@ -604,8 +628,7 @@ DENSITY_REFERENCES = [
 def test_densities_are_the_exact_sums_of_their_members(name, param, points):
     wp = _posterior(name)
     if param == "p1":
-        counts, alpha = wp.key_array[:, 0], np.asarray(wp.prior.alpha)
-        members = posterior._BetaMembers(counts + alpha[0], wp.n - counts + alpha.sum() - alpha[0], wp.weights)
+        members = posterior._weight_members(wp, 0)
         g = posterior.marginal_weight_density(wp, 0)
     elif param == "lambda1":
         members, _ = posterior._component_members(wp, 0, None)

@@ -84,9 +84,11 @@ def test_normalize_sorts_the_multiplicities_before_the_columns(fit_data):
 def test_many_member_density_holds_one_block():
     # distinct powers of two: every allocation has its own S_1, so the
     # lambda_1 marginal has 2**14 members and a block holds 4 grid points.
-    # 1.88 MiB here: the 1 MiB block of both buffers, the members' arrays
-    # and, before the block, log Gamma's table of their distinct shapes; a
-    # second block takes it to 2.76 MiB
+    # 2.00 MiB here, while the members are built: their digit codes and the
+    # (member, exponent) bins of their exact sums, which np.unique numbers.
+    # The density then holds 1.88 MiB: the 1 MiB block of both buffers, the
+    # members' arrays and, before the block, log Gamma's table of their
+    # distinct shapes; a second block takes it to 2.76 MiB
     lat = lattice.build([2**i for i in range(14)], 2)
     prior = MixturePrior((1.0, 1.0), (PoissonGamma(1.0, 1.0),) * 2)
     wp = posterior.normalize(lat, prior)

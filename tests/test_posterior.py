@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -225,7 +226,24 @@ class TestEvidence:
         )
         a = log_evidence(build(data, 2), asym_prior())
         b = log_evidence(build(data, 2), swapped)
-        assert a == pytest.approx(b, rel=1e-13)
+        assert a.hex() == b.hex()
+
+    def test_relabelled_asymmetric_priors_give_one_log_evidence(self):
+        # a relabelling permutes each entry's terms, which are added in sorted
+        # order, and permutes the entries, whose exact total has no order:
+        # all six orders of a k=3 prior give one log evidence. A pairwise sum
+        # of the entries gave two or more in 13 of these 300 cases
+        rng = np.random.default_rng(20261020)
+        for _ in range(300):
+            data = [int(x) for x in rng.integers(0, 13, int(rng.integers(4, 11)))]
+            comps = [PoissonGamma(float(rng.uniform(0.5, 7.1)), float(rng.uniform(0.1, 3.3))) for _ in range(3)]
+            alpha = [float(a) for a in rng.uniform(0.3, 2.7, 3)]
+            lat = build(data, 3)
+            values = {
+                log_evidence(lat, MixturePrior(tuple(alpha[i] for i in order), tuple(comps[i] for i in order))).hex()
+                for order in itertools.permutations(range(3))
+            }
+            assert len(values) == 1, (data, comps, alpha)
 
 
 def _rising(x: Decimal, m: int) -> list[Decimal]:
@@ -751,16 +769,117 @@ class TestDistinctMembers:
             assert np.array_equal(other.density, first.density)
 
     def test_members_are_summed_per_distinct_parameter(self):
-        members = posterior._GammaMembers([2.0, 1.0, 2.0, 1.0], [3.0, 1.0, 3.0, 1.0], [0.1, 0.2, 0.3, 0.4])
+        # digits (S, n) = (1, 2), (0, 0), (1, 2), (0, 0) over the prior Gamma(1, 1)
+        members = posterior._GammaMembers.of_entries(
+            np.array([1, 0, 1, 0]), np.array([2, 0, 2, 0]), np.array([0.1, 0.2, 0.3, 0.4]), 1.0, 1.0
+        )
         shapes, rates = members.params
         assert shapes.tolist() == [1.0, 2.0]
         assert rates.tolist() == [1.0, 3.0]
         assert members.weights.tolist() == [0.2 + 0.4, 0.1 + 0.3]
 
+    def test_digit_pairs_past_one_code_word_are_grouped_as_rows(self):
+        # (2**62 + 1) * 8 passes 2**63: the pairs are grouped as rows, in the same order
+        x, y, index = posterior._distinct_pairs(np.array([2**62, 0, 2**62, 5]), np.array([7, 1, 7, 0]))
+        assert x.tolist() == [0, 5, 2**62] and y.tolist() == [1, 0, 7]
+        assert index.tolist() == [2, 0, 2, 1]
+        # S_1 up to 2**60 + 7 and n_1 up to 8 pass it too: the lambda_1 members
+        # are still the oracle's
+        data = [2**60] + [1] * 7
+        prior = MixturePrior((1.0, 1.0), (PoissonGamma(1.0, 1.0), PoissonGamma(2.0, 1.0)))
+        grid = [0.25, 0.5, 1.0, 2.0, 4.0]
+        g = marginal_component_density(normalize(build(data, 2), prior), 0, grid)
+        assert g.density == pytest.approx(oracle_posterior(data, prior).component_density(0, grid).density, rel=1e-13)
+
     def test_support_edge_takes_the_closed_form(self):
         # t = 0 has no finite basis row; shapes 1 and 2 give densities 1 and 0
         members = posterior._GammaMembers([1.0, 2.0], [1.0, 1.0], [0.25, 0.75])
         assert members.mixture_pdf(np.array([-1.0, 0.0])).tolist() == [0.0, 0.25]
+
+
+def _spread_weights(rng, size: int) -> np.ndarray:
+    """Weights from 2**-1074 to 1: every binade, subnormals, zeros and both ends."""
+    w = np.ldexp(1.0 + rng.random(size), rng.integers(-1075, 0, size))
+    w[rng.random(size) < 0.1] = 0.0
+    w[:3] = 2.0**-1074, 1.0, 0.0
+    return w
+
+
+class TestExactSums:
+    """`posterior._exact_sums` and the grid members it weighs against `math.fsum`."""
+
+    @pytest.mark.parametrize("groups, spread", [(1, True), (7, False), (7, True), (5000, True)])
+    def test_each_group_sums_as_fsum_in_any_order(self, groups, spread):
+        # a (group, exponent) table larger than the values keeps only its
+        # occupied bins: 7 groups over every binade, and 5000 groups
+        rng = np.random.default_rng(groups)
+        values = _spread_weights(rng, 3000) if spread else rng.random(3000)
+        codes = rng.integers(0, groups, 3000)
+        sums = posterior._exact_sums(values, codes, groups)
+        expected = [math.fsum(values[codes == g].tolist()) for g in range(groups)]
+        assert sums.tolist() == expected
+        order = rng.permutation(values.size)
+        assert posterior._exact_sums(values[order], codes[order], groups).tolist() == expected
+        assert posterior._exact_sums(values).tolist() == [math.fsum(values.tolist())]
+
+    def test_sums_ignore_the_block_size(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        values, codes = _spread_weights(rng, 1000), rng.integers(0, 4, 1000)
+        expected = posterior._exact_sums(values, codes, 4)
+        monkeypatch.setattr(posterior, "_SUM_BLOCK", 7)
+        assert np.array_equal(posterior._exact_sums(values, codes, 4), expected)
+
+    def test_zeros_sum_to_zero(self):
+        assert posterior._exact_sums(np.zeros(5), np.array([0, 2, 2, 0, 2]), 3).tolist() == [0.0, 0.0, 0.0]
+
+    @staticmethod
+    def _fsum_members(x, y, weights):
+        """The distinct (x, y) pairs in ascending order and the fsum of each one's weights."""
+        groups: dict = {}
+        for pair, w in zip(zip(x.tolist(), y.tolist()), weights.tolist()):
+            groups.setdefault(pair, []).append(w)
+        pairs = sorted(groups)
+        return pairs, [math.fsum(groups[pair]) for pair in pairs]
+
+    def _check(self, members, x, y, weights, a0, b0):
+        pairs, sums = self._fsum_members(x, y, weights)
+        assert members.params[0].tolist() == [a0 + px for px, _ in pairs]
+        assert members.params[1].tolist() == [b0 + py for _, py in pairs]
+        assert members.weights.tolist() == sums
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_poisson_members_weigh_the_fsum_of_their_entries(self, shuffle):
+        prior = MixturePrior((0.5, 1.5, 2.5), tuple(PoissonGamma(1.0 + j, 0.5 + j) for j in range(3)))
+        wp = normalize(build([0, 1, 1, 3, 4, 6, 9, 9], 3), prior)
+        rng = np.random.default_rng(11)
+        order = rng.permutation(len(wp.weights)) if shuffle else slice(None)
+        wp = replace(wp, key_array=wp.key_array[order], weights=_spread_weights(rng, len(wp.weights))[order])
+        keys, alpha = wp.key_array, wp.prior.alpha
+        for j, comp in enumerate(prior.components):
+            counts, sums = keys[:, 2 * j], keys[:, 2 * j + 1]
+            members, _ = posterior._component_members(wp, j, None)
+            self._check(members, sums, counts, wp.weights, comp.shape, comp.rate)
+            members = posterior._weight_members(wp, j)
+            self._check(members, counts, wp.n - counts, wp.weights, alpha[j], math.fsum(alpha) - alpha[j])
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_q_members_weigh_the_fsum_of_their_entries(self, shuffle):
+        beta = ((0.3, 0.7, 1.9), (2.1, 0.2, 0.55))
+        prior = MixturePrior((0.3, 2.7), tuple(DirichletMultinomial(b) for b in beta))
+        # 974 entries and 118 q1,1 members: about eight entries to a member
+        data = [(2, 2, 0), (2, 1, 1), (1, 0, 2), (0, 0, 1), (1, 1, 0), (0, 2, 0)]
+        data += [(1, 2, 0), (0, 1, 0), (2, 0, 2), (2, 2, 0), (1, 1, 1), (1, 2, 1)]
+        wp = normalize(build(data, 2), prior)
+        rng = np.random.default_rng(12)
+        order = rng.permutation(len(wp.weights)) if shuffle else slice(None)
+        wp = replace(wp, key_array=wp.key_array[order], weights=_spread_weights(rng, len(wp.weights))[order])
+        for j in range(2):
+            aggregates = wp.key_array[:, 4 * j + 1 : 4 * j + 4]
+            for u in range(3):
+                members, _ = posterior._component_members(wp, j, u)
+                s = aggregates[:, u]
+                rest = aggregates.sum(axis=1) - s
+                self._check(members, s, rest, wp.weights, beta[j][u], math.fsum(beta[j]) - beta[j][u])
 
 
 class TestSummaryLabels:
