@@ -10,27 +10,30 @@ k**n < 2**63 no multiplicity and no partial sum of a merge can exceed k**n,
 so they are int64; from the step where k**n reaches 2**63 they are Python
 ints in an object array. Only the dtype changes, never the code path.
 
-Keys live in one (E, k*w) int64 array in lexicographic row order, stored
-by column: its memory is one C-contiguous (k*w, E) block and `key_array` is
-that block's transpose, so each layer reads a key column as one contiguous
-run. `build` and `extend` run one fold over packed codes. It fixes a mixed
-radix once, from the column totals the fold will reach: n+1 for counts and
-total+1 for each aggregate, so no digit ever carries. The last slot is
-dropped, since the shared totals determine it, and the other slots pack
-into int64 words, slot 0 most significant, so code order is key order; one
-word holds them whenever the radix product fits, and wider keys use several
-words on the same path. Absorbing x into slot j adds one constant per word (zero for the
-dropped slot), so a step is k sorted runs of the codes, one stable sort
-that merges them, and one grouped sum of the multiplicities. Keys are
-decoded once, at the end, one divmod per key column, with the last slot
-formed as the totals minus the others.
+Keys are held as packed codes, in lexicographic order. Every key of a
+lattice shares its w column totals (n for the counts, one total per
+aggregate), so a mixed radix of total + 1 per column packs a key with no
+carry. The last slot is dropped, since the totals determine it, and the
+other (k - 1) * w columns pack into int64 words, slot 0 most significant,
+so code order is key order; one word holds them whenever the radix product
+fits, and wider keys use several words on the same path. At rest a lattice
+is its (W, E) code words, the radix, the totals and the multiplicities.
+
+`build` and `extend` run one fold over the codes. Absorbing x into slot j
+adds one constant per word (zero for the dropped slot), so a step is k
+sorted runs of the codes, one stable sort that merges them, and one grouped
+sum of the multiplicities; the fold ends on codes, with no decode. A key
+column is decoded where a layer reads it, a block of entries at a time
+(`key_blocks`) or one slot's whole columns (`slots`): a digit is
+q - (q // r) * r of the quotient q left by the digit below it, and a
+last-slot column is the totals minus the other slots.
 """
 
 from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,38 +45,40 @@ DEFAULT_ENTRY_BUDGET = 5_000_000
 # canonical flat key layout: (n_1, *S_1, n_2, *S_2, ..., n_k, *S_k)
 Key = tuple[int, ...]
 
-_WORD_SPAN = 2**63  # codes of one int64 word stay below this
+_WORD_SPAN = 2**63  # codes and place values of one int64 word stay below this
 # digits stay below _WORD_SPAN / k, so no sum over the k slots of a column wraps
 _INT64_DIGITS = 19  # decimal digits of the largest int64, 2**63 - 1
-# rows that dump writes, load parses and the fold compares in sorted order at
-# a time, so their buffers stay small
-_BLOCK_ROWS = 2**14
+# entries that a layer decodes, dump writes, load parses and the fold
+# compares in sorted order at a time, so their buffers stay small. No
+# result depends on it
+_BLOCK_ROWS = 2**12
 _ZERO, _TAB, _NEWLINE = ord("0"), ord("\t"), ord("\n")
 _UNITS = 2**1074  # every finite double is a whole number of units 2**-1074
 _FRONT = 18  # bytes before a parsed block: the 18 places in front of a 19-digit cell's last digit
 
 
 class StatLattice:
-    """Immutable sorted key array with exact multiplicities.
+    """Immutable sorted lattice of packed keys with exact multiplicities.
 
-    `key_array` is (E, k*w) int64 in lexicographic row order, the
-    transpose of one C-contiguous (k*w, E) block of key columns, and
-    `mult_array` holds the matching multiplicities: int64 while k**n < 2**63,
-    an object array of Python ints from there on (`_mult_dtype`). `tolist()`
-    gives Python ints either way. A lattice comes from the fold (`init`,
-    `extend`, `build`) or from `load`, which checks every invariant of the
-    text it parses; both hand their key columns and multiplicities to
-    `_from_arrays`, which freezes them.
+    At rest it holds `codes`, the (W, E) int64 code words of its keys in
+    lexicographic order, the mixed `radix` of the (k - 1) * w packed
+    columns, the w column `totals` every key shares, and `mult_array`, the
+    matching multiplicities: int64 while k**n < 2**63, an object array of
+    Python ints from there on (`_mult_dtype`). `tolist()` gives Python ints
+    either way. `key_array` is the (E, k*w) int64 key array, decoded on each
+    access and read-only. A lattice comes from the fold (`init`, `extend`,
+    `build`) or from `load`, which checks every invariant of the text it
+    parses; both hand their codes to `_from_codes`, which freezes them.
     """
 
-    __slots__ = ("family", "k", "n", "key_array", "mult_array", "log_h_units")
+    __slots__ = ("family", "k", "n", "codes", "radix", "totals", "mult_array", "log_h_units")
 
     @classmethod
-    def _from_arrays(cls, family, k, n, columns, mults, log_h_units) -> "StatLattice":
+    def _from_codes(cls, family, k, n, codes, radix, totals, mults, log_h_units) -> "StatLattice":
         lat = cls.__new__(cls)
-        keys = columns.T
-        keys.flags.writeable = mults.flags.writeable = False
-        for name, value in zip(cls.__slots__, (family, k, n, keys, mults, log_h_units)):
+        codes.flags.writeable = mults.flags.writeable = False
+        values = (family, k, n, codes, tuple(radix), tuple(totals), mults, log_h_units)
+        for name, value in zip(cls.__slots__, values):
             object.__setattr__(lat, name, value)
         return lat
 
@@ -88,7 +93,7 @@ class StatLattice:
 
     @property
     def slot_width(self) -> int:
-        return self.key_array.shape[1] // self.k
+        return len(self.totals)
 
     @property
     def categories(self) -> int | None:
@@ -97,13 +102,50 @@ class StatLattice:
         return self.slot_width - 1
 
     @property
+    def key_array(self) -> np.ndarray:
+        """(E, k*w) int64 keys in lexicographic row order, decoded on each
+        access: the read-only transpose of one C-contiguous (k*w, E) block."""
+        columns = np.empty((self.k * self.slot_width, self.distinct_count()), dtype=np.int64)
+        keys = _decode(self.codes, _word_places(self.radix), self.radix, self.totals, columns).T
+        keys.flags.writeable = False
+        return keys
+
+    def key_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Each block of `_BLOCK_ROWS` entries, in order, as its slice of the
+        entries and its (k*w, rows) int64 key columns, decoded into one
+        buffer that the next block overwrites: a reader copies what it keeps."""
+        places, size = _word_places(self.radix), self.distinct_count()
+        buffer = np.empty((self.k * self.slot_width, min(_BLOCK_ROWS, size)), dtype=np.int64)
+        for lo in range(0, size, _BLOCK_ROWS):
+            codes = self.codes[:, lo : lo + _BLOCK_ROWS]
+            columns = buffer[:, : codes.shape[1]]
+            yield slice(lo, lo + codes.shape[1]), _decode(codes, places, self.radix, self.totals, columns)
+
+    def slots(self, part: slice = slice(None)) -> Iterator[np.ndarray]:
+        """Each slot's key columns `part` of range(w), whole-length, slot 0
+        first, as one (len, E) int64 array that the next slot overwrites:
+        the first k - 1 decoded (`_unpack`), the last the totals less the
+        others."""
+        columns, w, size = range(self.slot_width)[part], self.slot_width, self.distinct_count()
+        last = np.empty((len(columns), size), dtype=np.int64)
+        last[...] = np.array([self.totals[c] for c in columns], dtype=np.int64)[:, None]
+        slot, high = np.empty_like(last), np.empty(size, dtype=np.int64)
+        places = _word_places(self.radix)
+        for j in range(self.k - 1):
+            _unpack(self.codes, places, self.radix, j * w + columns.start, j * w + columns.stop, slot, high)
+            last -= slot
+            yield slot
+        del slot, high
+        yield last
+
+    @property
     def entries(self) -> Mapping[Key, int]:
         """Read-only {key tuple: multiplicity} view, built on demand."""
         keys = map(tuple, self.key_array.tolist())
         return MappingProxyType(dict(zip(keys, self.mult_array.tolist())))
 
     def distinct_count(self) -> int:
-        return len(self.key_array)
+        return self.codes.shape[1]
 
     def total_count(self) -> int:
         """Σμ, exact: `sum()` of an object array's Python ints; int64 ones are
@@ -119,21 +161,34 @@ def _mult_dtype(k: int, n: int):
     return np.int64 if k == 1 or (n < 64 and k**n < _WORD_SPAN) else object
 
 
-def log_multiplicities(mults: np.ndarray) -> np.ndarray:
-    """`math.log` of each multiplicity of a lattice's `mult_array`, one call
-    per distinct float image.
+def log_multiplicities(mults: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """`math.log` of the multiplicities of a lattice's `mult_array`, as a
+    function of any block of them, one call per distinct float image.
 
     For an int within the float range `math.log(m)` is `log(float(m))`, so
-    equal images have equal logs. int64 multiplicities sort as they are,
-    with no float copy alive beside the sort's own; Python ints sort fast
-    as their float images, and only one beyond the float range sorts as an
-    exact int.
+    equal images have equal logs. Where the largest int64 multiplicity is
+    below their count, a table over 0..max holds the log of each one
+    present, and a block gathers from it. Elsewhere each block logs its own
+    distinct images (`families.per_distinct`): int64 multiplicities sort as
+    they are, Python ints fast as their float images, and only where one
+    lies beyond the float range as exact ints.
     """
-    try:
-        images = mults if mults.dtype == np.int64 else mults.astype(np.float64)
-    except OverflowError:
-        images = mults
-    return families.per_distinct(math.log, images)
+    if mults.dtype == np.int64 and int(mults.max()) < len(mults):
+        table = np.zeros(int(mults.max()) + 1)
+        present = np.zeros(len(table), dtype=bool)
+        present[mults] = True
+        distinct = np.flatnonzero(present)
+        table[distinct] = np.fromiter(map(math.log, distinct.tolist()), float, distinct.size)
+        return table.take
+
+    def per_block(block: np.ndarray) -> np.ndarray:
+        try:
+            images = block if block.dtype == np.int64 else block.astype(np.float64)
+        except OverflowError:
+            images = block
+        return families.per_distinct(math.log, images)
+
+    return per_block
 
 
 def _units(x: float) -> int:
@@ -142,18 +197,19 @@ def _units(x: float) -> int:
     return num * (_UNITS // den)
 
 
-def _word_places(radix: list[int]) -> np.ndarray:
+def _word_places(radix: Sequence[int]) -> np.ndarray:
     """Mixed-radix place values that pack key columns into int64 words.
 
     Row i holds word i's place value for each column and zero for columns
     outside it; word 0 holds the most significant columns. A word closes
-    when one more column would let its codes reach 2**63.
+    when one more column would let its codes or its place values reach
+    2**63. With no column (k = 1) there is one word, and every code is 0.
     """
     words = []
     place = np.zeros(len(radix), dtype=np.int64)
     span = 1
     for c in range(len(radix) - 1, -1, -1):
-        if span * radix[c] > _WORD_SPAN:
+        if span * radix[c] >= _WORD_SPAN:
             words.append(place)
             place = np.zeros(len(radix), dtype=np.int64)
             span = 1
@@ -163,14 +219,58 @@ def _word_places(radix: list[int]) -> np.ndarray:
     return np.array(words[::-1])
 
 
-def _increasing(columns: np.ndarray) -> bool:
-    """Whether (C, E) key columns increase strictly and lexicographically
-    from entry to entry, row 0 deciding first."""
-    tied = np.ones(columns.shape[1] - 1, dtype=bool)
-    for column in columns:
-        if np.any(tied & (column[1:] < column[:-1])):
+def _unpack(codes: np.ndarray, places: np.ndarray, radix: Sequence[int], lo: int, hi: int, out, high) -> None:
+    """Packed key columns lo..hi - 1 of (W, B) code words packed by `places`,
+    into rows 0.. of `out`, with `high` one scratch row.
+
+    Within a word the requested digits come least significant first, the
+    last over its place value: each is q - (q // r) * r of the quotient q
+    left by the one before, one floor division per column, and the new
+    quotient goes to the row of the next column, which reads it in turn.
+    The word's most significant column is the quotient left.
+    """
+    for word, place in zip(codes, places):
+        columns = [c for c in range(lo, hi) if place[c]]
+        if not columns:
+            continue
+        lead, q = int(np.flatnonzero(place)[0]), word
+        if place[columns[-1]] != 1:
+            q = np.floor_divide(word, place[columns[-1]], out=out[columns[-1] - lo])
+        for c in reversed(columns):
+            row = out[c - lo]
+            if c == lead:
+                if q is word:  # the word's one column, of place 1
+                    row[...] = word
+                break
+            quotient = out[c - 1 - lo] if c > columns[0] else high
+            np.floor_divide(q, radix[c], out=quotient)
+            np.multiply(quotient, radix[c], out=high)
+            np.subtract(q, high, out=row)
+            q = quotient
+
+
+def _decode(codes: np.ndarray, places: np.ndarray, radix: Sequence[int], totals: Sequence[int], out: np.ndarray):
+    """The (k*w, B) int64 key columns of (W, B) code words packed by
+    `places`, written into `out` with no other buffer: the packed columns
+    by `_unpack`, with the first row of the last slot as its scratch, and
+    then the last slot as the totals less the other slots."""
+    kept, w = len(radix), len(totals)
+    _unpack(codes, places, radix, 0, kept, out, out[kept])
+    last = out[kept:]
+    last[...] = np.array(totals, dtype=np.int64)[:, None]
+    for j in range(kept // w):
+        last -= out[j * w : (j + 1) * w]
+    return out
+
+
+def _increasing(codes: np.ndarray) -> bool:
+    """Whether (W, E) code words increase strictly and lexicographically
+    from entry to entry, word 0 deciding first."""
+    tied = np.ones(codes.shape[1] - 1, dtype=bool)
+    for word in codes:
+        if np.any(tied & (word[1:] < word[:-1])):
             return False
-        tied &= column[1:] == column[:-1]
+        tied &= word[1:] == word[:-1]
     return not tied.any()
 
 
@@ -189,6 +289,19 @@ def _fresh(succ: np.ndarray, order: np.ndarray) -> np.ndarray:
     return fresh
 
 
+def _repack(lattice: StatLattice, places: np.ndarray) -> np.ndarray:
+    """The lattice's keys as (W, E) codes under new place values, formed
+    one packed key column at a time."""
+    codes = np.zeros((len(places), lattice.distinct_count()), dtype=np.int64)
+    old, digits, high = _word_places(lattice.radix), np.empty_like(codes[:1]), np.empty_like(codes[0])
+    for c in range(places.shape[1]):
+        word = np.flatnonzero(places[:, c])[0]
+        _unpack(lattice.codes, old, lattice.radix, c, c + 1, digits, high)
+        digits *= places[word, c]
+        codes[word] += digits[0]
+    return codes
+
+
 def _fold(
     lattice: StatLattice, observations: Sequence, budget: int = DEFAULT_ENTRY_BUDGET
 ) -> StatLattice:
@@ -201,14 +314,12 @@ def _fold(
     log_h_units = lattice.log_h_units + sum(_units(log_h) for _, log_h in observed)
     # every entry shares the column totals, and no digit outgrows its
     # column's final total, so radix total + 1 never carries
-    first = lattice.key_array[0].tolist()
-    totals = [sum(first[c::w]) + sum(s[c] for s in stats) for c in range(w)]
+    totals = [t + sum(s[c] for s in stats) for c, t in enumerate(lattice.totals)]
     if max(totals) * k >= _WORD_SPAN:
         raise ValueError("a statistic digit would leave the int64 key range")
-    kept = (k - 1) * w  # the last slot is the totals minus the others
-    radix = [t + 1 for t in totals] * (k - 1)
+    radix = [t + 1 for t in totals] * (k - 1)  # the last slot is the totals minus the others
     places = _word_places(radix)
-    codes = places @ lattice.key_array.T[:kept]  # (W, E), word 0 most significant
+    codes = _repack(lattice, places)  # (W, E), word 0 most significant
     # shifts[i, :, j]: what absorbing observation i into slot j adds to each
     # word; the dropped last slot adds nothing
     shifts = np.zeros((len(stats), len(places), k), dtype=np.int64)
@@ -237,26 +348,7 @@ def _fold(
         mults = mults.astype(_mult_dtype(k, n), copy=False).take(order, mode="wrap")
         del order
         mults = np.add.reduceat(mults, starts)
-
-    # decode once, in place, so no copy of the codes sits beside the key
-    # columns: the codes' buffer grows into the columns, word i in row i.
-    # From the last word back, each gives up its digits least significant
-    # first, one divmod per column, into rows that hold no word still to
-    # come (word i's columns start at row i or later); the quotient left
-    # is its first digit
-    codes.resize((k * w, len(mults)), refcheck=False)
-    columns = codes
-    for i in range(len(places) - 1, -1, -1):
-        first, *rest = np.flatnonzero(places[i]).tolist() or [i]  # k = 1 packs no column
-        for c in reversed(rest):
-            np.divmod(columns[i], radix[c], out=(columns[i], columns[c]))
-        if first != i:
-            columns[first] = columns[i]
-    last = columns[kept:]
-    last[:] = np.array(totals)[:, None]
-    for j in range(k - 1):
-        last -= columns[j * w : (j + 1) * w]
-    return StatLattice._from_arrays(family, k, n, columns, mults, log_h_units)
+    return StatLattice._from_codes(family, k, n, codes, radix, totals, mults, log_h_units)
 
 
 def init(first_obs, k: int, family: str | None = None) -> StatLattice:
@@ -287,9 +379,10 @@ def build(
         # Bell-number-like, so enumeration goes through the oracle instead
         raise UnsupportedFamilyError("normal-family lattices are not supported; use the oracle")
     w = 1 + len(families.observe(family, data[0])[0])
-    # the n=0 lattice: one all-zero key, and log h = 0
+    # the n=0 lattice: one all-zero key, totals 0, and log h = 0
     one = np.array([1], dtype=_mult_dtype(k, 0))
-    empty = StatLattice._from_arrays(family, k, 0, np.zeros((k * w, 1), np.int64), one, 0)
+    radix = [1] * ((k - 1) * w)
+    empty = StatLattice._from_codes(family, k, 0, np.zeros((1, 1), np.int64), radix, [0] * w, one, 0)
     return _fold(empty, data, budget)
 
 
@@ -324,33 +417,34 @@ def _cells(values: np.ndarray, sep: int, width: int = 0) -> np.ndarray:
 def dump(lattice: StatLattice) -> str:
     """Flat text form: header, then one sorted line per entry.
 
-    Rows are written as bytes, one block at a time: a uint8 line buffer of
-    fixed-width cells, digits and separators with NUL padding, whose NUL
-    bytes `bytes.translate` deletes. Key cells come from a table over
-    0..max(key) whose rows are padded to a power-of-two width, gathered one
-    key column at a time, so the gather copies one word per cell; a key
-    array whose largest digit is not below its row count takes divmod
-    planes of its own instead.
+    Rows are written as bytes, one block of decoded keys at a time
+    (`key_blocks`): a uint8 line buffer of fixed-width cells, digits and
+    separators with NUL padding, whose NUL bytes `bytes.translate` deletes.
+    No digit is above its column's total, so the largest total bounds every
+    cell. Key cells come from a table over 0..that bound whose rows are
+    padded to a power-of-two width, gathered one key column at a time, so
+    the gather copies one word per cell; where the bound is not below the
+    entry count the keys take divmod planes of their own instead.
     """
-    keys, mults = lattice.key_array, lattice.mult_array
-    top = int(keys.max())
-    if top < len(keys):
+    mults = lattice.mult_array
+    top = max(lattice.totals)
+    if top < len(mults):
         width = 1 << len(str(top)).bit_length()  # a power of two above the digits
         table = _cells(np.arange(top + 1), _TAB, width).view(f"V{width}")[:, 0]
     else:
         width, table = len(str(top)) + 1, None
-    key_bytes = keys.shape[1] * width
+    key_bytes = lattice.k * lattice.slot_width * width
     blocks = [_header(lattice.family, lattice.k, lattice.n, lattice.log_base)]
-    for start in range(0, len(keys), _BLOCK_ROWS):
-        part = keys[start : start + _BLOCK_ROWS]
-        mult_cells = _cells(mults[start : start + _BLOCK_ROWS], _NEWLINE)
-        lines = np.empty((len(part), key_bytes + mult_cells.shape[1]), dtype=np.uint8)
+    for part, columns in lattice.key_blocks():
+        rows = columns.shape[1]
+        mult_cells = _cells(mults[part], _NEWLINE)
+        lines = np.empty((rows, key_bytes + mult_cells.shape[1]), dtype=np.uint8)
         lines[:, key_bytes:] = mult_cells
         if table is None:
-            lines[:, :key_bytes] = _cells(part, _TAB, width).reshape(len(part), -1)
+            lines[:, :key_bytes] = _cells(columns.T, _TAB, width).reshape(rows, -1)
         else:
             cells = lines[:, :key_bytes].view(table.dtype)
-            for c, column in enumerate(part.T):  # one gather per key column
+            for c, column in enumerate(columns):  # one gather per key column
                 cells[:, c] = table[column]
         blocks.append(lines.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(blocks)
@@ -388,90 +482,143 @@ def _cell_error(raw: bytes, at: int) -> LatticeFormatError:
     return LatticeFormatError(f"malformed lattice entry: {cell!r}")
 
 
-def _parse_body(text: str, base: int, family: str, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k*w, E) key columns and the multiplicities of the entry lines of a
-    dump, which start at character `base` of its text, held to dump's grammar.
+def _body_blocks(text: str, base: int) -> Iterator[tuple[bytes, int]]:
+    """The body of a dump, its lines from character `base` on, as ASCII
+    bytes `_BLOCK_ROWS` lines at a time: each block is a window of the text
+    and the length of its first `_BLOCK_ROWS` lines, or all of the window
+    where the body ends in it. A window starts half again as long as the
+    last block and doubles until it holds a block, so no copy of the text
+    is ever whole.
+    """
+    offset, size = base, _BLOCK_ROWS * (text.find("\n", base) + 1 - base)
+    while offset < len(text):
+        window = text[offset : offset + size].encode("ascii")
+        ends = np.flatnonzero(np.frombuffer(window, dtype=np.uint8) == _NEWLINE)
+        if len(ends) >= _BLOCK_ROWS:
+            cut = int(ends[_BLOCK_ROWS - 1]) + 1
+        elif offset + size >= len(text):
+            cut = len(window)
+        else:
+            size *= 2
+            continue
+        yield window, cut
+        offset += cut
+        size = cut + cut // 2
+
+
+def _parse_body(
+    text: str, base: int, family: str, k: int, n: int
+) -> tuple[np.ndarray, Iterator[tuple[slice, np.ndarray]]]:
+    """The multiplicities of the entry lines of a dump, which start at
+    character `base` of its text, and an iterator over their blocks of key
+    columns, each held to dump's grammar.
 
     The lines are parsed in blocks of `_BLOCK_ROWS`, the rows dump writes at
-    a time, and each block writes its values straight into the preallocated
-    columns and multiplicities, one cell column at a time, so the parse's
+    a time (`_body_blocks`). Each block yields its slice of the entries and
+    its (k*w, rows) int64 key columns, in one buffer that the next block
+    overwrites, and writes its multiplicities into the preallocated array, one cell column at a time, so the parse's
     temporaries are block-sized and most are column-sized. A block's checks
     run on its bytes, in one order: a stray byte, an empty cell, the key
     width (the first line's, checked in the first block), the line shape, a
     leading zero, then the value ranges, key columns first. The first
     defective block decides the message.
     """
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError as exc:
-        bad = exc.object[exc.start]
-        raise LatticeFormatError(f"malformed lattice entry: non-ASCII {bad!r}") from exc
-    data = np.frombuffer(raw, dtype=np.uint8, offset=base)
-    if data[-1] != _NEWLINE:
+    if not text.isascii():
+        try:
+            text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            bad = exc.object[exc.start]
+            raise LatticeFormatError(f"malformed lattice entry: non-ASCII {bad!r}") from exc
+    if text[-1] != "\n":
         raise LatticeFormatError("malformed lattice entry: the last line has no newline")
-    line_ends = np.flatnonzero(data == _NEWLINE)
-    rows, width = len(line_ends), raw.count(b"\t", base, base + int(line_ends[0]))
-    # the offsets where the blocks start, then the body's end; the line
-    # ends go before the columns are allocated
-    cuts = [0, *(line_ends[_BLOCK_ROWS - 1 : -1 : _BLOCK_ROWS] + 1).tolist(), len(data)]
-    del line_ends
+    rows, width = text.count("\n", base), text.count("\t", base, text.find("\n", base))
     cells, w = width + 1, width // k
     wide = _mult_dtype(k, n) is object
-    columns = np.empty((width, rows), dtype=np.int64)
     mults = np.empty(rows, dtype=object if wide else np.int64)
-    for start, offset, end in zip(range(0, rows, _BLOCK_ROWS), cuts, cuts[1:]):
-        stop = min(start + _BLOCK_ROWS, rows)
-        # digit bytes XOR '0' are 0..9 and every other byte is above 9; the
-        # bytes in front read as separators and give a first cell's places room
-        buf = np.empty(_FRONT + end - offset, dtype=np.uint8)
-        buf[:_FRONT] = _NEWLINE ^ _ZERO
-        digit = np.bitwise_xor(data[offset:end], _ZERO, out=buf[_FRONT:])
-        opens = buf[_FRONT - 1 :] > 9  # opens[i]: byte i follows a separator
-        sep = opens[1:]
-        # seps[0] = -1 stands for the separator in front of the block; cell i
-        # lies between the separators at seps[i] and seps[i + 1]
-        seps = np.flatnonzero(opens)
-        seps -= 1
-        if len(seps) - 1 != np.count_nonzero(digit == _TAB ^ _ZERO) + stop - start:
-            stray = sep & (digit != _TAB ^ _ZERO) & (digit != _NEWLINE ^ _ZERO)
-            raise _cell_error(raw, base + offset + int(np.flatnonzero(stray)[0]))
-        if np.any(sep & opens[:-1]):
-            raise LatticeFormatError("malformed lattice entry: an empty cell or a blank line")
-        if start == 0 and (width != k * w or (w == 2) != (family == "poisson") or w < 2):
-            raise LatticeFormatError(f"key width {width} does not fit a {family} lattice with k={k}")
-        if len(seps) - 1 != (stop - start) * cells or np.any(digit[seps[cells::cells]] != _NEWLINE ^ _ZERO):
-            raise LatticeFormatError(f"entries disagree on the key width {width}")
-        lead = digit[:-1] == 0
-        lead &= opens[:-2]
-        lead &= digit[1:] <= 9
-        if lead.any():
-            raise LatticeFormatError("malformed lattice entry: a leading zero")
+    buffer = np.empty((width, min(rows, _BLOCK_ROWS)), dtype=np.int64)
 
-        # one cell column at a time: (rows,) temporaries, and each column
-        # takes as many place passes as its own longest cell has digits
-        opened, ends = seps[:-1].reshape(-1, cells), seps[1:].reshape(-1, cells)
-        for c in range(width if wide else cells):
-            lengths = ends[:, c] - opened[:, c]
-            lengths -= 1
-            longest = int(lengths.max())
-            values = _cell_values(buf, ends[:, c], lengths, longest) if longest <= _INT64_DIGITS else None
-            if c < width:
-                # a 19-digit key may leave int64, a longer one does
-                if values is None or (longest == _INT64_DIGITS and values.max() >= _WORD_SPAN):
-                    raise LatticeFormatError("malformed lattice entry: a key digit beyond int64")
-                columns[c, start:stop] = values
-            elif values is None or values.max() > k**n:
-                raise LatticeFormatError(f"dump violates conservation: a multiplicity above {k}^{n}")
-            else:
-                mults[start:stop] = values
-        if wide:
-            at = base + offset
-            spans = zip((ends[:, -2] + at + 1).tolist(), (ends[:, -1] + at).tolist())
-            try:
-                mults[start:stop] = np.fromiter((int(raw[a:b]) for a, b in spans), object, stop - start)
-            except ValueError as exc:  # more digits than int() converts
-                raise LatticeFormatError(f"malformed lattice entry: {exc}") from exc
-    return columns, mults
+    def blocks():
+        for start, (raw, size) in zip(range(0, rows, _BLOCK_ROWS), _body_blocks(text, base)):
+            stop = min(start + _BLOCK_ROWS, rows)
+            # digit bytes XOR '0' are 0..9 and every other byte is above 9; the
+            # bytes in front read as separators and give a first cell's places room
+            buf = np.empty(_FRONT + size, dtype=np.uint8)
+            buf[:_FRONT] = _NEWLINE ^ _ZERO
+            digit = np.bitwise_xor(np.frombuffer(raw, np.uint8, size), _ZERO, out=buf[_FRONT:])
+            opens = buf[_FRONT - 1 :] > 9  # opens[i]: byte i follows a separator
+            sep = opens[1:]
+            # seps[0] = -1 stands for the separator in front of the block; cell i
+            # lies between the separators at seps[i] and seps[i + 1]
+            seps = np.flatnonzero(opens)
+            seps -= 1
+            if len(seps) - 1 != np.count_nonzero(digit == _TAB ^ _ZERO) + stop - start:
+                stray = sep & (digit != _TAB ^ _ZERO) & (digit != _NEWLINE ^ _ZERO)
+                raise _cell_error(raw, int(np.flatnonzero(stray)[0]))
+            if np.any(sep & opens[:-1]):
+                raise LatticeFormatError("malformed lattice entry: an empty cell or a blank line")
+            if start == 0 and (width != k * w or (w == 2) != (family == "poisson") or w < 2):
+                raise LatticeFormatError(f"key width {width} does not fit a {family} lattice with k={k}")
+            if len(seps) - 1 != (stop - start) * cells or np.any(digit[seps[cells::cells]] != _NEWLINE ^ _ZERO):
+                raise LatticeFormatError(f"entries disagree on the key width {width}")
+            lead = digit[:-1] == 0
+            lead &= opens[:-2]
+            lead &= digit[1:] <= 9
+            if lead.any():
+                raise LatticeFormatError("malformed lattice entry: a leading zero")
+
+            # one cell column at a time: (rows,) temporaries, and each column
+            # takes as many place passes as its own longest cell has digits
+            columns = buffer[:, : stop - start]
+            opened, ends = seps[:-1].reshape(-1, cells), seps[1:].reshape(-1, cells)
+            for c in range(width if wide else cells):
+                lengths = ends[:, c] - opened[:, c]
+                lengths -= 1
+                longest = int(lengths.max())
+                values = _cell_values(buf, ends[:, c], lengths, longest) if longest <= _INT64_DIGITS else None
+                if c < width:
+                    # a 19-digit key may leave int64, a longer one does
+                    if values is None or (longest == _INT64_DIGITS and values.max() >= _WORD_SPAN):
+                        raise LatticeFormatError("malformed lattice entry: a key digit beyond int64")
+                    columns[c] = values
+                elif values is None or values.max() > k**n:
+                    raise LatticeFormatError(f"dump violates conservation: a multiplicity above {k}^{n}")
+                else:
+                    mults[start:stop] = values
+            if wide:
+                spans = zip((ends[:, -2] + 1).tolist(), ends[:, -1].tolist())
+                try:
+                    mults[start:stop] = np.fromiter((int(raw[a:b]) for a, b in spans), object, stop - start)
+                except ValueError as exc:  # more digits than int() converts
+                    raise LatticeFormatError(f"malformed lattice entry: {exc}") from exc
+            yield slice(start, stop), columns
+
+    return mults, blocks()
+
+
+# the messages of `load`'s checks that are held until every block has parsed, first first
+_HELD = (
+    "digit out of range or nonpositive multiplicity",
+    "entries disagree with n={n} or with each other's totals",
+    "an empty slot carries a nonzero aggregate",
+)
+
+
+def _held_failure(columns: np.ndarray, mults: np.ndarray, k: int, totals: list[int]) -> int:
+    """The first of the held checks (`_HELD`) that a parsed block of
+    (k*w, rows) key columns fails, as an index, or their count where it
+    passes all: every digit and multiplicity in range, each column of the
+    slots adding up to the first entry's total, and no empty slot with a
+    nonzero aggregate."""
+    w = len(totals)
+    if int(columns.max()) * k >= _WORD_SPAN or mults.min() < 1:
+        return 0
+    for c in range(w):
+        if np.any(columns[c::w].sum(axis=0) != totals[c]):
+            return 1
+    for j in range(0, k * w, w):
+        if np.any((columns[j] == 0) & columns[j + 1 : j + w].any(axis=0)):
+            return 2
+    return 3
 
 
 def load(text: str) -> StatLattice:
@@ -482,11 +629,13 @@ def load(text: str) -> StatLattice:
     leading zero, every line ending in a single `\\n`. The body is parsed as
     bytes in blocks of `_BLOCK_ROWS` lines (`_parse_body`), each checked
     and converted on its own, one decimal place per pass as `dump` writes
-    one per divmod plane (`_cell_values`). Once every block has parsed, the
-    totals, empty-slot, order and conservation checks run on the whole key
-    columns and multiplicities. A text with one defect gets that defect's
-    message; in a text with several grammar or range defects, the first
-    defective block decides.
+    one per divmod plane (`_cell_values`), and packed into the codes at
+    once. A block's range, totals and empty-slot checks (`_held_failure`)
+    are held until every block has parsed; then the first of them that any
+    block failed raises, else the order check runs on the code words and
+    the conservation check on the multiplicities. A text with one defect
+    gets that defect's message; in a text with several grammar or range
+    defects, the first defective block decides.
     """
     if not text:
         raise LatticeFormatError("empty lattice dump")
@@ -507,22 +656,30 @@ def load(text: str) -> StatLattice:
         raise LatticeFormatError(f"malformed lattice header: {head!r}")
     if newline in (-1, len(text) - 1):
         raise LatticeFormatError("lattice dump has no entries")
-    columns, mults = _parse_body(text, newline + 1, family, k, n)
+    mults, blocks = _parse_body(text, newline + 1, family, k, n)
 
-    w = len(columns) // k
-    if int(columns.max()) * k >= _WORD_SPAN or mults.min() < 1:
-        raise LatticeFormatError("digit out of range or nonpositive multiplicity")
-    # column c of every slot adds up to the shared total of column c
-    for c in range(w):
-        sums = columns[c::w].sum(axis=0)
-        if np.any(sums != (n if c == 0 else sums[0])):
-            raise LatticeFormatError(f"entries disagree with n={n} or with each other's totals")
-    for j in range(0, k * w, w):
-        if np.any((columns[j] == 0) & columns[j + 1 : j + w].any(axis=0)):
-            raise LatticeFormatError("an empty slot carries a nonzero aggregate")
-    if not _increasing(columns):
+    passed = failed = len(_HELD)
+    codes = None
+    for part, columns in blocks:
+        if part.start == 0:
+            # every entry shares the first one's column totals, n the first
+            first = columns[:, 0].tolist()
+            w = len(first) // k
+            totals = [n, *(sum(first[c::w]) for c in range(1, w))]
+        if failed:  # no check outranks the first
+            failed = min(failed, _held_failure(columns, mults[part], k, totals))
+        if failed == passed:
+            if codes is None:
+                radix = [t + 1 for t in totals] * (k - 1)
+                places = _word_places(radix)
+                codes = np.empty((len(places), len(mults)), dtype=np.int64)
+            codes[:, part] = places @ columns[: len(radix)]
+    if failed < passed:
+        raise LatticeFormatError(_HELD[failed].format(n=n))
+    # with digits in range and shared totals, code order is key order
+    if not _increasing(codes):
         raise LatticeFormatError("keys are duplicated or out of order")
-    lat = StatLattice._from_arrays(family, k, n, columns, mults, _units(log_base))
+    lat = StatLattice._from_codes(family, k, n, codes, radix, totals, mults, _units(log_base))
     total = lat.total_count()
     # the bit-length test keeps k**n cheap when n is absurdly large
     if (k > 1 and n * math.log2(k) > total.bit_length() + 1) or total != k**n:

@@ -76,12 +76,11 @@ class MixturePrior:
 
 @dataclass(frozen=True)
 class WeightedPosterior:
-    """Normalized posterior over all distinct allocation statistics."""
+    """Normalized posterior over all distinct allocation statistics: the
+    lattice's entries, in its order, with their weights."""
 
     prior: MixturePrior
-    n: int
-    key_array: np.ndarray  # (E, k*w) int64, lexicographic rows, the lattice's column-major array
-    mult_array: np.ndarray  # (E,) exact multiplicities, the lattice's int64 or object array
+    lattice: StatLattice  # packed keys and exact multiplicities
     log_weights: np.ndarray  # unnormalized, includes log multiplicity
     weights: np.ndarray  # normalized, sums to 1
     log_evidence: float
@@ -95,8 +94,22 @@ class WeightedPosterior:
         return self.prior.k
 
     @property
+    def n(self) -> int:
+        return self.lattice.n
+
+    @property
     def slot_width(self) -> int:
-        return self.key_array.shape[1] // self.k
+        return self.lattice.slot_width
+
+    @property
+    def key_array(self) -> np.ndarray:
+        """(E, k*w) int64 keys in lexicographic rows, decoded on each access."""
+        return self.lattice.key_array
+
+    @property
+    def mult_array(self) -> np.ndarray:
+        """(E,) exact multiplicities, the lattice's int64 or object array."""
+        return self.lattice.mult_array
 
     @property
     def keys(self) -> tuple[Key, ...]:
@@ -188,39 +201,27 @@ def _check_compatible(lat: StatLattice, prior: MixturePrior) -> None:
         raise ValueError("lattice and prior disagree on the category count")
 
 
-def _key_columns(key_array: np.ndarray, k: int) -> np.ndarray:
-    """(k, w, E) view of the contiguous key columns: counts at [:, 0],
-    aggregates after."""
-    return key_array.T.reshape(k, -1, len(key_array))
-
-
 def _dirichlet_total(aggregates: np.ndarray, beta) -> np.ndarray:
     """Each entry's sum over u of beta_u + S_u, the total of its Dirichlet
     update, from one component's (v, E) aggregate columns: the one total
     of the weight and E[q]. A q member's takes the slot's integer total
     instead (`_component_members`)."""
-    return _row_sum([s + b for s, b in zip(aggregates, beta)])
-
-
-def _gamma_update(wp: WeightedPosterior, j: int):
-    """Each entry's Gamma update of component j, read from its key columns
-    in place: shape a + S and rate b + n, (E,) each."""
-    counts, sums = _key_columns(wp.key_array, wp.k)[j]
-    comp = wp.prior.components[j]
-    return sums + float(comp.shape), counts + float(comp.rate)
+    return _row_sum(s + b for s, b in zip(aggregates, beta))
 
 
 # float elements of a density block: its two buffers (1 MiB) stay in L2. No result depends on it.
 _DENSITY_BLOCK_ELEMENTS = 2**17
 
 
-def _row_sum(columns: list) -> np.ndarray:
+def _row_sum(columns) -> np.ndarray:
     """Entrywise sum of float columns, each entry's values added in
     sequence from +0.0, whatever their count: whole columns are added in
-    that order, with no row-major copy, and the first is overwritten.
+    that order, with no row-major copy, and the first is overwritten. An
+    iterator of columns is read one column at a time.
     """
-    total = columns[0]
-    for column in columns[1:]:
+    columns = iter(columns)
+    total = next(columns)
+    for column in columns:
         total += column
     total += 0.0  # the start: a row of -0.0 sums to +0.0
     return total
@@ -246,46 +247,59 @@ def _sorted_sum(columns: list) -> np.ndarray:
     return _row_sum(columns)
 
 
-def _on_digits(fn, digits: np.ndarray, const: float) -> np.ndarray:
-    """fn(digits + const) for one int64 key column, fn a scalar function
-    (`gammaln`, or libm's `math.log`: numpy's own log varies by CPU).
-
-    A table over 0..max(digits) is gathered when it is shorter than the
-    column, else fn runs on the column's distinct values. Both evaluate fn
-    at the same doubles, so the result is bitwise the same either way.
-    """
-    top = int(digits.max())
-    if top >= len(digits):
-        return per_distinct(fn, digits.astype(float) + const)
-    return per_distinct(fn, np.arange(top + 1, dtype=float) + const)[digits]
-
-
 def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
-    log_mult = log_multiplicities(lat.mult_array)  # np.unique's sort ends before any column exists
-    columns = _key_columns(lat.key_array, lat.k)
+    """Each entry's unnormalized log weight, a block of decoded keys at a
+    time (`StatLattice.key_blocks`): every term is a function of one entry,
+    so no value depends on the block."""
+    k, w, size = lat.k, lat.slot_width, lat.distinct_count()
     alpha = prior.alpha
-    contrib = []  # one contiguous column of terms per component
 
-    if prior.family == "poisson":
-        for j, (counts, sums) in enumerate(columns):
-            a0, b0 = float(prior.components[j].shape), float(prior.components[j].rate)
-            term = _on_digits(gammaln, counts, alpha[j]) + _on_digits(gammaln, sums, a0)
-            term -= (sums + a0) * _on_digits(math.log, counts, b0)
-            contrib.append(term)
-    else:  # multinomial: a lattice has no other family
-        for j, (counts, *aggregates) in enumerate(columns):
-            beta = prior.components[j].concentration
-            term = _on_digits(gammaln, counts, alpha[j])
-            term += _row_sum([_on_digits(gammaln, s, b) for s, b in zip(aggregates, beta)])
+    def on_digits(fn, c: int, const: float):
+        """fn(d + const) of key column c's digits d, at most its total, as a
+        function of a block of them, fn a scalar function (`gammaln`, or
+        libm's `math.log`: numpy's own log varies by CPU). A table over
+        0..total is gathered where k*w such tables together are no longer
+        than the lattice, else fn runs on each block's distinct values.
+        Both evaluate fn at the same doubles, so the result is bitwise the
+        same either way."""
+        if (lat.totals[c] + 1) * k * w > size:
+            return lambda digits: per_distinct(fn, digits.astype(float) + const)
+        return per_distinct(fn, np.arange(lat.totals[c] + 1, dtype=float) + const).take
+
+    # per component: log Gamma of its count digit plus alpha_j, then of each
+    # aggregate digit plus its prior constant; a rate's log term reads the counts
+    poisson, comps = prior.family == "poisson", prior.components
+    tables = []
+    for j, comp in enumerate(comps):
+        if poisson:
+            terms = [(gammaln, 1, float(comp.shape)), (math.log, 0, float(comp.rate))]
+        else:
+            terms = [(gammaln, 1 + u, b) for u, b in enumerate(comp.concentration)]
+        tables.append([on_digits(gammaln, 0, alpha[j]), *(on_digits(*term) for term in terms)])
+
+    def contribution(counts, aggregates, comp, count_term, *rest):
+        term = count_term(counts)
+        if poisson:  # a lattice has no family but Poisson and multinomial
+            (sums,), (sum_term, log_rate) = aggregates, rest
+            term += sum_term(sums)
+            term -= (sums + float(comp.shape)) * log_rate(counts)
+        else:
+            term += _row_sum(f(s) for f, s in zip(rest, aggregates))
             # a float sum over the categories is not a function of one digit
-            term -= gammaln(_dirichlet_total(aggregates, beta))
-            contrib.append(term)
+            term -= gammaln(_dirichlet_total(aggregates, comp.concentration))
+        return term
 
-    # sorted addition makes the sum invariant under component relabeling,
-    # so symmetric priors give exactly symmetric weights
-    out = _sorted_sum(contrib)
     prior_const = fsum(c.log_partition() for c in prior.components)
-    out += log_mult - gammaln(lat.n + fsum(alpha)) - prior_const
+    shared = gammaln(lat.n + fsum(alpha))
+    log_mult = log_multiplicities(lat.mult_array)
+    out = np.empty(size)
+    for part, columns in lat.key_blocks():
+        # sorted addition makes the sum invariant under component relabeling,
+        # so symmetric priors give exactly symmetric weights
+        slots = columns.reshape(k, w, -1)
+        block = _sorted_sum([contribution(c, a, comp, *t) for (c, *a), comp, t in zip(slots, comps, tables)])
+        block += log_mult(lat.mult_array[part]) - shared - prior_const
+        out[part] = block
     return out
 
 
@@ -379,7 +393,7 @@ def normalize(lat: StatLattice, prior: MixturePrior) -> WeightedPosterior:
     """Weight every lattice entry and normalize by max-subtraction."""
     logw, weights, total, log_m = _weigh(lat, prior)
     weights /= total
-    return WeightedPosterior(prior, lat.n, lat.key_array, lat.mult_array, logw, weights, log_m)
+    return WeightedPosterior(prior, lat, logw, weights, log_m)
 
 
 def log_evidence(lat: StatLattice, prior: MixturePrior) -> float:
@@ -403,24 +417,46 @@ def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
     return float(np.add.reduce(np.multiply(values, weights, out=values)))
 
 
+def _expectations(wp: WeightedPosterior, weights: bool, means: bool) -> tuple[list, list]:
+    """E[p_j | x] and E of component j's mean parameters, as asked, slot by
+    slot. Each is numpy's pairwise sum of one whole column of products
+    w_e * m_e, so its column m is formed whole, from one whole-length decode
+    of the slot's key columns (`StatLattice.slots`) that both share."""
+    alpha, comps = wp.prior.alpha, wp.prior.components
+    total, column = wp.n + fsum(alpha), np.empty(len(wp.weights))
+    rates = np.empty_like(column) if means and wp.family == "poisson" else None
+    out_weights, out_means = [], []
+    for j, (counts, *aggregates) in enumerate(wp.lattice.slots(slice(None) if means else slice(1))):
+        if weights:
+            np.add(counts, alpha[j], out=column)
+            column /= total
+            out_weights.append(_weighted_sum(wp.weights, column))
+        if means and rates is not None:
+            # the Gamma update: shape a + S over rate b + n
+            np.add(aggregates[0], float(comps[j].shape), out=column)
+            np.add(counts, float(comps[j].rate), out=rates)
+            column /= rates
+            out_means.append(_weighted_sum(wp.weights, column))
+        elif means:
+            beta = comps[j].concentration
+            dirichlet = _dirichlet_total(aggregates, beta)
+            row = []
+            for s, b in zip(aggregates, beta):
+                np.add(s, b, out=column)
+                column /= dirichlet
+                row.append(_weighted_sum(wp.weights, column))
+            out_means.append(row)
+    return out_weights, out_means
+
+
 def expected_weights(wp: WeightedPosterior) -> np.ndarray:
-    """E[p_j | x]: weight-mixture of Dirichlet posterior means, a count column at a time."""
-    total = wp.n + fsum(wp.prior.alpha)
-    counts = _key_columns(wp.key_array, wp.k)[:, 0]
-    return np.array([_weighted_sum(wp.weights, (c + a) / total) for c, a in zip(counts, wp.prior.alpha)])
+    """E[p_j | x]: weight-mixture of Dirichlet posterior means, a whole count column at a time."""
+    return np.array(_expectations(wp, True, False)[0])
 
 
 def expected_component_means(wp: WeightedPosterior) -> np.ndarray:
-    """E of each component's mean parameters, a key column at a time: (k,) Poisson, (k, v) multinomial."""
-    if wp.family == "poisson":
-        updates = (_gamma_update(wp, j) for j in range(wp.k))
-        return np.array([_weighted_sum(wp.weights, np.divide(a, b, out=a)) for a, b in updates])
-    columns = _key_columns(wp.key_array, wp.k)
-    means = []
-    for j, comp in enumerate(wp.prior.components):
-        total = _dirichlet_total(columns[j, 1:], comp.concentration)
-        means.append([_weighted_sum(wp.weights, (s + b) / total) for s, b in zip(columns[j, 1:], comp.concentration)])
-    return np.array(means)
+    """E of each component's mean parameters, a slot's whole key columns at a time: (k,) Poisson, (k, v) multinomial."""
+    return np.array(_expectations(wp, False, True)[1])
 
 
 def mass_concentration(wp: WeightedPosterior, threshold: float = 0.99) -> int:
@@ -435,16 +471,17 @@ def mass_concentration(wp: WeightedPosterior, threshold: float = 0.99) -> int:
 
 
 def summarize(wp: WeightedPosterior) -> PosteriorSummary:
+    weights, means = _expectations(wp, True, True)
     # (k,) Poisson and (k, v) multinomial means alike become k tuples of floats
-    means = tuple(map(tuple, expected_component_means(wp).reshape(wp.k, -1).tolist()))
+    means = tuple(map(tuple, np.array(means).reshape(wp.k, -1).tolist()))
     return PosteriorSummary(
         family=wp.family,
         k=wp.k,
         n=wp.n,
-        distinct=len(wp.key_array),
+        distinct=wp.lattice.distinct_count(),
         mass99=mass_concentration(wp, 0.99),
         log_evidence=wp.log_evidence,
-        expected_weights=tuple(float(w) for w in expected_weights(wp)),
+        expected_weights=tuple(weights),
         expected_means=means,
     )
 
@@ -453,29 +490,41 @@ def summarize(wp: WeightedPosterior) -> PosteriorSummary:
 # density grids
 
 
-def _distinct_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (x, y) pairs of two int64 digit columns in ascending
-    order, x first, and each entry's index among them.
+def _distinct_pairs(pairs, tops: tuple[int, int], size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (x, y) pairs of int64 digits in ascending order, x
+    first, and each entry's index among them. `pairs` yields the (x, y)
+    digit blocks of `size` entries in all, in entry order, none above
+    `tops`.
 
-    A pair's code is x * (max y + 1) + y. Where a table of every code is no
-    longer than the column, it marks the codes present, with no sort;
-    elsewhere np.unique sorts the codes, or the pairs as rows where a code
-    would pass 2**63.
+    A pair's code is x * (top y + 1) + y, one whole-length array that the
+    indices then overwrite a block at a time. Where a table up to the
+    largest code is no longer than that array, it marks the codes present,
+    with no sort; elsewhere np.unique sorts the codes, or the pairs as rows
+    where a code could pass 2**63.
     """
-    span = int(y.max()) + 1
-    size = (int(x.max()) + 1) * span
-    if size > 2**63:
-        pairs, index = np.unique(np.stack([x, y], axis=1), axis=0, return_inverse=True)
-        return pairs[:, 0], pairs[:, 1], index.reshape(-1)
-    codes = x * span
-    codes += y
-    if size <= codes.size:
-        present = np.bincount(codes, minlength=size) > 0
-        index = (np.cumsum(present) - 1)[codes]
-        codes = np.flatnonzero(present)
-    else:
-        codes, index = np.unique(codes, return_inverse=True)
-    return *np.divmod(codes, span), index
+    span = tops[1] + 1
+    if (tops[0] + 1) * span > 2**63:
+        x, y = map(np.concatenate, zip(*((x.copy(), y.copy()) for x, y in pairs)))
+        distinct, index = np.unique(np.stack([x, y], axis=1), axis=0, return_inverse=True)
+        return distinct[:, 0], distinct[:, 1], index.reshape(-1)
+    codes = np.empty(size, dtype=np.int64)
+    lo = 0
+    for x, y in pairs:
+        part = codes[lo : lo + len(x)]
+        np.multiply(x, span, out=part)
+        part += y
+        lo += len(x)
+    top = int(codes.max()) + 1
+    if top > size:
+        distinct, index = np.unique(codes, return_inverse=True)
+        return *np.divmod(distinct, span), index
+    present = np.zeros(top, dtype=bool)
+    present[codes] = True
+    rank = np.cumsum(present) - 1
+    for lo in range(0, size, _DENSITY_BLOCK_ELEMENTS):
+        part = codes[lo : lo + _DENSITY_BLOCK_ELEMENTS]
+        part[...] = rank[part]
+    return *np.divmod(np.flatnonzero(present), span), codes
 
 
 class _Members:
@@ -483,7 +532,8 @@ class _Members:
 
     A member's parameters are (a, b) = (a0 + x, b0 + y), with x and y digits
     of one key slot (`of_entries`), so entries with equal digits are merged
-    by their integer pair before any density is evaluated. A member's weight
+    by their integer pair, a block of decoded keys at a time, before any
+    density is evaluated. A member's weight
     is the correctly rounded sum of its entries' weights, which no entry
     order changes: posteriors equal up to entry permutation, e.g. across
     label-symmetric components, give bitwise equal weights, grids and
@@ -513,11 +563,12 @@ class _Members:
         self.coef = self.coefficients(*self.params)  # (3, D)
 
     @classmethod
-    def of_entries(cls, x: np.ndarray, y: np.ndarray, weights: np.ndarray, a0: float, b0: float) -> "_Members":
+    def of_entries(cls, pairs, tops: tuple[int, int], weights: np.ndarray, a0: float, b0: float) -> "_Members":
         """One member (a0 + x, b0 + y) per distinct pair of the entries'
-        int64 digits x and y, in ascending order, weighing the exact sum of
-        its entries' weights."""
-        x, y, index = _distinct_pairs(x, y)
+        int64 digits x <= tops[0] and y <= tops[1], which `pairs` yields a
+        block at a time, in ascending order, weighing the exact sum of its
+        entries' weights."""
+        x, y, index = _distinct_pairs(pairs, tops, weights.size)
         return cls(x + a0, y + b0, _exact_sums(weights, index, x.size))
 
     def ppf(self, u) -> np.ndarray:
@@ -703,23 +754,36 @@ def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> t
     q_{j,u} Beta(beta_u + S_u, (sum beta - beta_u) + (T - S_u)), T the
     slot's integer total sum_u S_u."""
     check_marginal_indices(wp.k, j, wp.family, category, wp.slot_width - 1)
-    columns, comp = _key_columns(wp.key_array, wp.k)[j], wp.prior.components[j]
-    counts, aggregates = columns[0], columns[1:]
+    comp, totals = wp.prior.components[j], wp.lattice.totals
     if wp.family == "poisson":
-        members = _GammaMembers.of_entries(aggregates[0], counts, wp.weights, float(comp.shape), float(comp.rate))
+        pairs = ((slot[1], slot[0]) for slot in _slot_blocks(wp, j))
+        members = _GammaMembers.of_entries(pairs, (totals[1], wp.n), wp.weights, float(comp.shape), float(comp.rate))
         return members, f"lambda{j + 1}"
-    beta, s = comp.concentration, aggregates[category]
-    rest = aggregates.sum(axis=0)
-    rest -= s
-    members = _BetaMembers.of_entries(s, rest, wp.weights, beta[category], fsum(beta) - beta[category])
+
+    def pairs():
+        for slot in _slot_blocks(wp, j):
+            s = slot[1 + category]
+            rest = slot[1:].sum(axis=0)
+            rest -= s
+            yield s, rest
+
+    beta, tops = comp.concentration, (totals[1 + category], sum(totals[1:]))
+    members = _BetaMembers.of_entries(pairs(), tops, wp.weights, beta[category], fsum(beta) - beta[category])
     return members, f"q{j + 1},{category + 1}"
 
 
 def _weight_members(wp: WeightedPosterior, j: int) -> _BetaMembers:
     """p_j's members Beta(n_j + alpha_j, (sum alpha - alpha_j) + (n - n_j))."""
     check_marginal_indices(wp.k, j)
-    counts, alpha = _key_columns(wp.key_array, wp.k)[j, 0], wp.prior.alpha
-    return _BetaMembers.of_entries(counts, wp.n - counts, wp.weights, alpha[j], fsum(alpha) - alpha[j])
+    alpha = wp.prior.alpha
+    pairs = ((slot[0], wp.n - slot[0]) for slot in _slot_blocks(wp, j))
+    return _BetaMembers.of_entries(pairs, (wp.n, wp.n), wp.weights, alpha[j], fsum(alpha) - alpha[j])
+
+
+def _slot_blocks(wp: WeightedPosterior, j: int):
+    """Slot j's (w, rows) key columns of each block of decoded keys, in entry order."""
+    w = wp.slot_width
+    return (columns[j * w : (j + 1) * w] for _, columns in wp.lattice.key_blocks())
 
 
 def _marginal(members: _Members, param: str, grid) -> DensityGrid:

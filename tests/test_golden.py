@@ -652,3 +652,32 @@ def test_densities_ignore_the_block_size(elements, monkeypatch):
     monkeypatch.setattr(posterior, "_DENSITY_BLOCK_ELEMENTS", elements)
     assert _default_grid_digest("poisson-k3-n16", "lambda1") == DEFAULT_GRIDS["poisson-k3-n16", "lambda1"]
     assert _q_digest("multinomial-k2") == Q_DENSITIES["multinomial-k2"]
+
+
+# blocks of 1, 3 and the default rows, the two largest cases in 401 blocks
+# and the default rows
+_POSTERIOR_BLOCK_CASES = [
+    (name, rows)
+    for name in GOLDEN
+    for rows in ((_LARGE_DUMP_ROWS[name],) if name in _LARGE_DUMP_ROWS else (1, 3)) + (lattice._BLOCK_ROWS,)
+]
+
+
+@pytest.mark.parametrize("name, rows", _POSTERIOR_BLOCK_CASES)
+def test_posteriors_ignore_the_block_size(name, rows, monkeypatch):
+    # the density blocks above, and the lattice's: dump, the log weights, the
+    # summary and the grid members read the codes a block of `rows` entries
+    # at a time, and every digest holds
+    data, prior, _, dump_digest, weight_digest, summary_digest = GOLDEN[name]
+    monkeypatch.setattr(lattice, "_BLOCK_ROWS", rows)
+    lat = lattice.build(data, prior.k)
+    wp = posterior.normalize(lat, prior)
+    assert _sha256(lattice.dump(lat).encode()) == dump_digest
+    assert _sha256(wp.log_weights.tobytes()) == weight_digest
+    assert _sha256(posterior.summarize(wp).to_text().encode()) == summary_digest
+    for param in (param for grid, param in DEFAULT_GRIDS if grid == name):
+        assert _default_grid_digest(name, param) == DEFAULT_GRIDS[name, param]
+    if name in Q_DENSITIES:
+        assert _q_digest(name) == Q_DENSITIES[name]
+    if name in EXPLICIT_GRIDS:
+        assert _explicit_grid_digest(name) == EXPLICIT_GRIDS[name][-1]

@@ -219,8 +219,9 @@ class TestArrayLattice:
 
 
 class TestColumnLayout:
-    """Keys are stored by column: `key_array` is the read-only transpose of
-    one C-contiguous (k*w, E) block, whichever way the lattice was made."""
+    """Keys rest as packed codes: `codes` is a read-only (W, E) int64 block,
+    and `key_array` the read-only transpose of one C-contiguous (k*w, E)
+    block decoded from it on each access, whichever way the lattice was made."""
 
     MADE = {
         "build": lambda: build(WORKED_DATA, 3),
@@ -240,18 +241,51 @@ class TestColumnLayout:
         assert lat.key_array.shape == (lat.distinct_count(), lat.k * lat.slot_width)
         assert not lat.key_array.flags.writeable
         assert not lat.key_array.T.flags.writeable
+        assert lat.codes.dtype == np.int64 and lat.codes.shape[1] == lat.distinct_count()
+        assert not lat.codes.flags.writeable
+        # the codes are the rest state: every lattice of these keys holds the same ones
+        assert np.array_equal(load(dump(lat)).codes, lat.codes)
 
+    @pytest.mark.parametrize("rows", [1, 3, lattice._BLOCK_ROWS])
     @pytest.mark.parametrize(
         "data, k",
-        [(WORKED_DATA, 3), ([10**6, 3, 7], 2), ([(2, 1, 0), (0, 1, 2)], 2), ([0] * 70, 2)],
-        ids=["digit-table", "divmod-planes", "multinomial", "object-multiplicities"],
+        [(WORKED_DATA, 3), ([10**6, 3, 7], 2), ([(2, 1, 0), (0, 1, 2)], 2), ([0] * 70, 2), ([2**31, 1], 3)],
+        ids=["digit-table", "divmod-planes", "multinomial", "object-multiplicities", "two-words"],
     )
-    def test_dump_reads_either_key_order_alike(self, data, k):
+    def test_dump_writes_the_decoded_keys_of_every_block(self, data, k, rows, monkeypatch):
+        # dump decodes the codes a block at a time; each line is its decoded
+        # key row and multiplicity, whatever block the entry falls in
         lat = build(data, k)
-        rows = np.ascontiguousarray(lat.key_array)
-        by_row = StatLattice._from_arrays(lat.family, k, lat.n, rows.T, lat.mult_array, lat.log_h_units)
-        assert by_row.key_array.flags.c_contiguous
-        assert dump(by_row) == dump(lat)
+        lines = (
+            "\t".join(map(str, [*key, mult])) + "\n" for key, mult in zip(lat.key_array.tolist(), lat.mult_array.tolist())
+        )
+        expected = lattice._header(lat.family, k, lat.n, lat.log_base) + "".join(lines)
+        monkeypatch.setattr(lattice, "_BLOCK_ROWS", rows)
+        assert dump(lat) == expected
+
+    def test_two_word_keys_decode_exactly(self):
+        # radix (3, 2**31 + 2) per packed slot: 9 * (2**31 + 2)**2 passes 2**63
+        lat = build([2**31, 1], 3)
+        assert lat.codes.shape == (2, 9)
+        assert dict(lat.entries) == {
+            (a, sa, b, sb, 2 - a - b, 2**31 + 1 - sa - sb): mult
+            for (a, sa, b, sb), mult in {
+                (0, 0, 0, 0): 1, (0, 0, 1, 1): 1, (0, 0, 1, 2**31): 1, (0, 0, 2, 2**31 + 1): 1,
+                (1, 1, 0, 0): 1, (1, 1, 1, 2**31): 1, (1, 2**31, 0, 0): 1, (1, 2**31, 1, 1): 1,
+                (2, 2**31 + 1, 0, 0): 1,
+            }.items()
+        }
+
+    def test_a_word_whose_codes_fill_int64_closes(self):
+        # multinomial columns (n, S_1, S_2) with totals (3, 2**61 - 1, 0) at
+        # k = 3: slot 1's radices 1, 2**61 and 4 multiply to 2**63, so its
+        # count starts a new word, and no place value reaches 2**63, which
+        # int64 cannot hold
+        data = [(2**61 - 3, 0), (1, 0), (1, 0)]
+        lat = build(data, 3)
+        prior = MixturePrior((1.0,) * 3, (DirichletMultinomial((1.0, 1.0)),) * 3)
+        assert tuple(map(tuple, lat.key_array.tolist())) == oracle.oracle_posterior(data, prior).keys
+        assert dump(load(dump(lat))) == dump(lat)
 
 
 def _fold(data, k: int) -> list[StatLattice]:

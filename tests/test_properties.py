@@ -8,6 +8,7 @@ lattice entries where the fold is compared with itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -81,6 +82,54 @@ def test_multiword_statistics_equal_oracle(case):
     orc = oracle.oracle_posterior(data, prior)
     assert tuple(map(tuple, lat.key_array.tolist())) == orc.keys
     assert tuple(lat.mult_array.tolist()) == orc.multiplicities
+
+
+@st.composite
+def packed_cases(draw):
+    """(data, prior) with k in 1..5, Poisson counts or multinomial rows, some
+    near 2**31, so that codes of k >= 3 span two int64 words."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, {1: 8, 2: 7, 3: 5, 4: 4, 5: 4}[k]))
+    counts = st.one_of(st.integers(0, 9), st.integers(2**31 - 2, 2**31 + 2))
+    if draw(st.booleans()):
+        data = draw(st.lists(counts, min_size=n, max_size=n))
+        comps = (PoissonGamma(1.0, 1.0),) * k
+    else:
+        data = draw(st.lists(st.tuples(counts, counts).filter(lambda row: sum(row) > 0), min_size=n, max_size=n))
+        comps = (DirichletMultinomial((1.0, 1.0)),) * k
+    return data, MixturePrior((1.0,) * k, comps)
+
+
+@PROPERTY
+@given(case=packed_cases())
+@example(case=([2**31, 1], MixturePrior((1.0,) * 3, (PoissonGamma(1.0, 1.0),) * 3)))
+def test_decoded_keys_equal_the_oracle(case):
+    # the lattice rests as codes; every decode of them gives the oracle's keys
+    data, prior = case
+    lat = lattice.build(data, prior.k)
+    orc = oracle.oracle_posterior(data, prior)
+    keys = lat.key_array
+    assert tuple(map(tuple, keys.tolist())) == orc.keys
+    assert tuple(lat.mult_array.tolist()) == orc.multiplicities
+    assert np.array_equal(np.concatenate([block.copy() for _, block in lat.key_blocks()], axis=1), keys.T)
+    w = lat.slot_width
+    for j, slot in enumerate(lat.slots()):
+        assert np.array_equal(slot, keys[:, j * w : (j + 1) * w].T)
+
+
+@pytest.mark.parametrize("k, n", [(2, 63), (2, 70), (3, 40), (4, 32)])
+def test_decoded_keys_beside_object_multiplicities(k, n):
+    # n zeros: a key is the slot counts, and its multiplicity their multinomial coefficient
+    lat = lattice.build([0] * n, k)
+    assert lat.mult_array.dtype == object
+    expected = {}
+    for counts in itertools.product(range(n + 1), repeat=k - 1):
+        if sum(counts) <= n:
+            counts = (*counts, n - sum(counts))
+            key = tuple(d for c in counts for d in (c, 0))
+            expected[key] = math.factorial(n) // math.prod(map(math.factorial, counts))
+    assert dict(lat.entries) == expected
+    assert lattice.load(lattice.dump(lat)).key_array.tolist() == lat.key_array.tolist()
 
 
 @PROPERTY
