@@ -24,9 +24,9 @@ adds one constant per word (zero for the dropped slot), so a step is k
 sorted runs of the codes, one stable sort that merges them, and one grouped
 sum of the multiplicities; the fold ends on codes, with no decode. A key
 column is decoded where a layer reads it, a block of entries at a time
-(`key_blocks`) or one slot's whole columns (`slots`): a digit is
-q - (q // r) * r of the quotient q left by the digit below it, and a
-last-slot column is the totals minus the other slots.
+(`key_blocks`, every slot or one) or one slot's whole columns (`slots`): a
+digit is q - (q // r) * r of the quotient q left by the digit below it, and
+a last-slot column is the totals minus the other slots.
 """
 
 from __future__ import annotations
@@ -110,16 +110,25 @@ class StatLattice:
         keys.flags.writeable = False
         return keys
 
-    def key_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+    def key_blocks(self, slot: int | None = None) -> Iterator[tuple[slice, np.ndarray]]:
         """Each block of `_BLOCK_ROWS` entries, in order, as its slice of the
-        entries and its (k*w, rows) int64 key columns, decoded into one
-        buffer that the next block overwrites: a reader copies what it keeps."""
-        places, size = _word_places(self.radix), self.distinct_count()
-        buffer = np.empty((self.k * self.slot_width, min(_BLOCK_ROWS, size)), dtype=np.int64)
+        entries and its (k*w, rows) int64 key columns, or only slot `slot`'s
+        (w, rows), decoded into one buffer that the next block overwrites: a
+        reader copies what it keeps. A slot before the last decodes its own
+        packed columns alone (`_unpack`); the last is the totals less the others."""
+        places, size, w = _word_places(self.radix), self.distinct_count(), self.slot_width
+        own = slot is not None and slot < self.k - 1
+        buffer = np.empty((w if own else self.k * w, min(_BLOCK_ROWS, size)), dtype=np.int64)
+        high = np.empty(buffer.shape[1], dtype=np.int64)
         for lo in range(0, size, _BLOCK_ROWS):
             codes = self.codes[:, lo : lo + _BLOCK_ROWS]
-            columns = buffer[:, : codes.shape[1]]
-            yield slice(lo, lo + codes.shape[1]), _decode(codes, places, self.radix, self.totals, columns)
+            part, columns = slice(lo, lo + codes.shape[1]), buffer[:, : codes.shape[1]]
+            if own:
+                _unpack(codes, places, self.radix, slot * w, (slot + 1) * w, columns, high[: codes.shape[1]])
+                yield part, columns
+            else:
+                _decode(codes, places, self.radix, self.totals, columns)
+                yield part, columns if slot is None else columns[slot * w :]
 
     def slots(self, part: slice = slice(None)) -> Iterator[np.ndarray]:
         """Each slot's key columns `part` of range(w), whole-length, slot 0

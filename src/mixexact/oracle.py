@@ -315,16 +315,58 @@ def compare_report(wp: posterior.WeightedPosterior, oracle_result: OracleResult)
     return ok, worst, f"{verdict} entries={len(wp.keys)} max_rel={worst:.3e}"
 
 
+# the tanh-sinh rule: nodes out to |t| = _TS_REACH, where a node's distance
+# from its end underflows; the step halves from 1 until two levels' estimates
+# agree within _TS_TOLERANCE, compared from level _TS_FIRST (step 1/8) on, so
+# that a peak between the first coarse nodes cannot pass as agreement, and at
+# most _TS_LEVELS levels run
+_TS_REACH, _TS_TOLERANCE, _TS_FIRST, _TS_LEVELS = 6.5, 1e-13, 3, 12
+
+
+def _tanh_sinh(f, lo: float, hi: float) -> float:
+    """The integral of f over [lo, hi] by the double-exponential (tanh-sinh)
+    rule of Takahasi and Mori (1974); f maps an array of points to their
+    values, which must be finite.
+
+    A node t lies at c +- r * (1 - tanh(pi/2 * sinh t)), c the midpoint and
+    r the half-width, and its distance from the nearer end is formed
+    directly as r * 2e / (1 + e), with e = exp(-pi * sinh |t|), so lo + d is
+    never rounded to lo and a power-law edge such as t^(a - 1) is sampled
+    down to the smallest doubles. Each level adds the nodes halfway between
+    the last ones. Raises NumericalError if no two levels agree.
+    """
+    half, total, estimate = 0.5 * (hi - lo), 0.0, math.nan
+    for level in range(_TS_LEVELS):
+        step = 2.0**-level
+        t = np.arange(step if level else 0.0, _TS_REACH, 2.0 * step if level else step)
+        e = np.exp(-math.pi * np.sinh(t))
+        d = half * 2.0 * e / (1.0 + e)
+        reached = d > 0.0
+        t, e, d = t[reached], e[reached], d[reached]
+        with np.errstate(all="ignore"):
+            terms = half * 2.0 * math.pi * np.cosh(t) * e / (1.0 + e) ** 2 * (f(lo + d) + f(hi - d))
+        if not level:
+            terms[0] *= 0.5  # t = 0 is the midpoint, reached from both ends
+        if not np.all(np.isfinite(terms)):
+            raise NumericalError(f"integrand is not finite on [{lo!r}, {hi!r}]")
+        total = fsum([total, *terms.tolist()])
+        previous, estimate = estimate, step * total
+        if level >= _TS_FIRST and abs(estimate - previous) <= _TS_TOLERANCE * abs(estimate):
+            return estimate
+    raise NumericalError(
+        f"tanh-sinh rule on [{lo!r}, {hi!r}]: no two of {_TS_LEVELS} levels agree within {_TS_TOLERANCE}"
+    )
+
+
 def quadrature_evidence(data: Sequence, prior: MixturePrior) -> float:
     """Evidence with every K constant replaced by numerical integration.
 
     Independent check of the closed-form normalizers: for each allocation,
-    each component's complete-data integral is evaluated by quadrature
-    (1-D for Poisson means, 2-D for normal mean/variance). Deliberately
-    slow; refuse datasets beyond desk scale.
+    each component's complete-data integral is evaluated by the tanh-sinh
+    rule (`_tanh_sinh`, two levels within 1e-13): over the Poisson mean,
+    and for a normal component over the precision, with the mean integral
+    inside it. Deliberately slow; refuse datasets beyond desk scale.
     """
-    from scipy import integrate  # slow to import; only this check needs it
-
     if len(data) > 4:
         raise ValueError("quadrature check is limited to n <= 4")
     family = prior.family
@@ -332,41 +374,28 @@ def quadrature_evidence(data: Sequence, prior: MixturePrior) -> float:
         raise ValueError(f"quadrature check supports poisson and normal, got {family!r}")
     k = prior.k
     n = len(data)
+    # given the precision tau, the mean integrand exp(-tau c (mu - loc)^2 / 2)
+    # over loc +- 12 sd is this integral over z = (mu - loc) sqrt(tau c) in
+    # [-12, 12], divided by sqrt(tau c): one integral serves every tau
+    gauss = _tanh_sinh(lambda z: np.exp(-0.5 * z * z), -12.0, 12.0) if family == "normal" else None
 
     def component_integral(comp, stat: GroupStat) -> float:
         post = comp.updated(stat)
         if family == "poisson":
             shape, rate = post.shape, post.rate
             upper = float(families.gamma_isf(1e-16, shape, rate))
-            value, _ = integrate.quad(
-                lambda t: t ** (shape - 1.0) * math.exp(-rate * t),
-                0.0,
-                upper,
-                epsabs=0.0,
-                epsrel=1e-12,
-                limit=200,
-            )
-            return value
-        # nested quadrature over the precision tau = 1/sigma^2 (outer) and
-        # the mean (inner). Given tau the mean integrand is Gaussian, so
-        # both axes have exponential tails; integrating the mean first
-        # would leave polynomial Student-t tails that truncate badly
-        loc, c, a, b = post.location, post.precision_scale, post.shape, post.scale
+            return _tanh_sinh(lambda t: t ** (shape - 1.0) * np.exp(-rate * t), 0.0, upper)
+        # the precision tau = 1/sigma^2 outside, the mean inside. Given tau the
+        # mean integrand is Gaussian, so both axes have exponential tails;
+        # integrating the mean first would leave polynomial Student-t tails
+        # that truncate badly
+        c, a, b = post.precision_scale, post.shape, post.scale
         tau_hi = 1.2 * float(families.gamma_isf(1e-16, 0.5 * a, 0.5 * b))
-
-        def inner(tau: float) -> float:
-            sd = 1.0 / math.sqrt(tau * c)
-            gauss, _ = integrate.quad(
-                lambda mu: math.exp(-0.5 * tau * c * (mu - loc) ** 2),
-                loc - 12.0 * sd,
-                loc + 12.0 * sd,
-                epsabs=0.0,
-                epsrel=1e-12,
-            )
-            return tau ** (0.5 * (a - 1.0)) * math.exp(-0.5 * tau * b) * gauss
-
-        value, _ = integrate.quad(inner, 0.0, tau_hi, epsabs=0.0, epsrel=1e-11, limit=300)
-        return value
+        return _tanh_sinh(
+            lambda tau: tau ** (0.5 * (a - 1.0)) * np.exp(-0.5 * tau * b) * gauss / np.sqrt(tau * c),
+            0.0,
+            tau_hi,
+        )
 
     alpha = prior.alpha
     log_terms = []

@@ -314,6 +314,13 @@ def _exponent_bins(exps: np.ndarray, codes, low: int, width: int) -> np.ndarray:
     return bins if codes is None else codes * width + bins
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty array, increasing: np.unique's, by
+    a sort and a neighbour mask, since a plain np.unique imports numpy.ma."""
+    values = np.sort(values, axis=None)
+    return values[np.concatenate([[True], values[1:] != values[:-1]])]
+
+
 def _exact_sums(values, codes=None, groups: int = 1) -> np.ndarray:
     """The correctly rounded sum of each group's values, `math.fsum` of
     them, whatever the order of the entries. The values are finite and
@@ -328,7 +335,7 @@ def _exact_sums(values, codes=None, groups: int = 1) -> np.ndarray:
     are exact doubles, and `math.fsum` of a group's rounds their exact total
     once, as `StatLattice.log_base` rounds its exact int. Where the table of
     every group and exponent in range is larger than the values, only the
-    bins they occupy are kept (np.unique, and np.searchsorted per block); a
+    bins they occupy are kept (`_distinct`, and np.searchsorted per block); a
     block is never smaller than the table, so the temporaries stay
     block-sized.
     """
@@ -342,7 +349,7 @@ def _exact_sums(values, codes=None, groups: int = 1) -> np.ndarray:
     size = groups * width
     occupied = None
     if size > values.size:
-        occupied = np.unique(_exponent_bins(np.frexp(values)[1], codes, low, width))
+        occupied = _distinct(_exponent_bins(np.frexp(values)[1], codes, low, width))
         size = occupied.size
     block = max(_SUM_BLOCK, size)
     halves = np.zeros((2, size), dtype=np.int64)
@@ -695,7 +702,7 @@ def mass_grid(members: _Members) -> np.ndarray:
     centre, spread = members.laplace(idx)
     offsets = np.linspace(-_PROBE_SPREADS, _PROBE_SPREADS, _PROBE_SEEDS)[:, None]
     seeds = np.clip(centre + offsets * spread, *ends)
-    s = np.unique(np.concatenate([np.linspace(*ends, _PROBE_UNIFORM), seeds.ravel()]))
+    s = _distinct(np.concatenate([np.linspace(*ends, _PROBE_UNIFORM), seeds.ravel()]))
     probe = members.point(s)
     probe[0], probe[-1] = lo, hi
     # the map back rounds neighbouring coordinates onto one double
@@ -756,12 +763,12 @@ def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> t
     check_marginal_indices(wp.k, j, wp.family, category, wp.slot_width - 1)
     comp, totals = wp.prior.components[j], wp.lattice.totals
     if wp.family == "poisson":
-        pairs = ((slot[1], slot[0]) for slot in _slot_blocks(wp, j))
+        pairs = ((slot[1], slot[0]) for _, slot in wp.lattice.key_blocks(j))
         members = _GammaMembers.of_entries(pairs, (totals[1], wp.n), wp.weights, float(comp.shape), float(comp.rate))
         return members, f"lambda{j + 1}"
 
     def pairs():
-        for slot in _slot_blocks(wp, j):
+        for _, slot in wp.lattice.key_blocks(j):
             s = slot[1 + category]
             rest = slot[1:].sum(axis=0)
             rest -= s
@@ -776,14 +783,8 @@ def _weight_members(wp: WeightedPosterior, j: int) -> _BetaMembers:
     """p_j's members Beta(n_j + alpha_j, (sum alpha - alpha_j) + (n - n_j))."""
     check_marginal_indices(wp.k, j)
     alpha = wp.prior.alpha
-    pairs = ((slot[0], wp.n - slot[0]) for slot in _slot_blocks(wp, j))
+    pairs = ((slot[0], wp.n - slot[0]) for _, slot in wp.lattice.key_blocks(j))
     return _BetaMembers.of_entries(pairs, (wp.n, wp.n), wp.weights, alpha[j], fsum(alpha) - alpha[j])
-
-
-def _slot_blocks(wp: WeightedPosterior, j: int):
-    """Slot j's (w, rows) key columns of each block of decoded keys, in entry order."""
-    w = wp.slot_width
-    return (columns[j * w : (j + 1) * w] for _, columns in wp.lattice.key_blocks())
 
 
 def _marginal(members: _Members, param: str, grid) -> DensityGrid:

@@ -954,38 +954,73 @@ prior = posterior.MixturePrior((1.0, 1.0), (PoissonGamma(1.0, 1.0), PoissonGamma
 data = [0, 1, 3]
 print(repr(posterior.log_evidence(lattice.build(data, 2), prior)))
 print(repr(oracle.quadrature_evidence(data, prior)))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-NO_SCIPY_PROBE = """
-import sys
-import mixexact.cli
+# the outputs of every subcommand's library path on small cases, as text, by
+# path: evidence, enumerate (dump, load), posterior, concentration, oracle
+# --compare, default and explicit marginal grids, and the quadrature check
+SCIPY_FREE_RUN = """
 from mixexact import lattice, oracle, posterior
-from mixexact.families import DirichletMultinomial, PoissonGamma
+from mixexact.families import DirichletMultinomial, NormalInverseGamma, PoissonGamma
 cases = [
     ([0, 1, 3, 3], (PoissonGamma(1.0, 1.0), PoissonGamma(1.0, 10.0))),
     ([(2, 0, 1), (0, 3, 0), (1, 1, 1)], (DirichletMultinomial((0.5, 0.5, 0.5)),) * 2),
 ]
+values = {path: [] for path in ("evidence", "dump", "summary", "concentration", "compare", "grid", "quadrature")}
 posteriors = []
 for data, components in cases:
     prior = posterior.MixturePrior((1.0, 1.0), components)
     lat = lattice.build(data, 2)
-    posterior.log_evidence(lat, prior)
     posteriors.append(posterior.normalize(lat, prior))
-    posterior.summarize(posteriors[-1])
-    print(oracle.compare_report(posteriors[-1], oracle.oracle_posterior(data, prior))[0])
-    assert lattice.dump(lattice.load(lattice.dump(lat))) == lattice.dump(lat)
+    values["evidence"].append(repr(posterior.log_evidence(lat, prior)))
+    values["dump"].append(lattice.dump(lattice.load(lattice.dump(lat))))
+    values["summary"].append(posterior.summarize(posteriors[-1]).to_text())
+    values["concentration"].append(repr(posterior.mass_concentration(posteriors[-1])))
+    values["compare"].append(oracle.compare_report(posteriors[-1], oracle.oracle_posterior(data, prior))[2])
 rates, counts = posteriors
-sizes = []
 for grid in (None, [0.25, 0.5, 0.75]):
-    sizes += [
-        posterior.marginal_component_density(rates, 0, grid).grid.size,
-        posterior.marginal_weight_density(rates, 0, grid).grid.size,
-        posterior.marginal_component_density(counts, 0, grid, category=0).grid.size,
+    values["grid"] += [
+        posterior.marginal_component_density(rates, 0, grid).to_csv(),
+        posterior.marginal_weight_density(rates, 0, grid).to_csv(),
+        posterior.marginal_component_density(counts, 0, grid, category=0).to_csv(),
     ]
-print(sizes)
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+normal = posterior.MixturePrior((1.0, 1.0), (NormalInverseGamma(0.0, 1.0, 3.0, 2.0),) * 2)
+values["quadrature"] += [
+    repr(oracle.quadrature_evidence([0, 1, 3], posterior.MixturePrior((1.0, 1.0), cases[0][1]))),
+    repr(oracle.quadrature_evidence([-0.3, 1.2, 0.4], normal)),
+]
 """
+
+# SCIPY_FREE_RUN in a process whose first meta-path finder refuses scipy
+SCIPY_REFUSED_PROBE = (
+    """
+import json, sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+import numpy
+ma_by_numpy = "numpy.ma" in sys.modules
+import mixexact.cli
+"""
+    + SCIPY_FREE_RUN
+    + """
+try:
+    import scipy
+    refused = False
+except ImportError:
+    refused = True
+print(json.dumps([values, refused, ma_by_numpy, "numpy.ma" in sys.modules]))
+"""
+)
 
 
 class TestColdImport:
@@ -993,17 +1028,27 @@ class TestColdImport:
         proc = subprocess.run(
             [sys.executable, "-c", COLD_IMPORT_PROBE], capture_output=True, text=True, check=True
         )
-        loaded, closed, quad = proc.stdout.splitlines()
+        loaded, closed, quad, after = proc.stdout.splitlines()
         assert loaded == "[]"
-        # the quadrature check still imports its integrator on demand
-        assert float(quad) == pytest.approx(float(closed), rel=1e-6)
+        # the quadrature check integrates by the in-package rule: still no scipy
+        assert float(quad) == pytest.approx(float(closed), rel=1e-10)
+        assert after == "[]"
 
-    def test_no_grid_loads_scipy(self):
-        # evidence, summary, oracle, artifacts and every density grid, default
-        # or explicit, run on numpy and the in-package log Gamma
-        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], capture_output=True, text=True, check=True)
+    def test_a_child_that_refuses_scipy_gives_the_same_bits(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_REFUSED_PROBE], capture_output=True, text=True, check=True
+        )
+        values, refused, ma_by_numpy, ma_at_exit = json.loads(proc.stdout)
+        here: dict = {}
+        exec(SCIPY_FREE_RUN, here)
+        assert refused
+        assert values == here["values"]
+        # the oracle agrees, and the grids have their sizes: default, then explicit
+        assert all(report.startswith("MATCH ") for report in values["compare"])
         points = posterior.DEFAULT_GRID_POINTS
-        assert proc.stdout.splitlines() == ["True", "True", str([points] * 3 + [3] * 3), "[]"]
+        assert [csv.count("\n") - 1 for csv in values["grid"]] == [points] * 3 + [3] * 3
+        # no path loads numpy.ma on its own: a plain np.unique would
+        assert ma_at_exit == ma_by_numpy
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

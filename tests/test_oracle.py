@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mixexact import lattice, posterior
+from mixexact import families, lattice, oracle, posterior
 from mixexact.errors import NumericalError, OracleCapError
 from mixexact.families import DirichletMultinomial, GroupStat, NormalInverseGamma, PoissonGamma
 from mixexact.oracle import (
@@ -263,6 +265,28 @@ class TestNormalOracle:
         assert sum(result.multiplicities) == 2**4
 
 
+# B_2, B_4, ..., B_16, the Bernoulli numbers of Stirling's series
+_BERNOULLI = tuple(
+    Fraction(*pair)
+    for pair in ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+)
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def decimal_lgamma(x: Decimal) -> Decimal:
+    """log Gamma(x), x > 0, to the context's precision (50 digits): Stirling's
+    series from z = x + s >= 40, where its next term is below 1e-28, less the
+    log of the rising product x (x + 1) ... (x + s - 1)."""
+    shift = max(0, 40 - int(x))
+    z = x + shift
+    rising = math.prod((x + i for i in range(shift)), start=Decimal(1))
+    series = sum(
+        Decimal(b.numerator) / (Decimal(b.denominator) * (2 * i + 1) * (2 * i + 2) * z ** (2 * i + 1))
+        for i, b in enumerate(_BERNOULLI)
+    )
+    return (z - Decimal("0.5")) * z.ln() - z + (2 * _PI).ln() / 2 + series - rising.ln()
+
+
 class TestQuadrature:
     def test_poisson_matches_closed_form(self):
         data = [0, 1]
@@ -280,6 +304,42 @@ class TestQuadrature:
         closed = oracle_posterior(data, nig_prior()).log_evidence
         quad = quadrature_evidence(data, nig_prior())
         assert quad == pytest.approx(closed, rel=1e-6)
+
+    def test_poisson_reaches_a_half_shape_edge(self):
+        # Gamma(0.5, 3) members of a zero count diverge like t^(-1/2) at 0: the
+        # rule's nodes reach it only because a node keeps its distance from 0
+        prior = MixturePrior((1.0, 1.0), (PoissonGamma(0.5, 3.0),) * 2)
+        closed = posterior.log_evidence(lattice.build([0, 1], 2), prior)
+        assert quadrature_evidence([0, 1], prior) == pytest.approx(closed, rel=1e-10)
+
+    def test_rule_integrates_gamma_kernels(self):
+        # 300 seeded Gamma(a, b) kernels t^(a - 1) exp(-b t), scaled at their
+        # mode m, over [0, upper 1e-16 quantile], against 50 digits of
+        # Gamma(a) / b^a / (m^(a - 1) exp(-b m))
+        rng = np.random.default_rng(29)
+        shapes = np.exp(rng.uniform(math.log(0.3), math.log(900.0), 300))
+        rates = np.exp(rng.uniform(math.log(0.1), math.log(30.0), 300))
+        worst = 0.0
+        for a, b in zip(shapes.tolist(), rates.tolist()):
+            m = (a - 1.0) / b if a > 1.0 else 1.0
+            upper = float(families.gamma_isf(1e-16, a, b))
+            value = oracle._tanh_sinh(lambda t: np.exp((a - 1.0) * np.log(t / m) - b * (t - m)), 0.0, upper)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                a_, b_, m_ = Decimal(a), Decimal(b), Decimal(m)
+                log_exact = decimal_lgamma(a_) - a_ * b_.ln() - (a_ - 1) * m_.ln() + b_ * m_
+                worst = max(worst, float(abs(Decimal(value) / log_exact.exp() - 1)))
+        assert worst <= 1e-12
+
+    def test_rule_refuses_an_integrand_it_cannot_resolve(self):
+        # a step inside the interval: each level's estimate moves by about the
+        # step, so no two agree within the tolerance, and no estimate is returned
+        with pytest.raises(NumericalError, match="no two of 12 levels agree"):
+            oracle._tanh_sinh(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0)
+
+    def test_rule_refuses_a_non_finite_integrand(self):
+        with pytest.raises(NumericalError, match="not finite"):
+            oracle._tanh_sinh(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)
 
     def test_size_guard(self):
         with pytest.raises(ValueError):

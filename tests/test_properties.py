@@ -115,6 +115,9 @@ def test_decoded_keys_equal_the_oracle(case):
     w = lat.slot_width
     for j, slot in enumerate(lat.slots()):
         assert np.array_equal(slot, keys[:, j * w : (j + 1) * w].T)
+        # one slot's blocks: its own packed columns, or the totals less the others
+        blocks = [block.copy() for _, block in lat.key_blocks(j)]
+        assert np.array_equal(np.concatenate(blocks, axis=1), keys[:, j * w : (j + 1) * w].T)
 
 
 @pytest.mark.parametrize("k, n", [(2, 63), (2, 70), (3, 40), (4, 32)])
