@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import types
@@ -230,6 +231,8 @@ def _explicit_grid(config: RunConfig) -> np.ndarray | None:
     g = _build(_Grid, config.grid, "grid")
     if g.points < 2:
         raise ValueError(f"grid needs at least 2 points, got {g.points}")
+    if not (math.isfinite(g.lower) and math.isfinite(g.upper)):
+        raise ValueError(f"grid bounds must be finite, got lower={g.lower!r} upper={g.upper!r}")
     return np.linspace(g.lower, g.upper, g.points)
 
 

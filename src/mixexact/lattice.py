@@ -23,10 +23,10 @@ is its (W, E) code words, the radix, the totals and the multiplicities.
 adds one constant per word (zero for the dropped slot), so a step is k
 sorted runs of the codes, one stable sort that merges them, and one grouped
 sum of the multiplicities; the fold ends on codes, with no decode. A key
-column is decoded where a layer reads it, a block of entries at a time
-(`key_blocks`, every slot or one) or one slot's whole columns (`slots`): a
-digit is q - (q // r) * r of the quotient q left by the digit below it, and
-a last-slot column is the totals minus the other slots.
+column is decoded where a layer reads it, a block of entries at a time, by
+`key_blocks` (every slot or one), which every layer reads through: a digit
+is q - (q // r) * r of the quotient q left by the digit below it, and a
+last-slot column is the totals minus the other slots.
 """
 
 from __future__ import annotations
@@ -129,23 +129,6 @@ class StatLattice:
             else:
                 _decode(codes, places, self.radix, self.totals, columns)
                 yield part, columns if slot is None else columns[slot * w :]
-
-    def slots(self, part: slice = slice(None)) -> Iterator[np.ndarray]:
-        """Each slot's key columns `part` of range(w), whole-length, slot 0
-        first, as one (len, E) int64 array that the next slot overwrites:
-        the first k - 1 decoded (`_unpack`), the last the totals less the
-        others."""
-        columns, w, size = range(self.slot_width)[part], self.slot_width, self.distinct_count()
-        last = np.empty((len(columns), size), dtype=np.int64)
-        last[...] = np.array([self.totals[c] for c in columns], dtype=np.int64)[:, None]
-        slot, high = np.empty_like(last), np.empty(size, dtype=np.int64)
-        places = _word_places(self.radix)
-        for j in range(self.k - 1):
-            _unpack(self.codes, places, self.radix, j * w + columns.start, j * w + columns.stop, slot, high)
-            last -= slot
-            yield slot
-        del slot, high
-        yield last
 
     @property
     def entries(self) -> Mapping[Key, int]:

@@ -305,13 +305,9 @@ def _log_weight_vector(lat: StatLattice, prior: MixturePrior) -> np.ndarray:
 
 # values that `_exact_sums` reads at a time. No result depends on it.
 _SUM_BLOCK = 2**14
-
-
-def _exponent_bins(exps: np.ndarray, codes, low: int, width: int) -> np.ndarray:
-    """The (group, exponent) bin code * width + e - low of each frexp
-    exponent e; a zero's exponent, 0, is clipped into its group's bins."""
-    bins = np.clip(exps - low, 0, width - 1)
-    return bins if codes is None else codes * width + bins
+# np.frexp's exponents of the finite doubles: -1073 (the least subnormal)
+# up to 1024, 2,098 of them; a zero's, 0, lies among them
+_LOW_EXPONENT, _EXPONENTS = -1073, 2098
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -323,52 +319,58 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 def _exact_sums(values, codes=None, groups: int = 1) -> np.ndarray:
     """The correctly rounded sum of each group's values, `math.fsum` of
-    them, whatever the order of the entries. The values are finite and
-    nonnegative; `codes` gives each one's group in 0..groups - 1, and None
-    puts them all in one group.
+    them, whatever the order of the entries or the blocks they come in. The
+    values are finite and nonnegative. They are one array, with `codes`
+    giving each one's group in 0..groups - 1 (None puts them all in one
+    group), or an iterable of (groups, rows) blocks whose row g holds
+    values of group g.
 
     np.frexp writes a value as an integer mantissa m < 2**53 times
     2**(e - 53), and m splits into halves below 2**26 and 2**27. np.bincount
     sums each half per (group, e) bin of a block, exactly while the block
     holds fewer than 2**26 values, and the blocks' bins add up in int64.
-    Below 2**26 values in all, a bin's two sums times their powers of two
-    are exact doubles, and `math.fsum` of a group's rounds their exact total
-    once, as `StatLattice.log_base` rounds its exact int. Where the table of
-    every group and exponent in range is larger than the values, only the
-    bins they occupy are kept (`_distinct`, and np.searchsorted per block); a
-    block is never smaller than the table, so the temporaries stay
-    block-sized.
+    Below 2**26 values in a group, a bin's two sums times their powers of
+    two are exact doubles, and `math.fsum` of a group's rounds their exact
+    total once, as `StatLattice.log_base` rounds its exact int.
+
+    Each group has a bin for each of the `_EXPONENTS`, so no pass reads
+    ahead, and a block's bincounts span only the exponents it holds. Where
+    that table is larger than an array, only the bins its values occupy are
+    kept (`_distinct`, and np.searchsorted per block); a block of the array
+    is never smaller than the table, so temporaries stay block-sized.
     """
-    values = np.asarray(values, dtype=float)
-    out = np.zeros(groups)
-    top = values.max(initial=0.0)
-    if top == 0.0:
-        return out
-    low = int(np.frexp(values.min(where=values > 0.0, initial=top))[1])
-    width = int(np.frexp(top)[1]) - low + 1
-    size = groups * width
-    occupied = None
-    if size > values.size:
-        occupied = _distinct(_exponent_bins(np.frexp(values)[1], codes, low, width))
-        size = occupied.size
-    block = max(_SUM_BLOCK, size)
+    out, occupied, size = np.zeros(groups), None, groups * _EXPONENTS
+    if isinstance(values, np.ndarray):
+        if size > values.size:
+            occupied = _distinct(np.frexp(values)[1] - _LOW_EXPONENT + (0 if codes is None else codes * _EXPONENTS))
+            size = occupied.size
+        block = max(_SUM_BLOCK, size)
+        parts = (slice(lo, lo + block) for lo in range(0, values.size, block))
+        blocks = ((values[part], 0 if codes is None else codes[part]) for part in parts)
+    else:
+        blocks = ((part, np.arange(groups)[:, None]) for part in values)
     halves = np.zeros((2, size), dtype=np.int64)
-    for lo in range(0, values.size, block):
-        part = slice(lo, lo + block)
-        mant, exps = np.frexp(values[part])
-        np.ldexp(mant, 53, out=mant)
-        high = np.floor(mant * 2.0**-27)
+    for part, part_codes in blocks:
+        mant, exps = np.frexp(part)
+        mant *= 2.0**53
+        high = mant * 2.0**-27
+        np.floor(high, out=high)
         mant -= high * 2.0**27
-        bins = _exponent_bins(exps, None if codes is None else codes[part], low, width)
-        if occupied is not None:
-            bins = np.searchsorted(occupied, bins)
-        halves[0] += np.bincount(bins, high, size).astype(np.int64)
-        halves[1] += np.bincount(bins, mant, size).astype(np.int64)
+        if occupied is None:
+            low = int(exps.min())
+            span = int(exps.max()) - low + 1
+            table = halves.reshape(2, groups, _EXPONENTS)[:, :, low - _LOW_EXPONENT : low - _LOW_EXPONENT + span]
+            bins = (part_codes * span + (exps - low)).ravel()
+        else:
+            table = halves
+            bins = np.searchsorted(occupied, (part_codes * _EXPONENTS + (exps - _LOW_EXPONENT)).ravel())
+        for half, value in zip(table, (high, mant)):
+            half += np.bincount(bins, value.ravel(), half.size).reshape(half.shape).astype(np.int64)
     bins = np.arange(size) if occupied is None else occupied
     used = np.flatnonzero(halves[0] | halves[1])
-    group, shift = np.divmod(bins[used], width)
+    group, shift = np.divmod(bins[used], _EXPONENTS)
     # a bin's halves as two exact doubles: below 2**53, and multiples of 2**-1074
-    unit = shift + (low - 53)
+    unit = shift + (_LOW_EXPONENT - 53)
     pieces = np.ldexp(halves[:, used].T.astype(float), np.stack([unit + 27, unit], axis=1)).ravel()
     starts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
     for g, first, end in zip(group[starts].tolist(), starts, [*starts[1:], group.size]):
@@ -419,51 +421,51 @@ def bayes_factor(log_m_a: float, log_m_b: float) -> float:
         raise NumericalError(f"Bayes factor exp({diff!r}) overflows double precision") from None
 
 
-def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> float:
-    """Sum of weights * values by numpy's pairwise sum, which no BLAS setting reorders; overwrites the values."""
-    return float(np.add.reduce(np.multiply(values, weights, out=values)))
+def _expectations(wp: WeightedPosterior, means: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """E[p_j | x], (k,), and where asked E of component j's mean
+    parameters, (k, 1) Poisson or (k, v) multinomial. Each is the correctly
+    rounded sum of its products w_e * m_e (`_exact_sums`), so no entry order
+    changes it and symmetric priors give bitwise equal means. One pass over
+    the decoded key blocks (`StatLattice.key_blocks`) forms every product of
+    a block at once, and no column is ever whole."""
+    k, w, alpha, comps = wp.k, wp.slot_width, wp.prior.alpha, wp.prior.components
+    poisson, total = wp.family == "poisson", wp.n + fsum(alpha)
+    per_slot = w if means else 1  # p_j, then the slot's w - 1 means
 
+    def products():
+        for part, columns in wp.lattice.key_blocks():
+            out = np.empty((k, per_slot, columns.shape[1]))
+            for j, ((counts, *aggregates), row) in enumerate(zip(columns.reshape(k, w, -1), out)):
+                # the Dirichlet update: alpha_j + n_j over sum(alpha) + n
+                np.add(counts, alpha[j], out=row[0])
+                row[0] /= total
+                if means and poisson:
+                    # the Gamma update: shape a + S over rate b + n
+                    np.add(aggregates[0], float(comps[j].shape), out=row[1])
+                    row[1] /= counts + float(comps[j].rate)
+                elif means:
+                    beta = comps[j].concentration
+                    dirichlet = _dirichlet_total(aggregates, beta)
+                    for s, b, mean in zip(aggregates, beta, row[1:]):
+                        np.add(s, b, out=mean)
+                        mean /= dirichlet
+            out *= wp.weights[part]
+            yield out.reshape(k * per_slot, -1)
 
-def _expectations(wp: WeightedPosterior, weights: bool, means: bool) -> tuple[list, list]:
-    """E[p_j | x] and E of component j's mean parameters, as asked, slot by
-    slot. Each is numpy's pairwise sum of one whole column of products
-    w_e * m_e, so its column m is formed whole, from one whole-length decode
-    of the slot's key columns (`StatLattice.slots`) that both share."""
-    alpha, comps = wp.prior.alpha, wp.prior.components
-    total, column = wp.n + fsum(alpha), np.empty(len(wp.weights))
-    rates = np.empty_like(column) if means and wp.family == "poisson" else None
-    out_weights, out_means = [], []
-    for j, (counts, *aggregates) in enumerate(wp.lattice.slots(slice(None) if means else slice(1))):
-        if weights:
-            np.add(counts, alpha[j], out=column)
-            column /= total
-            out_weights.append(_weighted_sum(wp.weights, column))
-        if means and rates is not None:
-            # the Gamma update: shape a + S over rate b + n
-            np.add(aggregates[0], float(comps[j].shape), out=column)
-            np.add(counts, float(comps[j].rate), out=rates)
-            column /= rates
-            out_means.append(_weighted_sum(wp.weights, column))
-        elif means:
-            beta = comps[j].concentration
-            dirichlet = _dirichlet_total(aggregates, beta)
-            row = []
-            for s, b in zip(aggregates, beta):
-                np.add(s, b, out=column)
-                column /= dirichlet
-                row.append(_weighted_sum(wp.weights, column))
-            out_means.append(row)
-    return out_weights, out_means
+    sums = _exact_sums(products(), groups=k * per_slot).reshape(k, per_slot)
+    return sums[:, 0], sums[:, 1:]
 
 
 def expected_weights(wp: WeightedPosterior) -> np.ndarray:
-    """E[p_j | x]: weight-mixture of Dirichlet posterior means, a whole count column at a time."""
-    return np.array(_expectations(wp, True, False)[0])
+    """E[p_j | x]: the exact weighted sum of the entries' Dirichlet means."""
+    return _expectations(wp, means=False)[0]
 
 
 def expected_component_means(wp: WeightedPosterior) -> np.ndarray:
-    """E of each component's mean parameters, a slot's whole key columns at a time: (k,) Poisson, (k, v) multinomial."""
-    return np.array(_expectations(wp, False, True)[1])
+    """E of each component's mean parameters, (k,) Poisson and (k, v)
+    multinomial: the exact weighted sum of the entries' conjugate means."""
+    means = _expectations(wp)[1]
+    return means[:, 0] if wp.family == "poisson" else means
 
 
 def mass_concentration(wp: WeightedPosterior, threshold: float = 0.99) -> int:
@@ -478,9 +480,7 @@ def mass_concentration(wp: WeightedPosterior, threshold: float = 0.99) -> int:
 
 
 def summarize(wp: WeightedPosterior) -> PosteriorSummary:
-    weights, means = _expectations(wp, True, True)
-    # (k,) Poisson and (k, v) multinomial means alike become k tuples of floats
-    means = tuple(map(tuple, np.array(means).reshape(wp.k, -1).tolist()))
+    weights, means = _expectations(wp)
     return PosteriorSummary(
         family=wp.family,
         k=wp.k,
@@ -488,8 +488,8 @@ def summarize(wp: WeightedPosterior) -> PosteriorSummary:
         distinct=wp.lattice.distinct_count(),
         mass99=mass_concentration(wp, 0.99),
         log_evidence=wp.log_evidence,
-        expected_weights=tuple(weights),
-        expected_means=means,
+        expected_weights=tuple(weights.tolist()),
+        expected_means=tuple(map(tuple, means.tolist())),
     )
 
 
@@ -798,6 +798,8 @@ def _marginal(members: _Members, param: str, grid) -> DensityGrid:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError(f"grid must be a non-empty 1-D vector, got shape {grid.shape}")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"grid points must be finite, got {float(grid[~np.isfinite(grid)][0])!r}")
         if isinstance(members, _BetaMembers) and (np.any(grid <= 0.0) or np.any(grid >= 1.0)):
             raise ValueError("grid points must lie strictly inside (0, 1)")
     out = DensityGrid(param, grid, members.mixture_pdf(grid))

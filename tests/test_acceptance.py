@@ -23,6 +23,7 @@ from mixexact.families import (
 from mixexact.posterior import MixturePrior
 
 WORKED_DATA = [0, 0, 0, 1, 2, 2, 4]
+TEN_COUNTS = [0, 0, 0, 1, 2, 2, 4, 9, 11, 10]
 
 ASYM_PRIOR = MixturePrior((1.0, 1.0), (PoissonGamma(1.0, 1.0), PoissonGamma(1.0, 10.0)))
 
@@ -158,8 +159,11 @@ def test_criterion_5_worked_example_ground_truth():
 def test_criterion_6_symmetry_suite():
     with criterion(6, "label symmetry of weights and marginals"):
         fits = []
-        for k in (2, 3):
-            fits.append(posterior.normalize(lattice.build(WORKED_DATA, k), sym_poisson(k)))
+        # the worked example, and the README's ten counts under the CLI's
+        # default prior, PoissonGamma(1, 1) and alpha = 1
+        for data in (WORKED_DATA, TEN_COUNTS):
+            for k in (2, 3):
+                fits.append(posterior.normalize(lattice.build(data, k), sym_poisson(k)))
         mdata = [(3, 1, 0), (0, 2, 2), (1, 1, 1)]
         fits.append(posterior.normalize(lattice.build(mdata, 2), sym_multinomial(2, 3)))
 
@@ -167,6 +171,11 @@ def test_criterion_6_symmetry_suite():
             k = wp.k
             ew = posterior.expected_weights(wp)
             assert np.max(np.abs(ew - 1.0 / k)) <= 1e-12
+            # each mean is an exact sum, which no relabelling of the entries
+            # moves: bitwise equal across the components
+            summary = posterior.summarize(wp)
+            assert len(set(summary.expected_weights)) == 1
+            assert len(set(summary.expected_means)) == 1
             categories = range(3) if wp.family == "multinomial" else [None]
             for cat in categories:
                 ref = posterior.marginal_component_density(wp, 0, category=cat)

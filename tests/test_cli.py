@@ -59,6 +59,13 @@ BAD_DOCUMENTS = {
 }
 
 
+def write_config(tmp_path, document: dict) -> str:
+    """The path of a fresh config file holding the document as JSON."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -501,6 +508,9 @@ class TestConfigResolution:
             (("--gamma", "1,1,2;1,1"), "shape,rate"),
             (("--grid", "0,5"), "--grid"),
             (("--grid", "0,5,inf"), "--grid"),
+            (("--grid", "0.1,inf,3"), "grid bounds must be finite"),
+            # json reads Infinity: a config's bound refused as the flag's is
+            (("--config", {"grid": {"lower": 0.1, "upper": math.inf, "points": 3}}), "grid bounds must be finite"),
             (("--grid", "0,,5,10"), "empty cell"),
             (("--gamma", "1,1;1,,10"), "empty cell"),
             (("--alpha", "1,,1"), "empty cell"),
@@ -508,16 +518,19 @@ class TestConfigResolution:
         ],
         ids=[
             "two-prior-flags", "flag-off-family", "prior-arity", "grid-pair", "grid-inf-points",
+            "grid-inf-bound", "config-grid-inf-bound",
             "grid-empty-cell", "gamma-empty-cell", "alpha-inner-empty-cell", "alpha-trailing-empty-cell",
         ],
     )
-    def test_flag_misuse_is_2(self, capsys, worked_file, flags, named):
+    def test_flag_misuse_is_2(self, capsys, tmp_path, worked_file, flags, named):
+        # a dict among the flags stands for a config file holding it
+        flags = [write_config(tmp_path, f) if isinstance(f, dict) else f for f in flags]
         code, _, err = run_cli(
             capsys, "marginal", "--data", worked_file, "--family", "poisson", "--k", "2",
             "--param", "lambda1", *flags,
         )
         assert code == 2
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
         assert named in err
 
     def test_malformed_json_rejected(self, capsys, tmp_path):

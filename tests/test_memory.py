@@ -1,5 +1,5 @@
 """Memory ceilings of the resting lattice, the fold, `load`, `total_count`,
-`normalize`, a benchmark-shaped pass and the density grids.
+`normalize`, `summarize`, a benchmark-shaped pass and the density grids.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is what it held at once. Each bound lies between the peak the layer reaches
@@ -90,6 +90,19 @@ def test_normalize_holds_its_weights_and_one_block(fit_data):
     wp, peak = _traced_peak(posterior.normalize, lat, prior)
     assert len(wp.weights) == 59_754
     assert peak / len(wp.weights) < 56
+
+
+def test_summarize_holds_one_block_and_one_sorted_copy(fit_data):
+    # 32.5 bytes per entry here: one block of decoded keys, their products
+    # w_e * m_e and the exact sums' temporaries (a fixed 1.9 MB), or
+    # mass_concentration's sorted copy and running sum of the weights (16);
+    # 57.1 while the means were numpy sums of whole float columns, formed
+    # from each slot's whole decoded key columns
+    lat = lattice.build(fit_data, 3)
+    wp = posterior.normalize(lat, MixturePrior((1.0,) * 3, (PoissonGamma(1.0, 1.0),) * 3))
+    summary, peak = _traced_peak(posterior.summarize, wp)
+    assert len(set(summary.expected_weights)) == 1
+    assert peak / len(wp.weights) < 40
 
 
 def test_a_benchmark_pass_holds_its_outputs_and_one_dump(fit_data):

@@ -724,6 +724,15 @@ class TestDensityGrids:
         with pytest.raises(ValueError, match="1-D"):
             marginal_component_density(wp, 0, [[0.5, 1.0], [2.0, 3.0]])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_grid_point_rejected_before_any_density(self, bad):
+        # refused by name, with no RuntimeWarning from the densities first
+        wp = normalize(build([0, 1], 2), asym_prior())
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            marginal_component_density(wp, 0, [0.1, 1.0, bad])
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            marginal_weight_density(wp, 0, [0.1, 0.5, bad])
+
     def test_single_component_weight_has_no_density(self):
         wp = normalize(build([0, 1], 1), MixturePrior((1.0,), (PoissonGamma(1.0, 1.0),)))
         with pytest.raises(ValueError, match="p1 is identically 1 when k = 1"):
@@ -920,6 +929,14 @@ class TestExactSums:
         monkeypatch.setattr(posterior, "_SUM_BLOCK", 7)
         assert np.array_equal(posterior._exact_sums(values, codes, 4), expected)
 
+    def test_blocks_sum_as_fsum_of_their_rows(self):
+        # (groups, rows) blocks, row g of each holding values of group g,
+        # over every binade: each group's bins span every exponent
+        rng = np.random.default_rng(5)
+        values = _spread_weights(rng, 3000).reshape(3, 1000)
+        blocks = (values[:, lo : lo + 128] for lo in range(0, 1000, 128))
+        assert posterior._exact_sums(blocks, groups=3).tolist() == [math.fsum(row.tolist()) for row in values]
+
     def test_zeros_sum_to_zero(self):
         assert posterior._exact_sums(np.zeros(5), np.array([0, 2, 2, 0, 2]), 3).tolist() == [0.0, 0.0, 0.0]
 
@@ -971,6 +988,76 @@ class TestExactSums:
                 s = aggregates[:, u]
                 rest = aggregates.sum(axis=1) - s
                 self._check(members, s, rest, wp.weights, beta[j][u], math.fsum(beta[j]) - beta[j][u])
+
+
+def _mean_cases() -> dict:
+    """name: (data, prior), seeded Poisson and multinomial cases of k = 1..4
+    under asymmetric priors, and keys of two code words."""
+    rng = np.random.default_rng(31)
+    hyper = functools.partial(rng.uniform, 0.25, 6.0)
+    cases = {}
+    for k, n in zip(range(1, 5), (9, 8, 7, 6)):
+        alpha = tuple(hyper(k).tolist())
+        comps = [PoissonGamma(*hyper(2).tolist()) for _ in range(k)]
+        cases[f"poisson-k{k}"] = (rng.integers(0, 9, n).tolist(), MixturePrior(alpha, comps))
+        comps = [DirichletMultinomial(tuple(hyper(3).tolist())) for _ in range(k)]
+        rows = [tuple(row) for row in rng.integers(0, 4, (n - 2, 3)).tolist() if sum(row)]
+        cases[f"multinomial-k{k}"] = (rows, MixturePrior(alpha, comps))
+    cases["two-words"] = ([2**31, 1], sym_prior(3))
+    return cases
+
+
+MEAN_CASES = _mean_cases()
+
+
+class TestExactMeans:
+    """Every mean of `summarize` is the correctly rounded sum of its products."""
+
+    @staticmethod
+    def _shown(wp) -> dict:
+        summary = summarize(wp)
+        flat = [m for comp in summary.expected_means for m in comp]
+        weights = {f"p{j + 1}": w for j, w in enumerate(summary.expected_weights)}
+        return {**weights, **dict(zip(summary.mean_labels(), flat))}
+
+    @staticmethod
+    def _fsums(wp) -> dict:
+        """math.fsum of each mean's products w_e * m_e, m_e from the whole key array."""
+        keys, w, alpha = wp.key_array, wp.slot_width, wp.prior.alpha
+        means = {}
+        for j, comp in enumerate(wp.prior.components):
+            counts, aggregates = keys[:, j * w], keys[:, j * w + 1 : (j + 1) * w].T
+            means[f"p{j + 1}"] = (counts + alpha[j]) / (wp.n + math.fsum(alpha))
+            if wp.family == "poisson":
+                means[f"lambda{j + 1}"] = (aggregates[0] + comp.shape) / (counts + comp.rate)
+                continue
+            # the Dirichlet total, each entry's beta_u + S_u added in sequence
+            total = sum(s + b for s, b in zip(aggregates, comp.concentration))
+            for u, (s, b) in enumerate(zip(aggregates, comp.concentration)):
+                means[f"q{j + 1},{u + 1}"] = (s + b) / total
+        return {label: math.fsum((wp.weights * m).tolist()) for label, m in means.items()}
+
+    @pytest.mark.parametrize("name", list(MEAN_CASES))
+    def test_each_mean_is_the_fsum_of_its_products(self, name):
+        data, prior = MEAN_CASES[name]
+        wp = normalize(build(data, prior.k), prior)
+        shown = self._shown(wp)
+        assert shown == self._fsums(wp)
+        assert expected_weights(wp).tolist() == [shown[f"p{j + 1}"] for j in range(wp.k)]
+        means = expected_component_means(wp)
+        assert means.shape == ((wp.k,) if wp.family == "poisson" else (wp.k, wp.slot_width - 1))
+        assert means.ravel().tolist() == [shown[label] for label in summarize(wp).mean_labels()]
+
+    @pytest.mark.parametrize("name", list(MEAN_CASES))
+    def test_means_ignore_entry_order_and_block_size(self, name, monkeypatch):
+        data, prior = MEAN_CASES[name]
+        wp = normalize(build(data, prior.k), prior)
+        expected = self._shown(wp)
+        order = np.random.default_rng(7).permutation(len(wp.weights))
+        assert self._shown(_permuted(wp, order, wp.weights)) == expected
+        for rows in (1, 3):
+            monkeypatch.setattr(mixexact.lattice, "_BLOCK_ROWS", rows)
+            assert self._shown(wp) == expected
 
 
 class TestSummaryLabels:
