@@ -396,6 +396,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"k must be >= 1, got {config.k}")
     if not (0 < config.threshold <= 1):
         raise ValueError(f"threshold must be in (0, 1], got {config.threshold}")
+    # the n=0 lattice holds one entry, and an oracle run at least one allocation
+    if config.entry_budget < 1:
+        raise ValueError(f"entry budget must be >= 1, got {config.entry_budget}")
+    if config.oracle_cap < 1:
+        raise ValueError(f"oracle cap must be >= 1, got {config.oracle_cap}")
     return config
 
 

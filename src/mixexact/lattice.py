@@ -24,9 +24,10 @@ adds one constant per word (zero for the dropped slot), so a step is k
 sorted runs of the codes, one stable sort that merges them, and one grouped
 sum of the multiplicities; the fold ends on codes, with no decode. A key
 column is decoded where a layer reads it, a block of entries at a time, by
-`key_blocks` (every slot or one), which every layer reads through: a digit
-is q - (q // r) * r of the quotient q left by the digit below it, and a
-last-slot column is the totals minus the other slots.
+`key_blocks`, which every layer reads through, naming the columns it reads.
+Packed column c is q - (q // r) * r of the quotient q = word // place of
+its word, r its radix, and a last-slot column is its total minus the same
+column of the other slots.
 """
 
 from __future__ import annotations
@@ -104,31 +105,60 @@ class StatLattice:
     @property
     def key_array(self) -> np.ndarray:
         """(E, k*w) int64 keys in lexicographic row order, decoded on each
-        access: the read-only transpose of one C-contiguous (k*w, E) block."""
+        access: the read-only transpose of one C-contiguous (k*w, E) array,
+        filled a block at a time from `key_blocks`."""
         columns = np.empty((self.k * self.slot_width, self.distinct_count()), dtype=np.int64)
-        keys = _decode(self.codes, _word_places(self.radix), self.radix, self.totals, columns).T
+        for part, block in self.key_blocks():
+            columns[:, part] = block
+        keys = columns.T
         keys.flags.writeable = False
         return keys
 
-    def key_blocks(self, slot: int | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+    def key_blocks(self, columns: Sequence[int] | None = None) -> Iterator[tuple[slice, np.ndarray]]:
         """Each block of `_BLOCK_ROWS` entries, in order, as its slice of the
-        entries and its (k*w, rows) int64 key columns, or only slot `slot`'s
-        (w, rows), decoded into one buffer that the next block overwrites: a
-        reader copies what it keeps. A slot before the last decodes its own
-        packed columns alone (`_unpack`); the last is the totals less the others."""
-        places, size, w = _word_places(self.radix), self.distinct_count(), self.slot_width
-        own = slot is not None and slot < self.k - 1
-        buffer = np.empty((w if own else self.k * w, min(_BLOCK_ROWS, size)), dtype=np.int64)
+        entries and a (len(columns), rows) int64 view of one buffer that the
+        next block overwrites: a reader copies what it keeps. `columns` index
+        the flat key layout (n_1, *S_1, ..., n_k, *S_k), every column by
+        default; every layer reads the keys here, naming the columns it reads.
+
+        Packed column c is its word's codes floor-divided by its place, modulo
+        its radix: a word's lead column needs no modulo, and place 1 no
+        division. A last-slot column is its total less the same column of the
+        other slots, which are decoded into rows after the ones asked for
+        where the caller did not ask for them.
+        """
+        kept, w, size = len(self.radix), self.slot_width, self.distinct_count()
+        rows = list(range(self.k * w) if columns is None else columns)
+        asked = len(rows)
+        needed = {o for c in rows if c >= kept for o in range(c - kept, kept, w)}
+        rows += sorted(needed - set(rows))
+        at = {c: i for i, c in enumerate(rows)}
+        places, packed = _word_places(self.radix), []
+        for i, c in enumerate(rows):
+            if c < kept:  # each column's word and place: its one nonzero place value
+                word = int(np.flatnonzero(places[:, c])[0])
+                lead = c == int(np.flatnonzero(places[word])[0])
+                packed.append((i, word, int(places[word, c]), self.radix[c], lead))
+        last = [(i, self.totals[c - kept], [at[o] for o in range(c - kept, kept, w)])
+                for i, c in enumerate(rows[:asked]) if c >= kept]
+        buffer = np.empty((len(rows), min(_BLOCK_ROWS, size)), dtype=np.int64)
         high = np.empty(buffer.shape[1], dtype=np.int64)
         for lo in range(0, size, _BLOCK_ROWS):
             codes = self.codes[:, lo : lo + _BLOCK_ROWS]
-            part, columns = slice(lo, lo + codes.shape[1]), buffer[:, : codes.shape[1]]
-            if own:
-                _unpack(codes, places, self.radix, slot * w, (slot + 1) * w, columns, high[: codes.shape[1]])
-                yield part, columns
-            else:
-                _decode(codes, places, self.radix, self.totals, columns)
-                yield part, columns if slot is None else columns[slot * w :]
+            out, scratch = buffer[:, : codes.shape[1]], high[: codes.shape[1]]
+            for i, word, place, radix, lead in packed:
+                q = codes[word] if place == 1 else np.floor_divide(codes[word], place, out=out[i])
+                if not lead:
+                    np.floor_divide(q, radix, out=scratch)
+                    scratch *= radix
+                    np.subtract(q, scratch, out=out[i])
+                elif place == 1:  # the word's one column
+                    out[i] = q
+            for i, total, others in last:
+                out[i] = total
+                for o in others:
+                    out[i] -= out[o]
+            yield slice(lo, lo + codes.shape[1]), out[:asked]
 
     @property
     def entries(self) -> Mapping[Key, int]:
@@ -211,50 +241,6 @@ def _word_places(radix: Sequence[int]) -> np.ndarray:
     return np.array(words[::-1])
 
 
-def _unpack(codes: np.ndarray, places: np.ndarray, radix: Sequence[int], lo: int, hi: int, out, high) -> None:
-    """Packed key columns lo..hi - 1 of (W, B) code words packed by `places`,
-    into rows 0.. of `out`, with `high` one scratch row.
-
-    Within a word the requested digits come least significant first, the
-    last over its place value: each is q - (q // r) * r of the quotient q
-    left by the one before, one floor division per column, and the new
-    quotient goes to the row of the next column, which reads it in turn.
-    The word's most significant column is the quotient left.
-    """
-    for word, place in zip(codes, places):
-        columns = [c for c in range(lo, hi) if place[c]]
-        if not columns:
-            continue
-        lead, q = int(np.flatnonzero(place)[0]), word
-        if place[columns[-1]] != 1:
-            q = np.floor_divide(word, place[columns[-1]], out=out[columns[-1] - lo])
-        for c in reversed(columns):
-            row = out[c - lo]
-            if c == lead:
-                if q is word:  # the word's one column, of place 1
-                    row[...] = word
-                break
-            quotient = out[c - 1 - lo] if c > columns[0] else high
-            np.floor_divide(q, radix[c], out=quotient)
-            np.multiply(quotient, radix[c], out=high)
-            np.subtract(q, high, out=row)
-            q = quotient
-
-
-def _decode(codes: np.ndarray, places: np.ndarray, radix: Sequence[int], totals: Sequence[int], out: np.ndarray):
-    """The (k*w, B) int64 key columns of (W, B) code words packed by
-    `places`, written into `out` with no other buffer: the packed columns
-    by `_unpack`, with the first row of the last slot as its scratch, and
-    then the last slot as the totals less the other slots."""
-    kept, w = len(radix), len(totals)
-    _unpack(codes, places, radix, 0, kept, out, out[kept])
-    last = out[kept:]
-    last[...] = np.array(totals, dtype=np.int64)[:, None]
-    for j in range(kept // w):
-        last -= out[j * w : (j + 1) * w]
-    return out
-
-
 def _increasing(codes: np.ndarray) -> bool:
     """Whether (W, E) code words increase strictly and lexicographically
     from entry to entry, word 0 deciding first."""
@@ -285,13 +271,22 @@ def _repack(lattice: StatLattice, places: np.ndarray) -> np.ndarray:
     """The lattice's keys as (W, E) codes under new place values, formed
     one packed key column at a time."""
     codes = np.zeros((len(places), lattice.distinct_count()), dtype=np.int64)
-    old, digits, high = _word_places(lattice.radix), np.empty_like(codes[:1]), np.empty_like(codes[0])
     for c in range(places.shape[1]):
         word = np.flatnonzero(places[:, c])[0]
-        _unpack(lattice.codes, old, lattice.radix, c, c + 1, digits, high)
-        digits *= places[word, c]
-        codes[word] += digits[0]
+        for part, (digits,) in lattice.key_blocks([c]):
+            digits *= places[word, c]
+            codes[word, part] += digits
     return codes
+
+
+def _over_budget(budget: int, growth: Sequence[int], n: int) -> ResourceLimitError:
+    """The error of a step n that made growth[-1] entries, above the budget."""
+    return ResourceLimitError(
+        f"entry budget {budget} exceeded at {growth[-1]} entries after {n} observations",
+        entry_count=growth[-1],
+        step=n,
+        growth=tuple(growth),
+    )
 
 
 def _fold(
@@ -309,6 +304,9 @@ def _fold(
     totals = [t + sum(s[c] for s in stats) for c, t in enumerate(lattice.totals)]
     if max(totals) * k >= _WORD_SPAN:
         raise ValueError("a statistic digit would leave the int64 key range")
+    if lattice.distinct_count() == 1 and k > budget:
+        # one entry's k successors are distinct: fail before the place matrix is built
+        raise _over_budget(budget, (1, k), lattice.n + 1)
     radix = [t + 1 for t in totals] * (k - 1)  # the last slot is the totals minus the others
     places = _word_places(radix)
     codes = _repack(lattice, places)  # (W, E), word 0 most significant
@@ -327,12 +325,7 @@ def _fold(
         n += 1
         growth.append(len(starts))
         if len(starts) > budget:
-            raise ResourceLimitError(
-                f"entry budget {budget} exceeded at {len(starts)} entries after {n} observations",
-                entry_count=len(starts),
-                step=n,
-                growth=tuple(growth),
-            )
+            raise _over_budget(budget, growth, n)
         codes = np.take(succ, order[starts], axis=1)
         del succ
         # successor i came from entry i mod E; to Python ints at the step
@@ -587,30 +580,20 @@ def _parse_body(
     return mults, blocks()
 
 
-# the messages of `load`'s checks that are held until every block has parsed, first first
-_HELD = (
-    "digit out of range or nonpositive multiplicity",
-    "entries disagree with n={n} or with each other's totals",
-    "an empty slot carries a nonzero aggregate",
-)
-
-
-def _held_failure(columns: np.ndarray, mults: np.ndarray, k: int, totals: list[int]) -> int:
-    """The first of the held checks (`_HELD`) that a parsed block of
-    (k*w, rows) key columns fails, as an index, or their count where it
-    passes all: every digit and multiplicity in range, each column of the
-    slots adding up to the first entry's total, and no empty slot with a
-    nonzero aggregate."""
+def _check_block(columns: np.ndarray, mults: np.ndarray, k: int, n: int, totals: list[int]) -> None:
+    """Raise on the first check a parsed block of (k*w, rows) key columns
+    fails: every digit and multiplicity in range, each column of the slots
+    adding up to the first entry's total, and no empty slot with a nonzero
+    aggregate."""
     w = len(totals)
     if int(columns.max()) * k >= _WORD_SPAN or mults.min() < 1:
-        return 0
+        raise LatticeFormatError("digit out of range or nonpositive multiplicity")
     for c in range(w):
         if np.any(columns[c::w].sum(axis=0) != totals[c]):
-            return 1
+            raise LatticeFormatError(f"entries disagree with n={n} or with each other's totals")
     for j in range(0, k * w, w):
         if np.any((columns[j] == 0) & columns[j + 1 : j + w].any(axis=0)):
-            return 2
-    return 3
+            raise LatticeFormatError("an empty slot carries a nonzero aggregate")
 
 
 def load(text: str) -> StatLattice:
@@ -622,12 +605,13 @@ def load(text: str) -> StatLattice:
     bytes in blocks of `_BLOCK_ROWS` lines (`_parse_body`), each checked
     and converted on its own, one decimal place per pass as `dump` writes
     one per divmod plane (`_cell_values`), and packed into the codes at
-    once. A block's range, totals and empty-slot checks (`_held_failure`)
-    are held until every block has parsed; then the first of them that any
-    block failed raises, else the order check runs on the code words and
-    the conservation check on the multiplicities. A text with one defect
-    gets that defect's message; in a text with several grammar or range
-    defects, the first defective block decides.
+    once. Each block runs the range, totals and empty-slot checks
+    (`_check_block`) on its own columns before it is packed, and raises at
+    the first it fails; after the last block the order check runs on the
+    code words and the conservation check on the multiplicities. A text
+    with one defect gets that defect's message; in a text with several
+    grammar, range, totals or empty-slot defects, the first defective
+    block decides, and within a block the grammar checks come first.
     """
     if not text:
         raise LatticeFormatError("empty lattice dump")
@@ -650,24 +634,18 @@ def load(text: str) -> StatLattice:
         raise LatticeFormatError("lattice dump has no entries")
     mults, blocks = _parse_body(text, newline + 1, family, k, n)
 
-    passed = failed = len(_HELD)
-    codes = None
     for part, columns in blocks:
         if part.start == 0:
             # every entry shares the first one's column totals, n the first
             first = columns[:, 0].tolist()
             w = len(first) // k
             totals = [n, *(sum(first[c::w]) for c in range(1, w))]
-        if failed:  # no check outranks the first
-            failed = min(failed, _held_failure(columns, mults[part], k, totals))
-        if failed == passed:
-            if codes is None:
-                radix = [t + 1 for t in totals] * (k - 1)
-                places = _word_places(radix)
-                codes = np.empty((len(places), len(mults)), dtype=np.int64)
-            codes[:, part] = places @ columns[: len(radix)]
-    if failed < passed:
-        raise LatticeFormatError(_HELD[failed].format(n=n))
+        _check_block(columns, mults[part], k, n, totals)
+        if part.start == 0:  # the radix of totals that passed the range check
+            radix = [t + 1 for t in totals] * (k - 1)
+            places = _word_places(radix)
+            codes = np.empty((len(places), len(mults)), dtype=np.int64)
+        codes[:, part] = places @ columns[: len(radix)]
     # with digits in range and shared totals, code order is key order
     if not _increasing(codes):
         raise LatticeFormatError("keys are duplicated or out of order")

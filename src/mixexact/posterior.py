@@ -433,9 +433,10 @@ def _expectations(wp: WeightedPosterior, means: bool = True) -> tuple[np.ndarray
     per_slot = w if means else 1  # p_j, then the slot's w - 1 means
 
     def products():
-        for part, columns in wp.lattice.key_blocks():
+        # every column, or where only p_j is asked the k counts
+        for part, columns in wp.lattice.key_blocks(None if means else range(0, k * w, w)):
             out = np.empty((k, per_slot, columns.shape[1]))
-            for j, ((counts, *aggregates), row) in enumerate(zip(columns.reshape(k, w, -1), out)):
+            for j, ((counts, *aggregates), row) in enumerate(zip(columns.reshape(k, per_slot, -1), out)):
                 # the Dirichlet update: alpha_j + n_j over sum(alpha) + n
                 np.add(counts, alpha[j], out=row[0])
                 row[0] /= total
@@ -761,16 +762,16 @@ def _component_members(wp: WeightedPosterior, j: int, category: int | None) -> t
     q_{j,u} Beta(beta_u + S_u, (sum beta - beta_u) + (T - S_u)), T the
     slot's integer total sum_u S_u."""
     check_marginal_indices(wp.k, j, wp.family, category, wp.slot_width - 1)
-    comp, totals = wp.prior.components[j], wp.lattice.totals
+    comp, totals, w = wp.prior.components[j], wp.lattice.totals, wp.slot_width
     if wp.family == "poisson":
-        pairs = ((slot[1], slot[0]) for _, slot in wp.lattice.key_blocks(j))
+        pairs = ((slot[1], slot[0]) for _, slot in wp.lattice.key_blocks(range(j * w, (j + 1) * w)))
         members = _GammaMembers.of_entries(pairs, (totals[1], wp.n), wp.weights, float(comp.shape), float(comp.rate))
         return members, f"lambda{j + 1}"
 
     def pairs():
-        for _, slot in wp.lattice.key_blocks(j):
-            s = slot[1 + category]
-            rest = slot[1:].sum(axis=0)
+        for _, aggregates in wp.lattice.key_blocks(range(j * w + 1, (j + 1) * w)):
+            s = aggregates[category]
+            rest = aggregates.sum(axis=0)
             rest -= s
             yield s, rest
 
@@ -783,7 +784,7 @@ def _weight_members(wp: WeightedPosterior, j: int) -> _BetaMembers:
     """p_j's members Beta(n_j + alpha_j, (sum alpha - alpha_j) + (n - n_j))."""
     check_marginal_indices(wp.k, j)
     alpha = wp.prior.alpha
-    pairs = ((slot[0], wp.n - slot[0]) for _, slot in wp.lattice.key_blocks(j))
+    pairs = ((counts, wp.n - counts) for _, (counts,) in wp.lattice.key_blocks([j * wp.slot_width]))
     return _BetaMembers.of_entries(pairs, (wp.n, wp.n), wp.weights, alpha[j], fsum(alpha) - alpha[j])
 
 

@@ -515,11 +515,17 @@ class TestConfigResolution:
             (("--gamma", "1,1;1,,10"), "empty cell"),
             (("--alpha", "1,,1"), "empty cell"),
             (("--alpha", "1,1,"), "empty cell"),
+            # the n=0 lattice holds one entry, and an oracle run one allocation
+            (("--budget", "0"), "entry budget must be >= 1, got 0"),
+            (("--budget", "-5"), "entry budget must be >= 1, got -5"),
+            (("--cap", "0"), "oracle cap must be >= 1, got 0"),
+            (("--config", {"entry_budget": 0}), "entry budget must be >= 1, got 0"),
         ],
         ids=[
             "two-prior-flags", "flag-off-family", "prior-arity", "grid-pair", "grid-inf-points",
             "grid-inf-bound", "config-grid-inf-bound",
             "grid-empty-cell", "gamma-empty-cell", "alpha-inner-empty-cell", "alpha-trailing-empty-cell",
+            "budget-zero", "budget-negative", "cap-zero", "config-budget-zero",
         ],
     )
     def test_flag_misuse_is_2(self, capsys, tmp_path, worked_file, flags, named):
@@ -732,6 +738,13 @@ class TestExitCodes:
         assert code == 4
         assert "distinct=" not in stdout
         assert err.startswith("error: entry budget 1 exceeded at 4 entries after 1 observations")
+
+    def test_k_above_the_budget_is_4_before_the_first_step(self, capsys, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text("0\n0\n3\n")
+        code, _, err = run_cli(capsys, "evidence", "--data", str(path), "--family", "poisson", "--k", "6000000")
+        assert code == 4
+        assert err == "error: entry budget 5000000 exceeded at 6000000 entries after 1 observations\n"
 
     def test_single_component_weight_marginal_is_2(self, capsys, worked_file):
         code, stdout, err = run_cli(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from math import comb, prod
 
 import numpy as np
@@ -160,6 +161,20 @@ class TestExtend:
         assert err.value.entry_count == 4
         assert err.value.step == 1
         assert err.value.growth == (1, 4)
+
+    def test_k_above_the_budget_fails_before_the_first_step(self):
+        # the first observation makes exactly k entries; at this k the fold's
+        # place matrix alone would take hours or all the memory to build
+        k = 6 * 10**6
+        with pytest.raises(ResourceLimitError) as err:
+            build([0, 0, 3], k)
+        assert err.value.entry_count == k
+        assert err.value.step == 1
+        assert err.value.growth == (1, k)
+        assert str(err.value) == f"entry budget 5000000 exceeded at {k} entries after 1 observations"
+        # the observations are read first, so bad data keeps its own error at any k
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            build([-1, 0], k)
 
     def test_budget_ignores_the_row_order(self):
         # the fold reads the rows in value order; in row order, the reversed
@@ -618,6 +633,23 @@ class TestBlockedLoad:
         monkeypatch.setattr(lattice, "_BLOCK_ROWS", rows)
         with pytest.raises(LatticeFormatError, match=message):
             load(corrupt(text, line))
+
+    @pytest.mark.parametrize("rows", [1, 3, 4])
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            ((1, str(2**62)), "digit out of range or nonpositive multiplicity"),
+            ((0, "8"), "entries disagree with n=7 or with each other's totals"),
+        ],
+        ids=["range", "totals"],
+    )
+    def test_first_defect_decides_over_a_later_grammar_defect(self, first, message, rows, monkeypatch):
+        # a range or totals defect on body line 1, and a stray byte on the last line
+        text = TestLoadValidation.TEXT
+        text = _corrupt(_corrupt(text, 2, *first), len(text.splitlines()) - 1, 1, "x")
+        monkeypatch.setattr(lattice, "_BLOCK_ROWS", rows)
+        with pytest.raises(LatticeFormatError, match=f"^{re.escape(message)}$"):
+            load(text)
 
     def test_cells_of_every_length_parse_exactly(self):
         # at k = 1 the one entry (n, S) has multiplicity 1, so any n >= 1

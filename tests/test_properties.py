@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,8 +117,45 @@ def test_decoded_keys_equal_the_oracle(case):
     w = lat.slot_width
     for j in range(prior.k):
         # one slot's blocks: its own packed columns, or the totals less the others
-        blocks = [block.copy() for _, block in lat.key_blocks(j)]
+        blocks = [block.copy() for _, block in lat.key_blocks(range(j * w, (j + 1) * w))]
         assert np.array_equal(np.concatenate(blocks, axis=1), keys[:, j * w : (j + 1) * w].T)
+
+
+def _assert_named_columns_decode(lat: lattice.StatLattice) -> None:
+    """Every column set a layer names, and random ones holding a last-slot
+    column, decode as those columns of `key_array`, at several block sizes."""
+    k, w = lat.k, lat.slot_width
+    keys, last = lat.key_array, range((k - 1) * w, k * w)
+    # every column, the counts, and each slot, its count and its aggregates
+    sets = [list(range(k * w)), list(range(0, k * w, w))]
+    for j in range(k):
+        sets += [list(range(j * w, (j + 1) * w)), [j * w], list(range(j * w + 1, (j + 1) * w))]
+    sets += [[c] for c in last]  # a last-slot column on its own
+    rng = random.Random(lat.distinct_count())
+    for _ in range(4):
+        own = rng.choice(last)
+        columns = rng.sample([c for c in range(k * w) if c != own], rng.randint(0, k * w - 1))
+        columns.insert(rng.randint(0, len(columns)), own)
+        sets.append(columns)
+    for rows in (1, 3, lattice._BLOCK_ROWS):
+        with mock.patch.object(lattice, "_BLOCK_ROWS", rows):
+            assert np.array_equal(np.concatenate([b.copy() for _, b in lat.key_blocks()], axis=1), keys.T)
+            for columns in sets:
+                blocks = [block.copy() for _, block in lat.key_blocks(columns)]
+                assert np.array_equal(np.concatenate(blocks, axis=1), keys[:, columns].T), (rows, columns)
+
+
+@PROPERTY
+@given(case=packed_cases())
+@example(case=([2**31, 1], MixturePrior((1.0,) * 3, (PoissonGamma(1.0, 1.0),) * 3)))
+def test_named_columns_decode_as_the_key_array(case):
+    data, prior = case
+    _assert_named_columns_decode(lattice.build(data, prior.k))
+
+
+@pytest.mark.parametrize("data, k", [([0] * 70, 2), ([0, 3, 5], 1)], ids=["object-multiplicities", "one-slot"])
+def test_named_columns_beside_object_multiplicities_and_at_one_slot(data, k):
+    _assert_named_columns_decode(lattice.build(data, k))
 
 
 @pytest.mark.parametrize("k, n", [(2, 63), (2, 70), (3, 40), (4, 32)])
