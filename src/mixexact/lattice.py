@@ -19,15 +19,16 @@ so code order is key order; one word holds them whenever the radix product
 fits, and wider keys use several words on the same path. At rest a lattice
 is its (W, E) code words, the radix, the totals and the multiplicities.
 
-`build` and `extend` run one fold over the codes. Absorbing x into slot j
-adds one constant per word (zero for the dropped slot), so a step is k
-sorted runs of the codes, one stable sort that merges them, and one grouped
-sum of the multiplicities; the fold ends on codes, with no decode. A key
-column is decoded where a layer reads it, a block of entries at a time, by
-`key_blocks`, which every layer reads through, naming the columns it reads.
-Packed column c is q - (q // r) * r of the quotient q = word // place of
-its word, r its radix, and a last-slot column is its total minus the same
-column of the other slots.
+One rule places the packed columns (`_word_places`): column c has a word
+and a place value there. The fold, `_repack` and `load` encode digit d of
+column c as place * d added to its word; `key_blocks`, which every layer
+reads through, naming the columns it reads, decodes it as q - (q // r) * r
+of q = word // place, r its radix, a block of entries at a time, and a
+last-slot column as its total minus the same column of the other slots.
+`build` and `extend` run one fold over the codes. A step tiles the codes
+into k runs and encodes x's digits into slot j's columns of run j (none for
+the dropped slot): k sorted runs, one stable sort that merges them, and one
+grouped sum of the multiplicities; the fold ends on codes, with no decode.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ class StatLattice:
         default; every layer reads the keys here, naming the columns it reads.
 
         Packed column c is its word's codes floor-divided by its place, modulo
-        its radix: a word's lead column needs no modulo, and place 1 no
-        division. A last-slot column is its total less the same column of the
-        other slots, which are decoded into rows after the ones asked for
+        its radix: a word's lead, its first column, needs no modulo, and place
+        1 no division. A last-slot column is its total less the same column of
+        the other slots, which are decoded into rows after the ones asked for
         where the caller did not ask for them.
         """
         kept, w, size = len(self.radix), self.slot_width, self.distinct_count()
@@ -133,12 +134,9 @@ class StatLattice:
         needed = {o for c in rows if c >= kept for o in range(c - kept, kept, w)}
         rows += sorted(needed - set(rows))
         at = {c: i for i, c in enumerate(rows)}
-        places, packed = _word_places(self.radix), []
-        for i, c in enumerate(rows):
-            if c < kept:  # each column's word and place: its one nonzero place value
-                word = int(np.flatnonzero(places[:, c])[0])
-                lead = c == int(np.flatnonzero(places[word])[0])
-                packed.append((i, word, int(places[word, c]), self.radix[c], lead))
+        word, place, _ = _word_places(self.radix)
+        packed = [(i, word[c], place[c], self.radix[c], c == 0 or word[c - 1] != word[c])
+                  for i, c in enumerate(rows) if c < kept]
         last = [(i, self.totals[c - kept], [at[o] for o in range(c - kept, kept, w)])
                 for i, c in enumerate(rows[:asked]) if c >= kept]
         buffer = np.empty((len(rows), min(_BLOCK_ROWS, size)), dtype=np.int64)
@@ -219,26 +217,22 @@ def _units(x: float) -> int:
     return num * (_UNITS // den)
 
 
-def _word_places(radix: Sequence[int]) -> np.ndarray:
-    """Mixed-radix place values that pack key columns into int64 words.
+def _word_places(radix: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Each packed key column's word and place value, and the word count W.
 
-    Row i holds word i's place value for each column and zero for columns
-    outside it; word 0 holds the most significant columns. A word closes
+    Words fill from the last, least significant, column, and one closes
     when one more column would let its codes or its place values reach
-    2**63. With no column (k = 1) there is one word, and every code is 0.
+    2**63: word 0 holds the most significant columns. With no column
+    (k = 1) there is one word, and every code is 0.
     """
-    words = []
-    place = np.zeros(len(radix), dtype=np.int64)
-    span = 1
+    word, place = [0] * len(radix), [0] * len(radix)
+    closed, span = 0, 1  # words closed so far, counted from the last
     for c in range(len(radix) - 1, -1, -1):
         if span * radix[c] >= _WORD_SPAN:
-            words.append(place)
-            place = np.zeros(len(radix), dtype=np.int64)
-            span = 1
-        place[c] = span
+            closed, span = closed + 1, 1
+        word[c], place[c] = closed, span
         span *= radix[c]
-    words.append(place)
-    return np.array(words[::-1])
+    return [closed - i for i in word], place, closed + 1
 
 
 def _increasing(codes: np.ndarray) -> bool:
@@ -267,15 +261,15 @@ def _fresh(succ: np.ndarray, order: np.ndarray) -> np.ndarray:
     return fresh
 
 
-def _repack(lattice: StatLattice, places: np.ndarray) -> np.ndarray:
-    """The lattice's keys as (W, E) codes under new place values, formed
-    one packed key column at a time."""
-    codes = np.zeros((len(places), lattice.distinct_count()), dtype=np.int64)
-    for c in range(places.shape[1]):
-        word = np.flatnonzero(places[:, c])[0]
-        for part, (digits,) in lattice.key_blocks([c]):
-            digits *= places[word, c]
-            codes[word, part] += digits
+def _repack(lattice: StatLattice, word: list[int], place: list[int], words: int) -> np.ndarray:
+    """The lattice's keys as (W, E) codes under new word and place values,
+    from one `key_blocks` pass over its packed columns; one of radix 1 holds
+    the digit 0 alone and is skipped, so the n = 0 lattice decodes none."""
+    codes = np.zeros((words, lattice.distinct_count()), dtype=np.int64)
+    packed = [c for c, r in enumerate(lattice.radix) if r > 1]
+    for part, digits in lattice.key_blocks(packed):
+        for c, column in zip(packed, digits):
+            codes[word[c], part] += column * place[c]
     return codes
 
 
@@ -305,20 +299,22 @@ def _fold(
     if max(totals) * k >= _WORD_SPAN:
         raise ValueError("a statistic digit would leave the int64 key range")
     if lattice.distinct_count() == 1 and k > budget:
-        # one entry's k successors are distinct: fail before the place matrix is built
+        # one entry's k successors are distinct: fail before k copies of its code are made
         raise _over_budget(budget, (1, k), lattice.n + 1)
     radix = [t + 1 for t in totals] * (k - 1)  # the last slot is the totals minus the others
-    places = _word_places(radix)
-    codes = _repack(lattice, places)  # (W, E), word 0 most significant
-    # shifts[i, :, j]: what absorbing observation i into slot j adds to each
-    # word; the dropped last slot adds nothing
-    shifts = np.zeros((len(stats), len(places), k), dtype=np.int64)
-    shifts[:, :, :-1] = np.einsum("pjc,ic->ipj", places.reshape(len(places), k - 1, w), stats)
+    word, place, words = _word_places(radix)
+    codes = _repack(lattice, word, place, words)  # (W, E), word 0 most significant
     mults, n = lattice.mult_array, lattice.n
     growth = [len(mults)]
-    for shift in shifts:
-        succ = (codes[:, None, :] + shift[:, :, None]).reshape(len(codes), -1)
+    for stat in stats:
+        # successor j*E + i is entry i with the observation in slot j, whose packed
+        # column c adds place[c] times its digit to word[c]; the last slot adds nothing
+        succ = np.tile(codes, k)
         del codes
+        runs = succ.reshape(words, k, -1)
+        for c, digit in enumerate(stat * (k - 1)):
+            if digit:
+                runs[word[c], c // w] += place[c] * digit
         # k sorted runs, which the stable sort under lexsort merges
         order = np.lexsort(succ[::-1])
         starts = np.flatnonzero(_fresh(succ, order))
@@ -327,7 +323,7 @@ def _fold(
         if len(starts) > budget:
             raise _over_budget(budget, growth, n)
         codes = np.take(succ, order[starts], axis=1)
-        del succ
+        del succ, runs
         # successor i came from entry i mod E; to Python ints at the step
         # where k**n reaches 2**63, else no copy
         mults = mults.astype(_mult_dtype(k, n), copy=False).take(order, mode="wrap")
@@ -643,9 +639,10 @@ def load(text: str) -> StatLattice:
         _check_block(columns, mults[part], k, n, totals)
         if part.start == 0:  # the radix of totals that passed the range check
             radix = [t + 1 for t in totals] * (k - 1)
-            places = _word_places(radix)
-            codes = np.empty((len(places), len(mults)), dtype=np.int64)
-        codes[:, part] = places @ columns[: len(radix)]
+            word, place, words = _word_places(radix)
+            codes = np.zeros((words, len(mults)), dtype=np.int64)
+        for c, column in enumerate(columns[: len(radix)]):
+            codes[word[c], part] += column * place[c]
     # with digits in range and shared totals, code order is key order
     if not _increasing(codes):
         raise LatticeFormatError("keys are duplicated or out of order")

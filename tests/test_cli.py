@@ -29,6 +29,7 @@ from mixexact.errors import (
     ResourceLimitError,
     UnsupportedFamilyError,
 )
+from conftest import run_capped
 from test_golden import _sum_312
 
 WORKED = "0\n0\n0\n1\n2\n2\n4\n"
@@ -745,6 +746,26 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "evidence", "--data", str(path), "--family", "poisson", "--k", "6000000")
         assert code == 4
         assert err == "error: entry budget 5000000 exceeded at 6000000 entries after 1 observations\n"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+    @pytest.mark.parametrize("k", [30_000, 1_000_000])
+    def test_k_within_the_budget_but_beyond_memory_is_4(self, tmp_path, k):
+        # radix 4 per packed column puts 31 columns in a word, so the first
+        # step tiles k copies of about k/15 code words and the second k times
+        # that: past the cap at either, which must fail fast on allocation
+        path = tmp_path / "counts.txt"
+        path.write_text("0\n0\n3\n")
+        proc = run_capped("-m", "mixexact.cli", "evidence", "--data", str(path), "--family", "poisson", "--k", str(k))
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    def test_a_digit_past_the_int64_key_range_is_2(self, capsys, tmp_path):
+        # every digit times k must stay below 2**63: (2**62 + 1) * 3 does not
+        path = tmp_path / "counts.txt"
+        path.write_text(f"{2**62}\n1\n")
+        code, _, err = run_cli(capsys, "evidence", "--data", str(path), "--family", "poisson", "--k", "3")
+        assert code == 2
+        assert err == "error: a statistic digit would leave the int64 key range\n"
 
     def test_single_component_weight_marginal_is_2(self, capsys, worked_file):
         code, stdout, err = run_cli(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from math import comb, prod
 
 import numpy as np
@@ -14,6 +15,7 @@ from mixexact.errors import LatticeFormatError, ResourceLimitError, UnsupportedF
 from mixexact.families import DirichletMultinomial
 from mixexact.lattice import StatLattice, build, dump, extend, init, load
 from mixexact.posterior import MixturePrior
+from conftest import run_capped
 
 WORKED_DATA = [0, 0, 0, 1, 2, 2, 4]
 # aggregates near 10^5 over 3 slots of 4 categories: codes of several words
@@ -163,8 +165,8 @@ class TestExtend:
         assert err.value.growth == (1, 4)
 
     def test_k_above_the_budget_fails_before_the_first_step(self):
-        # the first observation makes exactly k entries; at this k the fold's
-        # place matrix alone would take hours or all the memory to build
+        # the first observation makes exactly k entries; at this k the first
+        # step alone would tile k copies of about k/15 code words
         k = 6 * 10**6
         with pytest.raises(ResourceLimitError) as err:
             build([0, 0, 3], k)
@@ -221,6 +223,10 @@ class TestArrayLattice:
             build([2 * big, 2 * big], 2)
         with pytest.raises(ValueError, match="int64"):
             build([2**64], 2)
+        # totals (2, 2**62 + 1): a column sum over k = 3 slots could reach 3 * (2**62 + 1)
+        with pytest.raises(ValueError, match="^a statistic digit would leave the int64 key range$"):
+            build([2**62, 1], 3)
+        assert build([2**62, 1], 1).key_array.tolist() == [[2, 2**62 + 1]]
 
     def test_keys_sorted_and_immutable(self):
         lat = build(WORKED_DATA, 3)
@@ -309,6 +315,82 @@ def _fold(data, k: int) -> list[StatLattice]:
     for obs in data[1:]:
         steps.append(extend(steps[-1], obs))
     return steps
+
+
+def _random_radix(rng: random.Random) -> list[int]:
+    """Radices of 1 (the digit 0 alone), small ones, powers of two whose
+    products land exactly on 2**63, and wide ones up to 2**62."""
+    radix = []
+    for _ in range(rng.randrange(1, 12)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            radix.append(1)
+        elif kind == 1:
+            radix.append(rng.randrange(2, 10))
+        elif kind == 2:
+            radix.append(2 ** rng.choice([1, 2, 3, 21, 31, 32, 62]))
+        else:
+            radix.append(rng.randrange(2, 2**62 + 1))
+    return radix
+
+
+class TestWordPlaces:
+    """One rule places every packed column: `_word_places` gives its word
+    and its place value there, and the fold, `_repack`, `load` and
+    `key_blocks` all read it."""
+
+    RADICES = [
+        [1, 1, 1],  # the n = 0 lattice's columns
+        [2**21] * 3,  # the third column's product would be 2**63 exactly
+        [2, 2**62],
+        [2**62, 2],
+        [2**32, 2**31, 2**32],
+        [3, 2**31 + 2, 3, 2**31 + 2],  # build([2**31, 1], 3): two words
+        [1, 2**61, 4, 1, 2**61, 4],  # a word whose codes would fill int64
+        [4] * 64,  # 31 columns of radix 4 to a word
+    ] + [_random_radix(random.Random(seed)) for seed in range(200)]
+
+    def test_words_fill_int64_and_close_only_when_full(self):
+        for radix in self.RADICES:
+            self.check_words(radix)
+
+    @staticmethod
+    def check_words(radix):
+        word, place, words = lattice._word_places(radix)
+        assert word[0] == 0 and word[-1] == words - 1
+        assert all(b - a in (0, 1) for a, b in zip(word, word[1:]))  # contiguous, in order
+        for w in range(words):
+            columns = [c for c in range(len(radix)) if word[c] == w]
+            # a column's place is the product of the radices after it in its word
+            assert [place[c] for c in columns] == [prod(radix[d] for d in columns[i + 1 :]) for i in range(len(columns))]
+            # no code of the word, and no place value, reaches 2**63
+            assert sum(place[c] * (radix[c] - 1) for c in columns) < 2**63
+            assert place[columns[0]] * radix[columns[0]] < 2**63
+            if w > 0:  # the word before closed because this one's product could not take its last column
+                assert place[columns[0]] * radix[columns[0]] * radix[columns[0] - 1] >= 2**63
+        leads = [c for c in range(len(radix)) if c == 0 or word[c - 1] != word[c]]
+        assert leads == [word.index(w) for w in range(words)]
+
+    @pytest.mark.parametrize("rows", [1, 3, lattice._BLOCK_ROWS])
+    def test_digits_packed_by_word_and_place_decode_unchanged(self, rows, monkeypatch):
+        rng = np.random.default_rng(34)
+        monkeypatch.setattr(lattice, "_BLOCK_ROWS", rows)
+        for radix in self.RADICES:
+            word, place, words = lattice._word_places(radix)
+            # every digit 0 and every largest digit, then random digits in range
+            keys = [[0] * len(radix), [r - 1 for r in radix]]
+            keys += [[int(rng.integers(r)) for r in radix] for _ in range(7)]
+            codes = [[0] * len(keys) for _ in range(words)]
+            for e, key in enumerate(keys):
+                for c, digit in enumerate(key):
+                    codes[word[c]][e] += place[c] * digit
+            # one packed slot at k = 2: the packed columns are the key's first len(radix)
+            lat = StatLattice._from_codes(
+                "multinomial", 2, 0, np.array(codes, dtype=np.int64), radix, [r - 1 for r in radix],
+                np.ones(len(keys), dtype=np.int64), 0,
+            )
+            decoded = np.concatenate([block.copy() for _, block in lat.key_blocks(range(len(radix)))], axis=1)
+            assert decoded.T.tolist() == keys
 
 
 class TestMultiplicityDtype:
@@ -682,6 +764,25 @@ class TestBlockedLoad:
         monkeypatch.setattr(lattice, "_BLOCK_ROWS", rows)
         with pytest.raises(LatticeFormatError, match="blank line"):
             load(TestLoadValidation.LINES[0] + "\n\n" + TestLoadValidation.BODY)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+    def test_a_small_dump_of_an_absurd_k_is_a_format_error(self):
+        # 400 KB: the header says k = 10**5 and n = 1, and one line holds
+        # 200,001 cells; packing them takes memory in proportion to the
+        # cells, so the conservation check is reached under the cap
+        probe = (
+            "import sys\n"
+            "from mixexact import LatticeFormatError, load\n"
+            "k = 10**5\n"
+            "text = f'family=poisson k={k} n=1 logh=0x0.0p+0\\n1\\t0\\t' + '0\\t' * (2 * (k - 1)) + '1\\n'\n"
+            "try:\n"
+            "    load(text)\n"
+            "except LatticeFormatError as exc:\n"
+            "    print(len(text.encode()), exc)\n"
+        )
+        proc = run_capped("-c", probe)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "400044 dump violates conservation: total 1 != 100000^1\n"
 
     @pytest.mark.parametrize("rows", [1, 3, 4])
     def test_conservation_sum_carries_across_blocks(self, rows, monkeypatch):
